@@ -9,7 +9,8 @@ import sys
 
 from .analysis import analyze_config
 from .config import load_config, resolved_summary
-from .errors import ConfigurationError, FormatError
+from .errors import (ConfigurationError, DegenerateContextError, DivergedTrainingError,
+                     FormatError, ProtocolViolationError)
 from .harness import emit, run_experiment
 
 
@@ -63,10 +64,8 @@ def main(argv=None) -> int:
                   f"({result.summary['wall_time_s']:.1f}s)")
         print(f"wrote {out_dir}")
         return 0
-    except FileExistsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, OSError) as exc:
+    except (FormatError, OSError, DivergedTrainingError, ProtocolViolationError,
+            DegenerateContextError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,9 @@ class DivergedTrainingError(RuntimeError):
         super().__init__(f"training loss became non-finite at step {step}")
         self.step = step
 
+    def __reduce__(self):  # rebuild from the step, not the message, across processes
+        return type(self), (self.step,)
+
 
 class FormatError(ValueError):
     """A dataset file does not match its declared binary/text format."""

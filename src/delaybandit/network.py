@@ -1,8 +1,17 @@
 """Fully connected ReLU reward network: init, forward, gradients, training.
 
 The network is f(x; theta) = sqrt(m) * W_L relu(W_{L-1} relu(... relu(W_1 x)))
-with W_1 in R^{m x d}, hidden W_i in R^{m x m} and W_L in R^{1 x m}. Parameters
-live in a flat double vector (see :mod:`delaybandit.kernels` for the layout).
+with W_1 in R^{m x d}, hidden W_i in R^{m x m} and W_L in R^{1 x m}.
+
+Weight layout used throughout: ``w1`` of shape (m, d), ``wh`` of shape
+(L-2, m, m) holding the hidden square layers, and ``wl`` of shape (m,). Flat
+parameter vectors concatenate ``vec(w1)``, ``vec(w2)``, ..., ``vec(w_{L-1})``
+(row-major) followed by ``wl``. The ReLU subgradient at 0 is 0.
+
+Per-row gradients (the n x p Jacobian) are built only where each row is a
+feature vector: the arms being scored and the revealed records entering the
+design matrix. Training needs only residual @ Jacobian, which ``vjp`` obtains
+by backpropagating the residual without forming the Jacobian.
 """
 
 from dataclasses import dataclass
@@ -10,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergedTrainingError
-from .kernels import forward_batch, grad_batch
 
 
 @dataclass(frozen=True)
@@ -93,12 +101,28 @@ def forward(theta: np.ndarray, shape: NetworkShape, x: np.ndarray) -> float:
     return float(forward_many(theta, shape, np.atleast_2d(x))[0])
 
 
-def forward_many(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray) -> np.ndarray:
-    w1, wh, wl = unflatten(theta, shape)
+def _check_contexts(xs: np.ndarray, shape: NetworkShape) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != shape.input_dim:
         raise ValueError(f"contexts have shape {xs.shape}, expected (n, {shape.input_dim})")
-    return forward_batch(w1, wh, wl, xs)
+    return xs
+
+
+def _activations(w1, wh, xs):
+    """Layer inputs [xs, h_1, ..., h_{L-1}] for each row of xs; h_i > 0 is the ReLU mask."""
+    acts = [xs, np.maximum(xs @ w1.T, 0.0)]
+    for w in wh:
+        acts.append(np.maximum(acts[-1] @ w.T, 0.0))
+    return acts
+
+
+def _outputs(wl, acts):
+    return np.sqrt(wl.shape[0]) * (acts[-1] @ wl)
+
+
+def forward_many(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray) -> np.ndarray:
+    w1, wh, wl = unflatten(theta, shape)
+    return _outputs(wl, _activations(w1, wh, _check_contexts(xs, shape)))
 
 
 def gradient(theta: np.ndarray, shape: NetworkShape, x: np.ndarray) -> np.ndarray:
@@ -110,10 +134,50 @@ def gradient(theta: np.ndarray, shape: NetworkShape, x: np.ndarray) -> np.ndarra
 def gradient_many(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray):
     """Per-row gradients (n, p) and forward values (n,) in one backward pass."""
     w1, wh, wl = unflatten(theta, shape)
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != shape.input_dim:
-        raise ValueError(f"contexts have shape {xs.shape}, expected (n, {shape.input_dim})")
-    return grad_batch(w1, wh, wl, xs)
+    return grad_batch(w1, wh, wl, _check_contexts(xs, shape))
+
+
+def grad_batch(w1, wh, wl, xs):
+    """Per-row flattened parameter gradients; returns (n, p) with outputs (n,)."""
+    n = xs.shape[0]
+    m, d = w1.shape
+    sqrt_m = np.sqrt(m)
+    acts = _activations(w1, wh, xs)
+    p = m * d + wh.shape[0] * m * m + m
+    grads = np.empty((n, p), dtype=np.float64)
+    grads[:, p - m:] = sqrt_m * acts[-1]
+    delta = (sqrt_m * wl) * (acts[-1] > 0.0)
+    offset = p - m
+    for layer in range(wh.shape[0] - 1, -1, -1):
+        offset -= m * m
+        grads[:, offset:offset + m * m] = (
+            delta[:, :, None] * acts[layer + 1][:, None, :]).reshape(n, m * m)
+        delta = (delta @ wh[layer]) * (acts[layer + 1] > 0.0)
+    grads[:, :m * d] = (delta[:, :, None] * xs[:, None, :]).reshape(n, m * d)
+    return grads, _outputs(wl, acts)
+
+
+def _backprop(wh, wl, acts, v):
+    """v @ J for the (n, p) Jacobian J of the outputs, as one matmul per layer."""
+    m = wl.shape[0]
+    sqrt_m = np.sqrt(m)
+    out = np.empty(acts[0].shape[1] * m + wh.shape[0] * m * m + m)
+    out[-m:] = sqrt_m * (v @ acts[-1])
+    delta = (sqrt_m * v[:, None] * wl) * (acts[-1] > 0.0)
+    end = out.size - m
+    for layer in range(wh.shape[0] - 1, -1, -1):
+        out[end - m * m:end] = (delta.T @ acts[layer + 1]).ravel()
+        end -= m * m
+        delta = (delta @ wh[layer]) * (acts[layer + 1] > 0.0)
+    out[:end] = (delta.T @ acts[0]).ravel()
+    return out
+
+
+def vjp(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v @ gradient_many(theta, shape, xs)[0] without forming the n x p Jacobian."""
+    w1, wh, wl = unflatten(theta, shape)
+    return _backprop(wh, wl, _activations(w1, wh, _check_contexts(xs, shape)),
+                     np.asarray(v, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -157,26 +221,29 @@ def train_nn(theta_start: np.ndarray,
     samples uniformly with replacement and applies the full regularizer
     gradient every step, so the fixed point matches full-batch training.
     """
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = _check_contexts(xs, shape)
     rs = np.asarray(rs, dtype=np.float64)
     if xs.size == 0:
         return theta_start.copy()
     if anchor is None:
         anchor = theta_start
     theta = theta_start.astype(np.float64, copy=True)
+    w1, wh, wl = unflatten(theta, shape)  # views: they follow the in-place steps
     m_lam = shape.width * spec.lam
     n = xs.shape[0]
-    for j in range(1, spec.steps + 1):
-        if spec.batch_size is None or spec.batch_size >= n:
-            bx, br = xs, rs
-        else:
-            idx = rng.integers(0, n, size=spec.batch_size)
-            bx, br = xs[idx], rs[idx]
-        grads, preds = gradient_many(theta, shape, bx)
-        resid = preds - br
-        step_loss = 0.5 * float(resid @ resid)
-        if not np.isfinite(step_loss):
-            raise DivergedTrainingError(j)
-        grad = resid @ grads + m_lam * (theta - anchor)
-        theta -= spec.eta * grad
+    # a non-finite loss raises DivergedTrainingError, so overflow on the way there is not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, spec.steps + 1):
+            if spec.batch_size is None or spec.batch_size >= n:
+                bx, br = xs, rs
+            else:
+                idx = rng.integers(0, n, size=spec.batch_size)
+                bx, br = xs[idx], rs[idx]
+            acts = _activations(w1, wh, bx)
+            resid = _outputs(wl, acts) - br
+            step_loss = 0.5 * float(resid @ resid)
+            if not np.isfinite(step_loss):
+                raise DivergedTrainingError(j)
+            grad = _backprop(wh, wl, acts, resid) + m_lam * (theta - anchor)
+            theta -= spec.eta * grad
     return theta

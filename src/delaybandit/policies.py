@@ -118,8 +118,11 @@ class NeuralBandit:
         self.theta0 = init_symmetric(cfg.shape, rng)
         self.theta = self.theta0.copy()
         self.design = DesignMatrix(cfg.shape.param_count, cfg.lam, cfg.design_mode)
-        self.revealed_x: list[np.ndarray] = []
-        self.revealed_r: list[float] = []
+        # revealed contexts and rewards fill the first revealed_count rows;
+        # capacity doubles when full, so appending costs O(1) amortized
+        self._xs = np.empty((64, cfg.shape.input_dim))
+        self._rs = np.empty(64)
+        self.revealed_count = 0
         self.pending: dict[int, tuple[np.ndarray, int]] = {}
         self.t = 0
         self.gamma = gamma_value(cfg, 0, 0.0, self._steps_at(0))
@@ -130,9 +133,16 @@ class NeuralBandit:
             return t
         return self.cfg.train.steps
 
-    @property
-    def revealed_count(self) -> int:
-        return len(self.revealed_r)
+    def _store(self, xs: np.ndarray, rs: list[float]) -> None:
+        n, k = self.revealed_count, len(rs)
+        if n + k > len(self._rs):
+            capacity = max(2 * len(self._rs), n + k)
+            grown_x = np.empty((capacity, self._xs.shape[1]))
+            grown_r = np.empty(capacity)
+            grown_x[:n], grown_r[:n] = self._xs[:n], self._rs[:n]
+            self._xs, self._rs = grown_x, grown_r
+        self._xs[n:n + k], self._rs[n:n + k] = xs, rs
+        self.revealed_count = n + k
 
     def select_action(self, contexts: np.ndarray):
         """Score the K arm contexts and return (1-based action, diagnostics)."""
@@ -162,18 +172,22 @@ class NeuralBandit:
 
     def ingest_revealed(self, batch: list[BanditRecord]) -> None:
         """Absorb this round's revealed rewards, retrain, refresh gamma."""
-        sqrt_m = math.sqrt(self.cfg.shape.width)
-        for record in sorted(batch, key=lambda r: r.round):
-            if record.round not in self.pending:
+        records = sorted(batch, key=lambda r: r.round)
+        previous = 0
+        for record in records:
+            if record.round not in self.pending or record.round == previous:
                 raise ProtocolViolationError(
                     f"round {record.round} revealed but not pending")
+            previous = record.round
+        if records:
+            xs = np.stack([record.context for record in records])
             # gradient features evaluated at the current (pre-retrain) parameters
-            grad = gradient_many(self.theta, self.cfg.shape,
-                                 record.context[None, :])[0][0]
-            self.design.rank1_update(grad / sqrt_m)
-            del self.pending[record.round]
-            self.revealed_x.append(record.context)
-            self.revealed_r.append(record.reward)
+            grads, _ = gradient_many(self.theta, self.cfg.shape, xs)
+            grads /= math.sqrt(self.cfg.shape.width)
+            for record, grad in zip(records, grads):
+                self.design.rank1_update(grad)
+                del self.pending[record.round]
+            self._store(xs, [record.reward for record in records])
         retrain = bool(batch) if self.cfg.retrain_trigger == "on-reveal" \
             else self.revealed_count > 0
         steps = self._steps_at(self.t)
@@ -181,7 +195,8 @@ class NeuralBandit:
             spec = replace(self.cfg.train, steps=steps)
             start = self.theta if self.cfg.warm_start else self.theta0
             self.theta = train_nn(start, self.cfg.shape,
-                                  np.array(self.revealed_x), np.array(self.revealed_r),
+                                  self._xs[:self.revealed_count],
+                                  self._rs[:self.revealed_count],
                                   spec, self.rng, anchor=self.theta0)
         self.gamma = gamma_value(self.cfg, self.revealed_count,
                                  self.design.logdet_ratio(), steps)

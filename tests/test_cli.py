@@ -20,6 +20,24 @@ environment:
   delay: none
 """
 
+DIVERGING_YAML = """\
+experiment:
+  horizon: 6
+  arms: 2
+  seeds: [1]
+policy:
+  algorithm: delayed-neural-ucb
+  design_mode: diag
+network:
+  width: 8
+train:
+  eta: 1000.0
+environment:
+  source: synthetic
+  synthetic_dim: 4
+  delay: none
+"""
+
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -58,6 +76,14 @@ class TestCli:
                      "--out", str(out), "--seeds", "7"]) == 0
         assert (out / "run_7.csv").exists()
         assert not (out / "run_1.csv").exists()
+
+    def test_diverged_training_exits_2_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "diverge.yaml"
+        path.write_text(DIVERGING_YAML)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: training loss became non-finite at step")
+        assert err.count("\n") == 1
 
     def test_analyze(self, config_file, capsys):
         assert main(["analyze", "--config", str(config_file)]) == 0

@@ -1,12 +1,14 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaybandit import (NetworkShape, TrainSpec, forward, forward_many,
-                         gradient, init_symmetric, train_nn)
+                         gradient, gradient_many, init_symmetric, train_nn)
 from delaybandit.errors import ConfigurationError, DivergedTrainingError
-from delaybandit.network import flatten, loss_value, unflatten
+from delaybandit.network import flatten, loss_value, unflatten, vjp
 
 
 def sym_context(rng, d):
@@ -240,3 +242,87 @@ class TestTrainNN:
         with pytest.raises(DivergedTrainingError) as err:
             train_nn(self.theta0, self.shape, self.x[None, :], np.array([1.0]), spec)
         assert err.value.step >= 1
+
+
+def instance_with_dead_units(depth, rng, width=6, dim=5, n=9):
+    """Random weights and contexts where some ReLU pre-activations are exactly 0."""
+    shape = NetworkShape(depth, width, dim)
+    w1, wh, wl = unflatten(rng.standard_normal(shape.param_count), shape)
+    w1[0] = 0.0          # unit 0 of the first layer sees 0 for every context
+    for w in wh:
+        w[1] = 0.0       # likewise unit 1 of each hidden layer
+    xs = rng.standard_normal((n, dim))
+    xs[2] = 0.0          # every first-layer unit sees 0 for this row
+    return shape, flatten(w1, wh, wl), xs
+
+
+def jacobian_train_reference(theta_start, shape, xs, rs, spec, rng=None, anchor=None):
+    """The step loop of train_nn written with the full per-sample Jacobian."""
+    anchor = theta_start if anchor is None else anchor
+    theta = theta_start.copy()
+    n = xs.shape[0]
+    for j in range(1, spec.steps + 1):
+        if spec.batch_size is None or spec.batch_size >= n:
+            bx, br = xs, rs
+        else:
+            idx = rng.integers(0, n, size=spec.batch_size)
+            bx, br = xs[idx], rs[idx]
+        grads, preds = gradient_many(theta, shape, bx)
+        resid = preds - br
+        if not np.isfinite(0.5 * float(resid @ resid)):
+            raise DivergedTrainingError(j)
+        theta -= spec.eta * (resid @ grads + shape.width * spec.lam * (theta - anchor))
+    return theta
+
+
+class TestVectorJacobianProduct:
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_matches_jacobian_contraction(self, depth):
+        rng = np.random.default_rng(40 + depth)
+        shape, theta, xs = instance_with_dead_units(depth, rng)
+        v = rng.standard_normal(xs.shape[0])
+        jac, _ = gradient_many(theta, shape, xs)
+        assert np.all(jac[2, :shape.width * shape.input_dim] == 0.0)
+        ref = v @ jac
+        assert np.max(np.abs(vjp(theta, shape, xs, v) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_single_neuron_hand_values(self):
+        # f = 0.5 * relu(2x); v = 3 at x = 1 gives 3 * (0.5, 2)
+        shape = NetworkShape(2, 1, 1)
+        out = vjp(np.array([2.0, 0.5]), shape, np.array([[1.0], [-1.0]]), np.array([3.0, 7.0]))
+        assert out == pytest.approx([1.5, 6.0])
+
+
+class TestTrainMatchesJacobianReference:
+    def setup_method(self):
+        rng = np.random.default_rng(21)
+        self.shape = NetworkShape(3, 8, 6)
+        self.theta0 = init_symmetric(self.shape, rng)
+        self.xs = rng.standard_normal((25, 6))
+        self.rs = rng.random(25)
+
+    @pytest.mark.parametrize("batch_size", [None, 7])
+    def test_same_iterates(self, batch_size):
+        spec = TrainSpec(lam=0.5, eta=0.01, steps=30, batch_size=batch_size)
+        start = self.theta0 + 0.1  # warm start away from the anchor
+        ours = train_nn(start, self.shape, self.xs, self.rs, spec,
+                        np.random.default_rng(5), anchor=self.theta0)
+        ref = jacobian_train_reference(start, self.shape, self.xs, self.rs, spec,
+                                       np.random.default_rng(5), anchor=self.theta0)
+        assert np.max(np.abs(ours - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverges_at_the_same_step(self):
+        # train_nn reports the divergence by its typed error alone, without overflow warnings
+        spec = TrainSpec(lam=1.0, eta=1e3, steps=50)
+        with pytest.raises(DivergedTrainingError) as ref:
+            with np.errstate(over="ignore", invalid="ignore"):
+                jacobian_train_reference(self.theta0, self.shape, self.xs, self.rs, spec)
+        with pytest.raises(DivergedTrainingError) as ours:
+            train_nn(self.theta0, self.shape, self.xs, self.rs, spec)
+        assert ours.value.step == ref.value.step > 1
+
+    def test_diverged_error_survives_pickling(self):
+        # run --jobs N sends it back from a worker process
+        err = pickle.loads(pickle.dumps(DivergedTrainingError(4)))
+        assert err.step == 4 and str(err) == str(DivergedTrainingError(4))

@@ -6,7 +6,7 @@ import pytest
 
 from delaybandit import (BanditRecord, DelayDistribution, LinearBandit,
                          NetworkShape, NeuralBandit, PolicyConfig, RevealQueue,
-                         TrainSpec, gamma_value)
+                         TrainSpec, gamma_value, train_nn)
 from delaybandit.environment import Environment, SyntheticSource
 from delaybandit.errors import ConfigurationError, ProtocolViolationError
 from delaybandit import policies as policies_mod
@@ -185,6 +185,29 @@ class TestIngest:
         assert policy.revealed_count == 10
         assert policy.design.update_count == 10
         assert not policy.pending
+
+    def test_training_sees_every_revealed_row(self):
+        # 70 reveals outgrow the initial 64-row buffer; full-batch training
+        # from theta0 must equal train_nn on the rows collected here
+        policy = self.make_policy(train=TrainSpec(lam=1.0, eta=0.01, steps=2))
+        rng = np.random.default_rng(8)
+        xs, rs = [], []
+        for t in range(1, 71):
+            self._play_round(policy, rng)
+            x, a = policy.pending[t]
+            xs.append(x)
+            rs.append(0.01 * t)
+            policy.ingest_revealed([BanditRecord(t, x, a, rs[-1])])
+        expected = train_nn(policy.theta0, policy.cfg.shape, np.array(xs), np.array(rs),
+                            policy.cfg.train, anchor=policy.theta0)
+        assert np.array_equal(policy.theta, expected)
+
+    def test_round_revealed_twice_rejected(self):
+        policy = self.make_policy()
+        self._play_round(policy, np.random.default_rng(2))
+        x, a = policy.pending[1]
+        with pytest.raises(ProtocolViolationError):
+            policy.ingest_revealed([BanditRecord(1, x, a, 0.0), BanditRecord(1, x, a, 0.0)])
 
 
 class TestCausality:
