@@ -9,8 +9,8 @@ import sys
 
 from .analysis import analyze_config
 from .config import load_config, resolved_summary
-from .errors import (ConfigurationError, DegenerateContextError, DivergedTrainingError,
-                     FormatError, ProtocolViolationError)
+from .errors import (ConfigurationError, DegenerateContextError, DesignUpdateError,
+                     DivergedTrainingError, FormatError, ProtocolViolationError)
 from .harness import emit, run_experiment
 
 
@@ -65,7 +65,7 @@ def main(argv=None) -> int:
         print(f"wrote {out_dir}")
         return 0
     except (FormatError, OSError, DivergedTrainingError, ProtocolViolationError,
-            DegenerateContextError) as exc:
+            DegenerateContextError, DesignUpdateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,15 +1,41 @@
 """Regularized Gram accumulator Z = lam*I + sum u u^T with inverse queries.
 
-Full mode keeps the p x p matrix and its inverse, updated by Sherman-Morrison
-with a periodic direct refresh; Diagonal mode keeps only the diagonal and is
-meant for parameter counts where p x p storage is infeasible.
+Full mode is exact and holds no p x p array while fewer than p vectors have
+been added. Until then it keeps them as the rows of G (n x p), beside
+W = L^{-1}, the inverse of the lower Cholesky factor L of the n x n kernel
+K = lam*I + G G^T. This is the dual (Woodbury) form of kernelised UCB:
+
+    Z^{-1} = (I - (W G)^T (W G)) / lam,    det(Z) / lam^p = det(K) / lam^n.
+
+Appending u extends L by one row in O(np + n^2). With l = W G u, the new
+pivot is d^2 = lam + u.u - l.l = lam * (1 + u^T Z^{-1} u), the Sherman-Morrison
+denominator, so log det grows by log(d^2 / lam). The p-th vector switches to
+the primal form: Z = lam*I + G^T G is built and inverted once, G and W are
+dropped, and from then on Z and Z^{-1} are updated by Sherman-Morrison, with a
+direct refresh every REFRESH_PERIOD updates against drift.
+
+Diag mode keeps only the diagonal of Z, the approximation NeuralUCB uses in
+its experiments.
+
+An update whose vector is not finite (or whose squared norm overflows), or whose
+pivot is not finite and positive, raises DesignUpdateError and leaves the
+design unchanged.
 """
+
+import math
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DesignUpdateError
 
 REFRESH_PERIOD = 512  # Sherman-Morrison drift control
+_INITIAL_ROWS = 64    # first capacity of the dual buffers; doubles up to p
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 class DesignMatrix:
@@ -25,11 +51,13 @@ class DesignMatrix:
         self.mode = mode
         self.update_count = 0
         if mode == "full":
-            self._z = lam * np.eye(p)
-            self._zinv = np.eye(p) / lam
-            self._logdet = p * np.log(lam)
+            rows = min(p, _INITIAL_ROWS)
+            self._g = np.empty((rows, p))
+            self._w = np.zeros((rows, rows))  # kept lower-triangular
+            self._z = self._zinv = None
+            self._logdet_ratio = 0.0
         else:
-            self._diag = np.full(p, lam)
+            self._diag = np.full(p, self.lam)
 
     def _check_dim(self, u):
         u = np.asarray(u, dtype=np.float64)
@@ -37,38 +65,104 @@ class DesignMatrix:
             raise ValueError(f"vector has shape {u.shape}, expected ({self.p},)")
         return u
 
+    @staticmethod
+    def _check_pivot(pivot: float) -> None:
+        if not (math.isfinite(pivot) and pivot > 0.0):
+            raise DesignUpdateError(f"design-matrix update has pivot {pivot!r}, "
+                                    "not a finite positive number")
+
     def rank1_update(self, u: np.ndarray) -> None:
+        """Z += u u^T; raises DesignUpdateError, changing nothing, on numerical trouble."""
         u = self._check_dim(u)
+        uu = float(np.vdot(u, u))  # unlike matmul, vdot does not warn on overflow
+        if not math.isfinite(uu):
+            raise DesignUpdateError("design-matrix update vector is not finite "
+                                    "or its squared norm overflows")
         if self.mode == "diag":
-            self._diag += u * u
+            self._diag += u * u  # every entry stays >= lam: no pivot to check
+        elif self._zinv is None:
+            self._dual_update(u, uu)
         else:
             zu = self._zinv @ u
-            denom = 1.0 + float(u @ zu)
+            denom = 1.0 + float(np.vdot(u, zu))
+            self._check_pivot(denom)
             self._z += np.outer(u, u)
-            self._zinv -= np.outer(zu, zu) / denom
-            self._logdet += np.log(denom)
+            step = np.outer(zu, zu)
+            step /= denom  # in place: one p x p temporary fewer
+            self._zinv -= step
+            self._logdet_ratio += math.log(denom)
         self.update_count += 1
-        if self.mode == "full" and self.update_count % REFRESH_PERIOD == 0:
-            self._refresh()
+        if self.mode == "full":
+            if self.update_count == self.p:
+                self._to_primal()
+            elif self._zinv is not None and self.update_count % REFRESH_PERIOD == 0:
+                self._refresh()
+
+    def _dual_update(self, u, uu):
+        n = self.update_count
+        w = self._w[:n, :n]
+        l = w @ (self._g[:n] @ u)
+        gain = uu - float(l @ l)  # lam * u^T Z^{-1} u
+        d2 = self.lam + gain
+        self._check_pivot(d2)
+        d = math.sqrt(d2)
+        row = (l @ w) / -d
+        if n == len(self._g):
+            self._grow(min(2 * n, self.p))
+        self._g[n] = u
+        self._w[n, :n] = row
+        self._w[n, n] = 1.0 / d
+        self._logdet_ratio += math.log1p(gain / self.lam)
+
+    def _grow(self, rows):
+        n = self.update_count
+        g = np.empty((rows, self.p))
+        w = np.zeros((rows, rows))
+        g[:n], w[:n, :n] = self._g, self._w
+        self._g, self._w = g, w
+
+    def _to_primal(self):
+        g = self._g[:self.update_count]
+        self._z = g.T @ g
+        self._z.flat[::self.p + 1] += self.lam
+        self._zinv = np.linalg.inv(self._z)
+        self._g = self._w = None
 
     def _refresh(self):
         self._zinv = np.linalg.inv(self._z)
-        sign, logdet = np.linalg.slogdet(self._z)
-        self._logdet = logdet
+        _, logdet = np.linalg.slogdet(self._z)
+        self._logdet_ratio = logdet - self.p * math.log(self.lam)
 
     def quad_form(self, u: np.ndarray) -> float:
         """u^T Z^{-1} u, clipped at 0 against roundoff."""
         u = self._check_dim(u)
         if self.mode == "diag":
             val = float(np.sum(u * u / self._diag))
+        elif self._zinv is None:
+            n = self.update_count
+            wgu = self._w[:n, :n] @ (self._g[:n] @ u)
+            val = (float(u @ u) - float(wgu @ wgu)) / self.lam
         else:
             val = float(u @ (self._zinv @ u))
         return max(val, 0.0)
+
+    def inverse(self) -> np.ndarray:
+        """Z^{-1} as a read-only p x p array; the dual and diag forms build it per call."""
+        if self.mode == "diag":
+            return _read_only(np.diag(1.0 / self._diag))
+        if self._zinv is None:
+            n = self.update_count
+            wg = self._w[:n, :n] @ self._g[:n]
+            inv = wg.T @ wg
+            inv *= -1.0 / self.lam
+            inv.flat[::self.p + 1] += 1.0 / self.lam
+            return _read_only(inv)
+        return _read_only(self._zinv)
 
     def logdet_ratio(self) -> float:
         """log det(Z) - p*log(lam), always >= 0."""
         if self.mode == "diag":
             val = float(np.sum(np.log(self._diag / self.lam)))
         else:
-            val = self._logdet - self.p * np.log(self.lam)
+            val = self._logdet_ratio
         return max(val, 0.0)

@@ -20,6 +20,10 @@ class DivergedTrainingError(RuntimeError):
         return type(self), (self.step,)
 
 
+class DesignUpdateError(RuntimeError):
+    """A design-matrix update met a non-finite vector or a pivot that is not finite and positive."""
+
+
 class FormatError(ValueError):
     """A dataset file does not match its declared binary/text format."""
 

@@ -231,6 +231,9 @@ def train_nn(theta_start: np.ndarray,
     w1, wh, wl = unflatten(theta, shape)  # views: they follow the in-place steps
     m_lam = shape.width * spec.lam
     n = xs.shape[0]
+    if rng is None and spec.batch_size is not None and spec.batch_size < n:
+        raise ConfigurationError(
+            f"mini-batches of {spec.batch_size} from {n} rows need an rng")
     # a non-finite loss raises DivergedTrainingError, so overflow on the way there is not warned
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, spec.steps + 1):

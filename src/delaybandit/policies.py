@@ -229,7 +229,7 @@ class LinearBandit:
         self.max_scaled_grad_norm = 0.0
 
     def _theta_hat(self) -> np.ndarray:
-        return self.design._zinv @ self.b
+        return self.design.inverse() @ self.b
 
     def select_action(self, contexts: np.ndarray):
         contexts = np.asarray(contexts, dtype=np.float64)
@@ -246,7 +246,7 @@ class LinearBandit:
             if self.nu == 0.0:
                 draw = theta_hat
             else:
-                chol = np.linalg.cholesky(self.design._zinv)
+                chol = np.linalg.cholesky(self.design.inverse())
                 draw = theta_hat + self.nu * (chol @ self.rng.standard_normal(self.dim))
             scores = contexts @ draw
             bonuses = scores - means

@@ -162,9 +162,10 @@ class TestCriterion3LinearAlgebraOracle:
             z += np.outer(u, u)
         direct_inv = np.linalg.inv(z)
         _, direct_logdet = np.linalg.slogdet(z)
-        inv_err = (np.max(np.abs(design._zinv - direct_inv))
+        direct_ratio = direct_logdet - p * np.log(lam)
+        inv_err = (np.max(np.abs(design.inverse() - direct_inv))
                    / np.max(np.abs(direct_inv)))
-        logdet_err = abs(design._logdet - direct_logdet) / abs(direct_logdet)
+        logdet_err = abs(design.logdet_ratio() - direct_ratio) / abs(direct_ratio)
         assert inv_err <= 1e-8
         assert logdet_err <= 1e-8
         assert time.perf_counter() - started < 5.0

@@ -5,6 +5,8 @@ import pytest
 from delaybandit.analysis import analyze_config
 from delaybandit.cli import main
 from delaybandit.config import config_from_dict
+from delaybandit.design import DesignMatrix
+from delaybandit.errors import DesignUpdateError
 
 CONFIG_YAML = """\
 experiment:
@@ -84,6 +86,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: training loss became non-finite at step")
         assert err.count("\n") == 1
+
+    def test_design_update_error_exits_2_with_one_line(self, config_file, tmp_path,
+                                                       capsys, monkeypatch):
+        def reject(self, u):
+            raise DesignUpdateError("design-matrix update vector is not finite")
+
+        monkeypatch.setattr(DesignMatrix, "rank1_update", reject)
+        assert main(["run", "--config", str(config_file),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: design-matrix update vector is not finite\n"
 
     def test_analyze(self, config_file, capsys):
         assert main(["analyze", "--config", str(config_file)]) == 0

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from delaybandit import DesignMatrix
-from delaybandit.errors import ConfigurationError
+from delaybandit.errors import ConfigurationError, DesignUpdateError
 
 
 class TestConstruction:
@@ -32,7 +34,7 @@ class TestUpdates:
     def test_diag_elementwise_squares(self):
         dm = DesignMatrix(2, 1.0, "diag")
         dm.rank1_update(np.array([3.0, 4.0]))
-        assert dm._diag == pytest.approx([10.0, 17.0])
+        assert 1.0 / np.diag(dm.inverse()) == pytest.approx([10.0, 17.0])
 
     def test_fresh_norm_scaling(self):
         u = np.array([3.0, 4.0])
@@ -78,7 +80,7 @@ class TestOracle:
             dm.rank1_update(u)
             z += np.outer(u, u)
         direct_inv = np.linalg.inv(z)
-        rel = np.abs(dm._zinv - direct_inv) / np.maximum(np.abs(direct_inv), 1e-12)
+        rel = np.abs(dm.inverse() - direct_inv) / np.maximum(np.abs(direct_inv), 1e-12)
         assert np.max(rel) <= 1e-8
         _, direct_logdet = np.linalg.slogdet(z)
         assert dm.logdet_ratio() == pytest.approx(direct_logdet - p * np.log(lam),
@@ -88,42 +90,143 @@ class TestOracle:
         p = 10
         rng = np.random.default_rng(1)
         dm = DesignMatrix(p, 1.0)
+        z = np.eye(p)
         for _ in range(512):  # exactly one refresh
-            dm.rank1_update(rng.standard_normal(p))
-        residual = np.max(np.abs(dm._z @ dm._zinv - np.eye(p)))
+            u = rng.standard_normal(p)
+            dm.rank1_update(u)
+            z += np.outer(u, u)
+        residual = np.max(np.abs(z @ dm.inverse() - np.eye(p)))
         assert residual <= 1e-8
+
+    @pytest.mark.parametrize("n", [12, 30, 31])  # dual, at the switch, primal
+    def test_dual_and_switch_vs_direct(self, n):
+        p, lam = 30, 0.3
+        rng = np.random.default_rng(7)
+        dm = DesignMatrix(p, lam)
+        z = lam * np.eye(p)
+        for _ in range(n):
+            u = rng.standard_normal(p) * rng.uniform(0.1, 3.0)
+            dm.rank1_update(u)
+            z += np.outer(u, u)
+        direct_inv = np.linalg.inv(z)
+        assert (np.max(np.abs(dm.inverse() - direct_inv))
+                <= 1e-8 * np.max(np.abs(direct_inv)))
+        probe = rng.standard_normal(p)
+        assert dm.quad_form(probe) == pytest.approx(probe @ direct_inv @ probe, rel=1e-8)
+        _, direct_logdet = np.linalg.slogdet(z)
+        assert dm.logdet_ratio() == pytest.approx(direct_logdet - p * np.log(lam),
+                                                  rel=1e-8)
+
+    def test_inverse_is_read_only(self):
+        dm = DesignMatrix(3, 1.0)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                dm.inverse()[0, 0] = 5.0
+            dm.rank1_update(np.ones(3))
+            dm.rank1_update(np.arange(3.0))
+
+    def test_dual_form_holds_no_p_by_p_array(self):
+        p = 5696  # the mushroom config's parameter count
+        rng = np.random.default_rng(2)
+        dm = DesignMatrix(p, 0.1)
+        us = rng.standard_normal((50, p))
+        tracemalloc.start()
+        try:
+            for u in us:
+                dm.rank1_update(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p * p * 8 / 10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNumericalTrouble:
+    @staticmethod
+    def _design(mode, updates):
+        rng = np.random.default_rng(9)
+        dm = DesignMatrix(4, 0.5, mode)
+        for _ in range(updates):
+            dm.rank1_update(rng.standard_normal(4))
+        return dm
+
+    @staticmethod
+    def _assert_rejected(dm, u):
+        probe = np.array([0.3, -1.0, 2.0, 0.5])
+        before = (dm.update_count, dm.quad_form(probe), dm.logdet_ratio(),
+                  dm.inverse().copy())
+        with pytest.raises(DesignUpdateError):
+            dm.rank1_update(u)
+        after = (dm.update_count, dm.quad_form(probe), dm.logdet_ratio(), dm.inverse())
+        assert after[:3] == before[:3]
+        assert np.array_equal(after[3], before[3])
+
+    # 2 updates stay in the dual form at p = 4; 6 cross into the primal form
+    @pytest.mark.parametrize("mode,updates", [("full", 2), ("full", 6), ("diag", 2)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector(self, mode, updates, bad):
+        dm = self._design(mode, updates)
+        self._assert_rejected(dm, np.array([1.0, bad, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("mode,updates", [("full", 2), ("full", 6), ("diag", 2)])
+    def test_overflowing_vector(self, mode, updates):
+        dm = self._design(mode, updates)
+        self._assert_rejected(dm, np.array([1e200, 0.0, 0.0, 0.0]))  # u.u overflows
+
+    def test_non_finite_pivot(self):
+        # the first four updates never touch e4, so Z^{-1} e4 = e4 / lam and
+        # 1 + u^T Z^{-1} u overflows although u.u is finite
+        dm = DesignMatrix(4, 1e-300)
+        for axis in (0, 1, 2, 0):
+            dm.rank1_update(np.eye(4)[axis])
+        self._assert_rejected(dm, np.array([0.0, 0.0, 0.0, 1e5]))
+
+    def test_non_positive_pivot(self):
+        # at lam = 1e-300 the first pivot is sqrt(3), and l = 3 / sqrt(3) rounds
+        # up, so repeating u gives lam + u.u - l.l < 0
+        dm = DesignMatrix(4, 1e-300)
+        u = np.array([1.0, 1.0, 1.0, 0.0])
+        dm.rank1_update(u)
+        self._assert_rejected(dm, u)
+        dm.rank1_update(np.array([0.0, 0.0, 0.0, 1.0]))
+        assert dm.update_count == 2
 
 
 class TestProperties:
-    @pytest.mark.parametrize("mode", ["full", "diag"])
-    def test_quad_form_monotone_nonincreasing(self, mode):
+    # "full" at p = 6 crosses from the dual to the primal form at the 6th
+    # update; "full-dual" at p = 60 stays in the dual form throughout
+    MODES = pytest.mark.parametrize("mode,p", [("full", 6), ("diag", 6), ("full", 60)],
+                                    ids=["full", "diag", "full-dual"])
+
+    @MODES
+    def test_quad_form_monotone_nonincreasing(self, mode, p):
         rng = np.random.default_rng(3)
-        dm = DesignMatrix(6, 1.0, mode)
-        probe = rng.standard_normal(6)
+        dm = DesignMatrix(p, 1.0, mode)
+        probe = rng.standard_normal(p)
         prev = dm.quad_form(probe)
         for _ in range(50):
-            dm.rank1_update(rng.standard_normal(6))
+            dm.rank1_update(rng.standard_normal(p))
             cur = dm.quad_form(probe)
             assert cur <= prev + 1e-12
             prev = cur
 
-    @pytest.mark.parametrize("mode", ["full", "diag"])
-    def test_logdet_monotone_nondecreasing(self, mode):
+    @MODES
+    def test_logdet_monotone_nondecreasing(self, mode, p):
         rng = np.random.default_rng(4)
-        dm = DesignMatrix(6, 2.0, mode)
+        dm = DesignMatrix(p, 2.0, mode)
         prev = dm.logdet_ratio()
         for _ in range(50):
-            dm.rank1_update(rng.standard_normal(6))
+            dm.rank1_update(rng.standard_normal(p))
             cur = dm.logdet_ratio()
             assert cur >= prev - 1e-12
             prev = cur
 
-    @pytest.mark.parametrize("mode", ["full", "diag"])
-    def test_quad_form_bounded_by_norm(self, mode):
+    @MODES
+    def test_quad_form_bounded_by_norm(self, mode, p):
         rng = np.random.default_rng(5)
         lam = 1.3
-        dm = DesignMatrix(6, lam, mode)
+        dm = DesignMatrix(p, lam, mode)
         for _ in range(20):
-            dm.rank1_update(rng.standard_normal(6))
-            u = rng.standard_normal(6)
+            dm.rank1_update(rng.standard_normal(p))
+            u = rng.standard_normal(p)
             assert dm.quad_form(u) <= float(u @ u) / lam + 1e-12

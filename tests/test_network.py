@@ -236,6 +236,13 @@ class TestTrainNN:
                         np.random.default_rng(77))
         assert np.array_equal(out1, out2)
 
+    def test_minibatch_without_rng_rejected(self):
+        rng_data = np.random.default_rng(4)
+        xs = rng_data.standard_normal((5, 2))
+        spec = TrainSpec(lam=1.0, eta=0.01, steps=3, batch_size=2)
+        with pytest.raises(ConfigurationError):
+            train_nn(self.theta0, self.shape, xs, rng_data.random(5), spec)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_step(self):
         spec = TrainSpec(lam=1.0, eta=1e12, steps=50)

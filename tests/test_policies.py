@@ -170,7 +170,7 @@ class TestIngest:
                 policy.ingest_revealed([])
             policy.select_action(np.random.default_rng(9).standard_normal((2, 4)))
             policy.ingest_revealed([records[i] for i in order])
-            batches.append(policy.design._z.copy())
+            batches.append(policy.design.inverse().copy())
         assert np.max(np.abs(batches[0] - batches[1])) <= 1e-10
 
     def test_zero_delay_stream_reproduces_undelayed_bookkeeping(self):
