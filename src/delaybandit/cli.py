@@ -64,6 +64,9 @@ def main(argv=None) -> int:
                   f"({result.summary['wall_time_s']:.1f}s)")
         print(f"wrote {out_dir}")
         return 0
+    except ConfigurationError as exc:  # checks only a run can make, e.g. of an mnist file
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (FormatError, OSError, DivergedTrainingError, ProtocolViolationError,
             DegenerateContextError, DesignUpdateError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,8 +10,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
+from .data import MUSHROOM_ATTRIBUTES
 from .delay import DelayDistribution
 from .errors import ConfigurationError
 
@@ -121,6 +120,22 @@ _ALIASES = {
 }
 
 
+def _as_float(value):
+    """A number for a float-typed field, or None if value is not one.
+
+    YAML 1.1 reads exponents without a sign, such as 1.0e3, as strings, so a
+    string that parses as a float counts as a number.
+    """
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            return None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value
+    return None
+
+
 def _build_block(cls, section: str, raw: dict, errors: list):
     kwargs = {}
     aliases = _ALIASES.get(section, {})
@@ -130,6 +145,11 @@ def _build_block(cls, section: str, raw: dict, errors: list):
         if name not in valid:
             errors.append(f"{section}.{key}: unknown field")
             continue
+        if cls.__dataclass_fields__[name].type is float:
+            value = _as_float(value)
+            if value is None:
+                errors.append(f"{section}.{key}: expected a number, got {raw[key]!r}")
+                continue
         kwargs[name] = value
     try:
         return cls(**kwargs)
@@ -197,6 +217,15 @@ def validate(cfg: ExperimentConfig, errors: list[str]) -> None:
         errors.append("environment.expected_delay: must be >= 0")
     if cfg.environment.delay not in ("none", "constant", "uniform", "exponential", "pareto"):
         errors.append(f"environment.delay: unknown {cfg.environment.delay!r}")
+    if not cfg.policy.algorithm.startswith("lin-"):
+        # only the neural algorithms build a network, and its symmetric
+        # initialization splits both the width and the context in halves
+        if cfg.network.width % 2:
+            errors.append(f"network.width: must be even, got {cfg.network.width}")
+        dim = _context_dim(cfg)
+        if dim is not None and dim % 2:
+            errors.append(f"environment: the context dimension {dim} must be even for "
+                          "neural algorithms; set embed_assumption3: true")
     needs_data = cfg.environment.source in ("mushroom", "mnist")
     if needs_data and cfg.environment.dataset_path is None:
         errors.append("environment.dataset_path: required for dataset sources")
@@ -204,7 +233,22 @@ def validate(cfg: ExperimentConfig, errors: list[str]) -> None:
         errors.append("environment.labels_path: required for mnist")
 
 
+def _context_dim(cfg: ExperimentConfig) -> int | None:
+    """The dimension of the contexts a run builds, or None where it depends on
+    the dataset file."""
+    env = cfg.environment
+    if env.source == "synthetic":
+        dim = env.synthetic_dim
+    elif env.source == "mushroom":
+        dim = MUSHROOM_ATTRIBUTES * cfg.arms
+    else:
+        return None  # mnist: the image size comes from the file
+    return 2 * dim if env.embed_assumption3 else dim
+
+
 def load_config(path) -> ExperimentConfig:
+    import yaml  # deferred: configs built from a dict never need it
+
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
     if raw is None:

@@ -9,6 +9,7 @@ from .errors import ConfigurationError, DegenerateContextError, FormatError
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
+MUSHROOM_ATTRIBUTES = 22  # categorical columns after the class in agaricus-lepiota
 
 
 @dataclass(frozen=True)
@@ -73,16 +74,17 @@ def load_mushroom_csv(path) -> list[LabeledSample]:
             if not line:
                 continue
             fields = line.split(",")
-            if len(fields) != 23:
-                raise FormatError(f"{path}:{lineno}: {len(fields)} fields, expected 23")
+            if len(fields) != MUSHROOM_ATTRIBUTES + 1:
+                raise FormatError(f"{path}:{lineno}: {len(fields)} fields, "
+                                  f"expected {MUSHROOM_ATTRIBUTES + 1}")
             if fields[0] not in ("e", "p"):
                 raise FormatError(f"{path}:{lineno}: unknown class {fields[0]!r}")
             rows.append(fields)
-    categories = [sorted({row[col + 1] for row in rows}) for col in range(22)]
+    categories = [sorted({row[col + 1] for row in rows}) for col in range(MUSHROOM_ATTRIBUTES)]
     samples = []
     for row in rows:
-        feats = np.empty(22)
-        for col in range(22):
+        feats = np.empty(MUSHROOM_ATTRIBUTES)
+        for col in range(MUSHROOM_ATTRIBUTES):
             cats = categories[col]
             idx = cats.index(row[col + 1])
             feats[col] = idx / (len(cats) - 1) if len(cats) > 1 else 0.0

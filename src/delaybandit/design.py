@@ -10,9 +10,16 @@ K = lam*I + G G^T. This is the dual (Woodbury) form of kernelised UCB:
 Appending u extends L by one row in O(np + n^2). With l = W G u, the new
 pivot is d^2 = lam + u.u - l.l = lam * (1 + u^T Z^{-1} u), the Sherman-Morrison
 denominator, so log det grows by log(d^2 / lam). The p-th vector switches to
-the primal form: Z = lam*I + G^T G is built and inverted once, G and W are
-dropped, and from then on Z and Z^{-1} are updated by Sherman-Morrison, with a
-direct refresh every REFRESH_PERIOD updates against drift.
+the primal form: Z = lam*I + G^T G is built and inverted once and G and W
+are dropped.
+
+From then on Z^{-1} takes the Sherman-Morrison step
+Z^{-1} -= (Z^{-1}u)(Z^{-1}u)^T / (1 + u^T Z^{-1} u) in place, a block of rows
+at a time through a scratch of at most _BLOCK_ROWS x p, so an update allocates
+no p x p temporary. Every REFRESH_PERIOD updates Z^{-1} and log det are
+recomputed directly from Z against drift. Z is read only there, so the
+vectors added since the last refresh wait in a REFRESH_PERIOD x p buffer U and
+reach Z as one U^T U at the refresh.
 
 Diag mode keeps only the diagonal of Z, the approximation NeuralUCB uses in
 its experiments.
@@ -30,6 +37,7 @@ from .errors import ConfigurationError, DesignUpdateError
 
 REFRESH_PERIOD = 512  # Sherman-Morrison drift control
 _INITIAL_ROWS = 64    # first capacity of the dual buffers; doubles up to p
+_BLOCK_ROWS = 256     # rows of Z^{-1} per step of the in-place primal update
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -55,14 +63,16 @@ class DesignMatrix:
             self._g = np.empty((rows, p))
             self._w = np.zeros((rows, rows))  # kept lower-triangular
             self._z = self._zinv = None
+            self._since_refresh = self._scratch = None  # primal-form buffers
             self._logdet_ratio = 0.0
         else:
             self._diag = np.full(p, self.lam)
 
-    def _check_dim(self, u):
+    def _check_dim(self, u, batch=False):
         u = np.asarray(u, dtype=np.float64)
-        if u.shape != (self.p,):
-            raise ValueError(f"vector has shape {u.shape}, expected ({self.p},)")
+        if u.shape[-1:] != (self.p,) or u.ndim > (2 if batch else 1):
+            expected = f"({self.p},) or (k, {self.p})" if batch else f"({self.p},)"
+            raise ValueError(f"vector has shape {u.shape}, expected {expected}")
         return u
 
     @staticmethod
@@ -83,14 +93,7 @@ class DesignMatrix:
         elif self._zinv is None:
             self._dual_update(u, uu)
         else:
-            zu = self._zinv @ u
-            denom = 1.0 + float(np.vdot(u, zu))
-            self._check_pivot(denom)
-            self._z += np.outer(u, u)
-            step = np.outer(zu, zu)
-            step /= denom  # in place: one p x p temporary fewer
-            self._zinv -= step
-            self._logdet_ratio += math.log(denom)
+            self._primal_update(u)
         self.update_count += 1
         if self.mode == "full":
             if self.update_count == self.p:
@@ -114,6 +117,20 @@ class DesignMatrix:
         self._w[n, n] = 1.0 / d
         self._logdet_ratio += math.log1p(gain / self.lam)
 
+    def _primal_update(self, u):
+        zinv, scratch = self._zinv, self._scratch
+        zu = zinv @ u
+        denom = 1.0 + float(np.vdot(u, zu))
+        self._check_pivot(denom)
+        self._since_refresh[self.update_count % REFRESH_PERIOD] = u  # reaches Z at the refresh
+        for start in range(0, self.p, len(scratch)):
+            step = scratch[:self.p - start]
+            stop = start + len(step)
+            np.multiply(zu[start:stop, None], zu, out=step)
+            step /= denom
+            zinv[start:stop] -= step
+        self._logdet_ratio += math.log(denom)
+
     def _grow(self, rows):
         n = self.update_count
         g = np.empty((rows, self.p))
@@ -127,24 +144,36 @@ class DesignMatrix:
         self._z.flat[::self.p + 1] += self.lam
         self._zinv = np.linalg.inv(self._z)
         self._g = self._w = None
+        self._since_refresh = np.empty((REFRESH_PERIOD, self.p))
+        self._scratch = np.empty((min(self.p, _BLOCK_ROWS), self.p))
 
     def _refresh(self):
+        # the k-th vector sits in row (k - 1) % REFRESH_PERIOD, so those added
+        # since the last refresh, or since the switch, fill the last rows
+        count = min(REFRESH_PERIOD, self.update_count - self.p)
+        added = self._since_refresh[REFRESH_PERIOD - count:]
+        self._z += added.T @ added
         self._zinv = np.linalg.inv(self._z)
         _, logdet = np.linalg.slogdet(self._z)
         self._logdet_ratio = logdet - self.p * math.log(self.lam)
 
-    def quad_form(self, u: np.ndarray) -> float:
-        """u^T Z^{-1} u, clipped at 0 against roundoff."""
-        u = self._check_dim(u)
+    def quad_form(self, u: np.ndarray):
+        """u^T Z^{-1} u, clipped at 0 against roundoff.
+
+        A (k, p) array gives the k values of its rows as an array, in one pass.
+        """
+        u = self._check_dim(u, batch=True)
+        rows = np.atleast_2d(u)
         if self.mode == "diag":
-            val = float(np.sum(u * u / self._diag))
+            vals = (rows * rows / self._diag).sum(axis=1)
         elif self._zinv is None:
             n = self.update_count
-            wgu = self._w[:n, :n] @ (self._g[:n] @ u)
-            val = (float(u @ u) - float(wgu @ wgu)) / self.lam
+            wgu = (rows @ self._g[:n].T) @ self._w[:n, :n].T
+            vals = ((rows * rows).sum(axis=1) - (wgu * wgu).sum(axis=1)) / self.lam
         else:
-            val = float(u @ (self._zinv @ u))
-        return max(val, 0.0)
+            vals = (rows @ self._zinv * rows).sum(axis=1)
+        np.maximum(vals, 0.0, out=vals)
+        return float(vals[0]) if u.ndim == 1 else vals
 
     def inverse(self) -> np.ndarray:
         """Z^{-1} as a read-only p x p array; the dual and diag forms build it per call."""

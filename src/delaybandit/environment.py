@@ -10,6 +10,7 @@ import numpy as np
 
 from .data import LabeledSample, assumption3_embed, disjoint_transform, synthetic_h
 from .delay import DelayDistribution
+from .errors import DegenerateContextError
 
 
 class DatasetSource:
@@ -32,12 +33,29 @@ class DatasetSource:
 
     def round_data(self, t: int):
         sample = self.samples[self.order[(t - 1) % len(self.samples)]]
-        contexts = disjoint_transform(sample.features, self.arms)
         if self.embed:
-            contexts = np.stack([assumption3_embed(x) for x in contexts])
+            contexts = self._embedded_disjoint(sample.features)
+        else:
+            contexts = disjoint_transform(sample.features, self.arms)
         h = np.full(self.arms, self.wrong_class_reward)
         h[sample.label] = 1.0
         return contexts, h
+
+    def _embedded_disjoint(self, features: np.ndarray) -> np.ndarray:
+        """assumption3_embed of each row of disjoint_transform, built in one array.
+
+        Every arm's disjoint context holds the same entries, so all share one
+        norm; row a holds the scaled features in blocks a and K + a.
+        """
+        norm = np.linalg.norm(features)
+        if norm == 0.0:
+            raise DegenerateContextError("cannot embed a zero context")
+        arms, d0 = self.arms, features.shape[0]
+        scaled = features / (np.sqrt(2.0) * norm)
+        blocks = np.zeros((arms, 2, arms, d0))
+        for a in range(arms):
+            blocks[a, :, a] = scaled
+        return blocks.reshape(arms, 2 * arms * d0)
 
 
 class SyntheticSource:

@@ -3,7 +3,6 @@
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,6 +130,8 @@ def run_experiment(cfg: ExperimentConfig, seeds=None, jobs: int = 1) -> list[Run
         raise ConfigurationError("no seeds to run")
     samples = _load_samples(cfg)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: costs start-up
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_run_single_star,
                                  [(cfg, seed, samples) for seed in seeds]))

@@ -152,7 +152,7 @@ class NeuralBandit:
                 f"contexts have shape {contexts.shape}, expected (K, {self.cfg.shape.input_dim})")
         sqrt_m = math.sqrt(self.cfg.shape.width)
         grads, means = gradient_many(self.theta, self.cfg.shape, contexts)
-        quad = np.array([self.design.quad_form(g / sqrt_m) for g in grads])
+        quad = self.design.quad_form(grads / sqrt_m)
         gnorm = np.max(np.linalg.norm(grads, axis=1)) / sqrt_m
         self.max_scaled_grad_norm = max(self.max_scaled_grad_norm, float(gnorm))
         if self.cfg.exploration == "ucb":
@@ -165,7 +165,9 @@ class NeuralBandit:
                 for a in range(contexts.shape[0])])
             bonuses = draws - means
             scores = draws
-        action = int(np.argmax(scores)) + 1  # argmax takes the lowest index on ties
+        # argmax takes the lowest index among equal computed scores; scores that
+        # tie in exact arithmetic may differ by rounding, which then decides
+        action = int(np.argmax(scores)) + 1
         self.t += 1
         self.pending[self.t] = (contexts[action - 1].copy(), action)
         return action, Diagnostics(scores, means, bonuses, self.gamma)
@@ -198,8 +200,9 @@ class NeuralBandit:
                                   self._xs[:self.revealed_count],
                                   self._rs[:self.revealed_count],
                                   spec, self.rng, anchor=self.theta0)
-        self.gamma = gamma_value(self.cfg, self.revealed_count,
-                                 self.design.logdet_ratio(), steps)
+        # constant gamma ignores log det, which costs O(p) in diag mode
+        logdet = 0.0 if self.cfg.gamma_mode == "constant" else self.design.logdet_ratio()
+        self.gamma = gamma_value(self.cfg, self.revealed_count, logdet, steps)
 
 
 class LinearBandit:
@@ -239,8 +242,7 @@ class LinearBandit:
         theta_hat = self._theta_hat()
         means = contexts @ theta_hat
         if self.exploration == "ucb":
-            bonuses = self.alpha * np.sqrt(
-                [self.design.quad_form(x) for x in contexts])
+            bonuses = self.alpha * np.sqrt(self.design.quad_form(contexts))
             scores = means + bonuses
         else:
             if self.nu == 0.0:
@@ -250,6 +252,7 @@ class LinearBandit:
                 draw = theta_hat + self.nu * (chol @ self.rng.standard_normal(self.dim))
             scores = contexts @ draw
             bonuses = scores - means
+        # as in NeuralBandit, rounding decides between scores tied in exact arithmetic
         action = int(np.argmax(scores)) + 1
         self.t += 1
         self.pending[self.t] = (contexts[action - 1].copy(), action)

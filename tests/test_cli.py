@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from delaybandit import config as config_mod
 from delaybandit.analysis import analyze_config
 from delaybandit.cli import main
 from delaybandit.config import config_from_dict
@@ -97,6 +98,60 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err == "error: design-matrix update vector is not finite\n"
+
+    @staticmethod
+    def _config(tmp_path, algorithm, **sections):
+        raw = {"experiment": {"horizon": 3, "arms": 2, "seeds": [1]},
+               "policy": {"algorithm": algorithm},
+               "network": {"width": 8},
+               "environment": {"source": "synthetic", "synthetic_dim": 4,
+                               "delay": "none"}}
+        for section, values in sections.items():
+            raw.setdefault(section, {}).update(values)
+        lines = []
+        for section, values in raw.items():
+            lines.append(f"{section}:")
+            lines += [f"  {key}: {value}" for key, value in values.items()]
+        path = tmp_path / "cfg.yaml"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_unsigned_exponent_is_a_number(self, tmp_path, capsys):
+        # YAML 1.1 reads 1.0e3 as a string; validate used to crash comparing it
+        path = self._config(tmp_path, "delayed-neural-ucb", train={"eta": "1.0e3"})
+        assert main(["validate", "--config", path]) == 0
+        assert json.loads(capsys.readouterr().out)["train"]["eta"] == 1000.0
+
+    @pytest.mark.parametrize("value", ["fast", "true", "[1.0]"])
+    def test_non_numeric_float_field_exits_1_with_one_line(self, tmp_path, capsys, value):
+        path = self._config(tmp_path, "delayed-neural-ucb", train={"eta": value})
+        assert main(["validate", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: train.eta: expected a number")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("sections,field", [
+        ({"network": {"width": 7}}, "network.width"),
+        ({"environment": {"synthetic_dim": 3}}, "context dimension 3"),
+    ])
+    def test_odd_network_shape_rejected_for_neural_only(self, tmp_path, capsys,
+                                                        sections, field):
+        path = self._config(tmp_path, "delayed-neural-ucb", **sections)
+        assert main(["validate", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and err.count("\n") == 1
+        # the linear baselines build no network
+        assert main(["validate", "--config", self._config(tmp_path, "lin-ucb", **sections)]) == 0
+
+    def test_configuration_error_in_run_exits_1_with_one_line(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # a check that only the run makes, here the initializer's even width
+        monkeypatch.setattr(config_mod, "validate", lambda cfg, errors: None)
+        path = self._config(tmp_path, "delayed-neural-ucb", network={"width": 7})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: symmetric init needs even width")
+        assert err.count("\n") == 1
 
     def test_analyze(self, config_file, capsys):
         assert main(["analyze", "--config", str(config_file)]) == 0

@@ -5,7 +5,8 @@ import pytest
 
 from delaybandit import (assumption3_embed, disjoint_transform, load_idx,
                          load_mushroom_csv, synthetic_h)
-from delaybandit.data import load_idx_images, load_idx_labels
+from delaybandit.data import LabeledSample, load_idx_images, load_idx_labels
+from delaybandit.environment import DatasetSource
 from delaybandit.errors import (ConfigurationError, DegenerateContextError,
                                 FormatError)
 
@@ -179,3 +180,26 @@ class TestSyntheticH:
     def test_unknown_id(self):
         with pytest.raises(ConfigurationError):
             synthetic_h("cubic", np.ones(2))
+
+
+class TestDatasetSourceContexts:
+    @pytest.mark.parametrize("arms", [2, 3])
+    def test_embedded_rows_match_per_arm_transforms(self, mushroom_csv, arms):
+        samples = load_mushroom_csv(mushroom_csv)
+        source = DatasetSource(samples, arms, np.random.default_rng(0), embed=True)
+        for t in range(1, len(samples) + 1):
+            contexts, _ = source.round_data(t)
+            sample = samples[source.order[t - 1]]
+            expected = np.stack([assumption3_embed(x)
+                                 for x in disjoint_transform(sample.features, arms)])
+            assert contexts.shape == expected.shape
+            assert np.array_equal(contexts == 0.0, expected == 0.0)
+            # the per-arm norms sum the same squares in different orders, so
+            # they differ from the shared norm, and from each other, by a few ulp
+            np.testing.assert_array_max_ulp(contexts, expected, maxulp=4)
+
+    def test_zero_features_rejected(self):
+        samples = [LabeledSample(np.zeros(3), 0)]
+        source = DatasetSource(samples, 2, np.random.default_rng(0), embed=True)
+        with pytest.raises(DegenerateContextError):
+            source.round_data(1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from delaybandit import DesignMatrix
+from delaybandit.design import REFRESH_PERIOD
 from delaybandit.errors import ConfigurationError, DesignUpdateError
 
 
@@ -125,6 +126,39 @@ class TestOracle:
             dm.rank1_update(np.ones(3))
             dm.rank1_update(np.arange(3.0))
 
+    def test_refreshes_sum_the_buffered_vectors(self):
+        # p = 6 goes primal at the 6th update; refreshes at 512 and 1024 add
+        # the 506 and then 512 vectors buffered since, and 76 more are pending
+        p, lam = 6, 0.4
+        rng = np.random.default_rng(11)
+        dm = DesignMatrix(p, lam)
+        z = lam * np.eye(p)
+        for _ in range(1100):
+            u = rng.standard_normal(p)
+            dm.rank1_update(u)
+            z += np.outer(u, u)
+        direct_inv = np.linalg.inv(z)
+        assert (np.max(np.abs(dm.inverse() - direct_inv))
+                <= 1e-8 * np.max(np.abs(direct_inv)))
+        _, direct_logdet = np.linalg.slogdet(z)
+        assert dm.logdet_ratio() == pytest.approx(direct_logdet - p * np.log(lam),
+                                                  rel=1e-8)
+
+    def test_primal_update_allocates_no_p_by_p_array(self):
+        p = 1000
+        rng = np.random.default_rng(12)
+        dm = DesignMatrix(p, 1.0)
+        for u in rng.standard_normal((p + 1, p)):  # the p-th update goes primal
+            dm.rank1_update(u)
+        u = rng.standard_normal(p)
+        tracemalloc.start()
+        try:
+            dm.rank1_update(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p * p * 8 / 4
+
     def test_dual_form_holds_no_p_by_p_array(self):
         p = 5696  # the mushroom config's parameter count
         rng = np.random.default_rng(2)
@@ -181,6 +215,25 @@ class TestNumericalTrouble:
             dm.rank1_update(np.eye(4)[axis])
         self._assert_rejected(dm, np.array([0.0, 0.0, 0.0, 1e5]))
 
+    def test_rejected_primal_update_stays_out_of_the_refresh(self):
+        # Z^{-1} e4 = e4 / lam, so 1 + u^T Z^{-1} u overflows for u = 1e154 e4
+        # although u.u is finite; the refresh at update 512 would rebuild Z
+        # with u had the rejected vector been buffered
+        lam = 0.1
+        dm = DesignMatrix(4, lam)
+        z = lam * np.eye(4)
+        for axis in (0, 1, 2, 0):
+            dm.rank1_update(np.eye(4)[axis])
+            z[axis, axis] += 1.0
+        with pytest.raises(DesignUpdateError):
+            dm.rank1_update(np.array([0.0, 0.0, 0.0, 1e154]))
+        rng = np.random.default_rng(13)
+        while dm.update_count < REFRESH_PERIOD + 10:
+            u = rng.standard_normal(4)
+            dm.rank1_update(u)
+            z += np.outer(u, u)
+        assert np.max(np.abs(z @ dm.inverse() - np.eye(4))) <= 1e-8
+
     def test_non_positive_pivot(self):
         # at lam = 1e-300 the first pivot is sqrt(3), and l = 3 / sqrt(3) rounds
         # up, so repeating u gives lam + u.u - l.l < 0
@@ -190,6 +243,33 @@ class TestNumericalTrouble:
         self._assert_rejected(dm, u)
         dm.rank1_update(np.array([0.0, 0.0, 0.0, 1.0]))
         assert dm.update_count == 2
+
+
+class TestBatchQuadForm:
+    # diag; full at p = 60 after 20 updates (dual); full at p = 6 after 30 (primal)
+    @pytest.mark.parametrize("mode,p,updates", [("diag", 6, 20), ("full", 60, 20),
+                                                ("full", 6, 30)],
+                             ids=["diag", "dual", "primal"])
+    def test_rows_match_one_call_each(self, mode, p, updates):
+        rng = np.random.default_rng(14)
+        dm = DesignMatrix(p, 0.5, mode)
+        for _ in range(updates):
+            dm.rank1_update(rng.standard_normal(p))
+        us = rng.standard_normal((5, p))
+        batch = dm.quad_form(us)
+        assert isinstance(batch, np.ndarray) and batch.shape == (5,)
+        single = [dm.quad_form(u) for u in us]
+        assert all(isinstance(v, float) for v in single)
+        np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0.0)
+        # a one-row batch takes the same path, so check against inverse() too
+        reference = np.einsum("ij,jk,ik->i", us, dm.inverse(), us)
+        np.testing.assert_allclose(batch, reference, rtol=1e-9, atol=0.0)
+
+    def test_bad_shapes_rejected(self):
+        dm = DesignMatrix(3, 1.0)
+        for shape in [(2, 4), (2, 3, 3), ()]:
+            with pytest.raises(ValueError):
+                dm.quad_form(np.zeros(shape))
 
 
 class TestProperties:

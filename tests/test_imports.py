@@ -6,10 +6,21 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_package_import_does_not_load_scipy():
-    # importing scipy.linalg costs about 0.9 s of start-up; the package is numpy-only
+def _run_in_fresh_interpreter(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, "-c", "import delaybandit, sys; assert 'scipy' not in sys.modules"],
-        env=env, check=True, timeout=60)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_package_import_does_not_load_scipy():
+    # importing scipy.linalg costs about 0.9 s of start-up; the package is numpy-only
+    _run_in_fresh_interpreter("import delaybandit, sys; assert 'scipy' not in sys.modules")
+
+
+def test_harness_and_config_defer_optional_imports():
+    # yaml is needed only to read a config file and the process pool only for
+    # jobs > 1; importing either at start-up costs every run that needs neither
+    _run_in_fresh_interpreter(
+        "import sys, delaybandit.harness, delaybandit.config\n"
+        "loaded = {'yaml', 'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
+        "assert not loaded, loaded")

@@ -66,9 +66,12 @@ class TestSelection:
         def fake_gradient_many(theta, shape, xs):
             return np.zeros((len(means), p)), np.array(means, dtype=float)
 
+        def fake_quad_form(us):  # one call per round, for all K arms
+            assert us.shape == (len(quads), p)
+            return np.array(quads, dtype=float)
+
         monkeypatch.setattr(policies_mod, "gradient_many", fake_gradient_many)
-        monkeypatch.setattr(policy.design, "quad_form",
-                            lambda u, _it=iter(list(quads) * 100): next(_it))
+        monkeypatch.setattr(policy.design, "quad_form", fake_quad_form)
         return policy
 
     def test_ucb_argmax(self, monkeypatch):
@@ -152,6 +155,19 @@ class TestIngest:
         assert policy.design.update_count == 2
         assert policy.revealed_count == 2
         assert len(policy.pending) == policy.t - 2
+
+    @pytest.mark.parametrize("gamma_mode,reads", [("constant", 0), ("simple", 1)])
+    def test_logdet_read_only_when_gamma_uses_it(self, monkeypatch, gamma_mode, reads):
+        policy = self.make_policy(gamma_mode=gamma_mode, design_mode="diag")
+        rng = np.random.default_rng(4)
+        self._play_round(policy, rng)
+        x, a = policy.pending[1]
+        logdet, calls = policy.design.logdet_ratio, []
+        monkeypatch.setattr(policy.design, "logdet_ratio",
+                            lambda: calls.append(1) or logdet())
+        policy.ingest_revealed([BanditRecord(1, x, a, 0.5)])
+        assert len(calls) == reads
+        assert policy.gamma == gamma_value(policy.cfg, 1, logdet(), policy.cfg.train.steps)
 
     def test_unknown_round_rejected(self):
         policy = self.make_policy()
