@@ -38,6 +38,14 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _seeds(text: str) -> list[int]:
+    try:
+        return [int(seed) for seed in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(
+            f"--seeds: expected comma-separated integers, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -53,7 +61,9 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             print(json.dumps(analyze_config(cfg), indent=2))
             return 0
-        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
+        seeds = _seeds(args.seeds) if args.seeds else None
+        if args.jobs < 1:
+            raise ConfigurationError(f"--jobs: must be >= 1, got {args.jobs}")
         out_dir = args.out or cfg.output
         analysis = analyze_config(cfg) if args.analyze else None
         results = run_experiment(cfg, seeds=seeds, jobs=args.jobs)
@@ -64,7 +74,7 @@ def main(argv=None) -> int:
                   f"({result.summary['wall_time_s']:.1f}s)")
         print(f"wrote {out_dir}")
         return 0
-    except ConfigurationError as exc:  # checks only a run can make, e.g. of an mnist file
+    except ConfigurationError as exc:  # bad options, and checks only a run can make
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (FormatError, OSError, DivergedTrainingError, ProtocolViolationError,

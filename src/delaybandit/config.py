@@ -9,6 +9,7 @@ horizon is requested.
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_args
 
 from .data import MUSHROOM_ATTRIBUTES
 from .delay import DelayDistribution
@@ -120,37 +121,48 @@ _ALIASES = {
 }
 
 
-def _as_float(value):
-    """A number for a float-typed field, or None if value is not one.
+_KINDS = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
+
+
+def _coerce(ftype, value):
+    """value as a field of type ftype holds it; ValueError names the kind expected.
 
     YAML 1.1 reads exponents without a sign, such as 1.0e3, as strings, so a
-    string that parses as a float counts as a number.
+    float field takes a string that parses as a float. bool is not a number.
     """
-    if isinstance(value, str):
+    kinds = get_args(ftype) or (ftype,)
+    if value is None and type(None) in kinds:
+        return None
+    kind = kinds[0]
+    if kind is float and isinstance(value, str):
         try:
             return float(value)
         except ValueError:
-            return None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+            pass
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, accepted) and (kind is bool or not isinstance(value, bool)):
         return value
-    return None
+    raise ValueError(_KINDS[kind])
+
+
+def _put(kwargs: dict, fields, section: str, key: str, name: str, value, errors: list):
+    """Store the coerced value of one field in kwargs, or add the mismatch to errors."""
+    try:
+        kwargs[name] = _coerce(fields[name].type, value)
+    except ValueError as exc:
+        errors.append(f"{section}.{key}: expected {exc}, got {value!r}")
 
 
 def _build_block(cls, section: str, raw: dict, errors: list):
     kwargs = {}
     aliases = _ALIASES.get(section, {})
-    valid = set(cls.__dataclass_fields__)
+    fields = cls.__dataclass_fields__
     for key, value in raw.items():
         name = aliases.get(key, key)
-        if name not in valid:
+        if name not in fields:
             errors.append(f"{section}.{key}: unknown field")
             continue
-        if cls.__dataclass_fields__[name].type is float:
-            value = _as_float(value)
-            if value is None:
-                errors.append(f"{section}.{key}: expected a number, got {raw[key]!r}")
-                continue
-        kwargs[name] = value
+        _put(kwargs, fields, section, key, name, value, errors)
     try:
         return cls(**kwargs)
     except (TypeError, ConfigurationError) as exc:
@@ -163,11 +175,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     raw = dict(raw or {})
     top = dict(raw.pop("experiment", {}))
     kwargs = {}
+    fields = ExperimentConfig.__dataclass_fields__
     for key in ("horizon", "arms", "output"):
         if key in top:
-            kwargs[key] = top.pop(key)
+            _put(kwargs, fields, "experiment", key, key, top.pop(key), errors)
     if "seeds" in top:
-        kwargs["seeds"] = tuple(top.pop("seeds"))
+        seeds = top.pop("seeds")
+        if isinstance(seeds, (list, tuple)) and all(
+                isinstance(seed, int) and not isinstance(seed, bool) for seed in seeds):
+            kwargs["seeds"] = tuple(seeds)
+        else:
+            errors.append(f"experiment.seeds: expected a list of integers, got {seeds!r}")
     for key in top:
         errors.append(f"experiment.{key}: unknown field")
     for section, cls in _BLOCKS.items():
@@ -195,6 +213,8 @@ def validate(cfg: ExperimentConfig, errors: list[str]) -> None:
         errors.append(f"policy.delta: must lie in (0,1), got {cfg.policy.delta}")
     if cfg.policy.lam <= 0:
         errors.append(f"policy.lambda: must be > 0, got {cfg.policy.lam}")
+    if cfg.policy.nu < 0:
+        errors.append(f"policy.nu: must be >= 0, got {cfg.policy.nu}")
     if cfg.policy.gamma_mode not in ("theoretical", "simple", "constant"):
         errors.append(f"policy.gamma_mode: unknown {cfg.policy.gamma_mode!r}")
     if cfg.policy.design_mode not in ("full", "diag"):
@@ -207,6 +227,8 @@ def validate(cfg: ExperimentConfig, errors: list[str]) -> None:
         errors.append(f"train.eta: must be > 0, got {cfg.train.eta}")
     if cfg.train.steps < 0:
         errors.append(f"train.steps: must be >= 0, got {cfg.train.steps}")
+    if cfg.train.batch_size is not None and cfg.train.batch_size < 1:
+        errors.append(f"train.batch_size: must be >= 1, got {cfg.train.batch_size}")
     if cfg.train.steps_schedule not in ("fixed", "round"):
         errors.append(f"train.steps_schedule: unknown {cfg.train.steps_schedule!r}")
     if cfg.environment.source not in ("synthetic", "mushroom", "mnist"):

@@ -10,10 +10,14 @@ parameter vectors concatenate ``vec(w1)``, ``vec(w2)``, ..., ``vec(w_{L-1})``
 
 Per-row gradients (the n x p Jacobian) are built only where each row is a
 feature vector: the arms being scored and the revealed records entering the
-design matrix. Training needs only residual @ Jacobian, which ``vjp`` obtains
-by backpropagating the residual without forming the Jacobian.
+design matrix. A training step needs only residual @ Jacobian, which it gets
+by backpropagating the residual through the layers. ``train_nn`` runs its J
+steps as one loop: it draws all J mini-batch index vectors at once and writes
+activations, residuals, deltas and the gradient into buffers allocated once
+per call, so a step allocates nothing. ``vjp`` runs the same backward pass.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,21 +112,62 @@ def _check_contexts(xs: np.ndarray, shape: NetworkShape) -> np.ndarray:
     return xs
 
 
-def _activations(w1, wh, xs):
-    """Layer inputs [xs, h_1, ..., h_{L-1}] for each row of xs; h_i > 0 is the ReLU mask."""
-    acts = [xs, np.maximum(xs @ w1.T, 0.0)]
-    for w in wh:
-        acts.append(np.maximum(acts[-1] @ w.T, 0.0))
-    return acts
+class _Passes:
+    """Forward and backward passes over batches of ``rows`` contexts.
 
+    Every intermediate goes into a buffer allocated here, so repeated passes
+    allocate nothing. ``acts`` holds the hidden activations h_1, ..., h_{L-1}
+    of the last ``forward``; h_i > 0 is the ReLU mask. The input layer is
+    multiplied as x @ W_1^T on its (m, d) array: OpenBLAS's small-matrix
+    kernels round the product with a contiguous copy of W_1^T differently,
+    which would change the results of runs.
+    """
 
-def _outputs(wl, acts):
-    return np.sqrt(wl.shape[0]) * (acts[-1] @ wl)
+    def __init__(self, shape: NetworkShape, rows: int):
+        m = shape.width
+        self.sqrt_m = np.sqrt(m)
+        self.acts = np.empty((shape.depth - 1, rows, m))
+        self.mask = np.empty((rows, m), dtype=bool)
+        self.delta = np.empty((rows, m))
+        self.spare = np.empty((rows, m))
+        self.scaled = np.empty(rows)
+
+    def forward(self, w1, wh, wl, xs, out):
+        """Write the network outputs for the rows of xs into out and return it."""
+        acts = self.acts
+        np.matmul(xs, w1.T, out=acts[0])
+        np.maximum(acts[0], 0.0, out=acts[0])
+        for layer, w in enumerate(wh):
+            np.matmul(acts[layer], w.T, out=acts[layer + 1])
+            np.maximum(acts[layer + 1], 0.0, out=acts[layer + 1])
+        np.matmul(acts[-1], wl, out=out)
+        out *= self.sqrt_m
+        return out
+
+    def backward(self, wh, wl, xs, v, grad_views):
+        """Write v @ J, J the (n, p) Jacobian of the last forward's outputs, into
+        the (w1, wh, wl) views of a flat gradient."""
+        g1, gh, gl = grad_views
+        acts, mask, delta, spare = self.acts, self.mask, self.delta, self.spare
+        np.matmul(v, acts[-1], out=gl)
+        gl *= self.sqrt_m
+        # delta = (mask * w_L) * (sqrt(m) * v); the product with the 0/1 mask is exact
+        np.multiply(v, self.sqrt_m, out=self.scaled)
+        np.greater(acts[-1], 0.0, out=mask)
+        np.multiply(mask, wl, out=delta)
+        delta *= self.scaled[:, None]
+        for layer in range(wh.shape[0] - 1, -1, -1):
+            np.matmul(delta.T, acts[layer], out=gh[layer])
+            np.matmul(delta, wh[layer], out=spare)
+            np.greater(acts[layer], 0.0, out=mask)
+            np.multiply(spare, mask, out=delta)
+        np.matmul(delta.T, xs, out=g1)
 
 
 def forward_many(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray) -> np.ndarray:
     w1, wh, wl = unflatten(theta, shape)
-    return _outputs(wl, _activations(w1, wh, _check_contexts(xs, shape)))
+    xs = _check_contexts(xs, shape)
+    return _Passes(shape, xs.shape[0]).forward(w1, wh, wl, xs, np.empty(xs.shape[0]))
 
 
 def gradient(theta: np.ndarray, shape: NetworkShape, x: np.ndarray) -> np.ndarray:
@@ -142,7 +187,9 @@ def grad_batch(w1, wh, wl, xs):
     n = xs.shape[0]
     m, d = w1.shape
     sqrt_m = np.sqrt(m)
-    acts = _activations(w1, wh, xs)
+    passes = _Passes(NetworkShape(wh.shape[0] + 2, m, d), n)
+    outputs = passes.forward(w1, wh, wl, xs, np.empty(n))
+    acts = passes.acts
     p = m * d + wh.shape[0] * m * m + m
     grads = np.empty((n, p), dtype=np.float64)
     grads[:, p - m:] = sqrt_m * acts[-1]
@@ -151,33 +198,22 @@ def grad_batch(w1, wh, wl, xs):
     for layer in range(wh.shape[0] - 1, -1, -1):
         offset -= m * m
         grads[:, offset:offset + m * m] = (
-            delta[:, :, None] * acts[layer + 1][:, None, :]).reshape(n, m * m)
-        delta = (delta @ wh[layer]) * (acts[layer + 1] > 0.0)
+            delta[:, :, None] * acts[layer][:, None, :]).reshape(n, m * m)
+        delta = (delta @ wh[layer]) * (acts[layer] > 0.0)
     grads[:, :m * d] = (delta[:, :, None] * xs[:, None, :]).reshape(n, m * d)
-    return grads, _outputs(wl, acts)
-
-
-def _backprop(wh, wl, acts, v):
-    """v @ J for the (n, p) Jacobian J of the outputs, as one matmul per layer."""
-    m = wl.shape[0]
-    sqrt_m = np.sqrt(m)
-    out = np.empty(acts[0].shape[1] * m + wh.shape[0] * m * m + m)
-    out[-m:] = sqrt_m * (v @ acts[-1])
-    delta = (sqrt_m * v[:, None] * wl) * (acts[-1] > 0.0)
-    end = out.size - m
-    for layer in range(wh.shape[0] - 1, -1, -1):
-        out[end - m * m:end] = (delta.T @ acts[layer + 1]).ravel()
-        end -= m * m
-        delta = (delta @ wh[layer]) * (acts[layer + 1] > 0.0)
-    out[:end] = (delta.T @ acts[0]).ravel()
-    return out
+    return grads, outputs
 
 
 def vjp(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """v @ gradient_many(theta, shape, xs)[0] without forming the n x p Jacobian."""
+    """v @ gradient_many(theta, shape, xs)[0] without forming the n x p Jacobian,
+    by the backward pass that train_nn runs at every step."""
     w1, wh, wl = unflatten(theta, shape)
-    return _backprop(wh, wl, _activations(w1, wh, _check_contexts(xs, shape)),
-                     np.asarray(v, dtype=np.float64))
+    xs = _check_contexts(xs, shape)
+    passes = _Passes(shape, xs.shape[0])
+    passes.forward(w1, wh, wl, xs, np.empty(xs.shape[0]))
+    grad = np.empty(shape.param_count)
+    passes.backward(wh, wl, xs, np.asarray(v, dtype=np.float64), unflatten(grad, shape))
+    return grad
 
 
 @dataclass(frozen=True)
@@ -219,34 +255,54 @@ def train_nn(theta_start: np.ndarray,
     ``anchor`` is the regularization center (the run's theta_0); it defaults to
     ``theta_start`` but differs from it under warm starts. Mini-batch mode
     samples uniformly with replacement and applies the full regularizer
-    gradient every step, so the fixed point matches full-batch training.
+    gradient every step, so the fixed point matches full-batch training. It
+    draws the J index vectors from ``rng`` before the first step, so a run
+    stopped by DivergedTrainingError has drawn them all.
     """
     xs = _check_contexts(xs, shape)
     rs = np.asarray(rs, dtype=np.float64)
     if xs.size == 0:
         return theta_start.copy()
+    n = xs.shape[0]
+    full_batch = spec.batch_size is None or spec.batch_size >= n
+    if rng is None and not full_batch:
+        raise ConfigurationError(
+            f"mini-batches of {spec.batch_size} from {n} rows need an rng")
     if anchor is None:
         anchor = theta_start
     theta = theta_start.astype(np.float64, copy=True)
+    if full_batch:
+        rows, bx, br = n, xs, rs
+    else:
+        rows = spec.batch_size
+        # one draw of all J index vectors yields the stream of J draws of one each
+        batches = rng.integers(0, n, size=(spec.steps, rows))
+        bx, br = np.empty((rows, shape.input_dim)), np.empty(rows)
     w1, wh, wl = unflatten(theta, shape)  # views: they follow the in-place steps
+    grad = np.empty_like(theta)
+    grad_views = unflatten(grad, shape)
+    reg = np.empty_like(theta)
+    resid = np.empty(rows)
+    passes = _Passes(shape, rows)
     m_lam = shape.width * spec.lam
-    n = xs.shape[0]
-    if rng is None and spec.batch_size is not None and spec.batch_size < n:
-        raise ConfigurationError(
-            f"mini-batches of {spec.batch_size} from {n} rows need an rng")
     # a non-finite loss raises DivergedTrainingError, so overflow on the way there is not warned
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, spec.steps + 1):
-            if spec.batch_size is None or spec.batch_size >= n:
-                bx, br = xs, rs
-            else:
-                idx = rng.integers(0, n, size=spec.batch_size)
-                bx, br = xs[idx], rs[idx]
-            acts = _activations(w1, wh, bx)
-            resid = _outputs(wl, acts) - br
+            if not full_batch:
+                # the indices lie in [0, n), so "clip" changes none; unlike the
+                # default "raise" it lets take write into out without a buffer
+                xs.take(batches[j - 1], axis=0, out=bx, mode="clip")
+                rs.take(batches[j - 1], out=br, mode="clip")
+            passes.forward(w1, wh, wl, bx, resid)
+            resid -= br
             step_loss = 0.5 * float(resid @ resid)
-            if not np.isfinite(step_loss):
+            if not math.isfinite(step_loss):
                 raise DivergedTrainingError(j)
-            grad = _backprop(wh, wl, acts, resid) + m_lam * (theta - anchor)
-            theta -= spec.eta * grad
+            passes.backward(wh, wl, bx, resid, grad_views)
+            # theta -= eta * (resid @ J + m * lam * (theta - anchor)), one pass at a time
+            np.subtract(theta, anchor, out=reg)
+            reg *= m_lam
+            grad += reg
+            grad *= spec.eta
+            theta -= grad
     return theta

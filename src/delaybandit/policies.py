@@ -194,7 +194,8 @@ class NeuralBandit:
             else self.revealed_count > 0
         steps = self._steps_at(self.t)
         if retrain and steps > 0:
-            spec = replace(self.cfg.train, steps=steps)
+            spec = self.cfg.train if self.cfg.steps_schedule == "fixed" \
+                else replace(self.cfg.train, steps=steps)
             start = self.theta if self.cfg.warm_start else self.theta0
             self.theta = train_nn(start, self.cfg.shape,
                                   self._xs[:self.revealed_count],

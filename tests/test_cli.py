@@ -56,11 +56,19 @@ class TestCli:
         assert echo["algorithm"] == "lin-ucb"
         assert echo["delay_distribution"] == "None"
 
-    def test_validate_bad_config(self, tmp_path, capsys):
-        path = tmp_path / "bad.yaml"
-        path.write_text("experiment:\n  horizon: -3\n")
-        assert main(["validate", "--config", str(path)]) == 1
-        assert "horizon" in capsys.readouterr().err
+    @pytest.mark.parametrize("sections,field", [
+        ({"experiment": {"horizon": -3}}, "experiment.horizon"),
+        ({"train": {"batch_size": 0}}, "train.batch_size"),
+        ({"policy": {"nu": -1}}, "policy.nu"),
+    ], ids=["horizon", "batch_size", "nu"])
+    def test_validate_bad_config(self, tmp_path, capsys, sections, field):
+        # validate rejects what run would reject, and run exits as validate does
+        path = self._config(tmp_path, "delayed-neural-ucb", **sections)
+        assert main(["validate", "--config", path]) == 1
+        assert field in capsys.readouterr().err
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and err.count("\n") == 1
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.yaml")]) == 1
@@ -142,6 +150,42 @@ class TestCli:
         assert err.startswith("error: ") and field in err and err.count("\n") == 1
         # the linear baselines build no network
         assert main(["validate", "--config", self._config(tmp_path, "lin-ucb", **sections)]) == 0
+
+    @pytest.mark.parametrize("sections,message", [
+        ({"network": {"width": '"8"'}}, "network.width: expected an integer, got '8'"),
+        ({"experiment": {"horizon": '"5"'}}, "experiment.horizon: expected an integer"),
+        ({"train": {"steps": 2.5}}, "train.steps: expected an integer"),
+        ({"train": {"batch_size": "true"}}, "train.batch_size: expected an integer"),
+        ({"policy": {"warm_start": '"no"'}}, "policy.warm_start: expected true or false"),
+        ({"policy": {"algorithm": 5}}, "policy.algorithm: expected a string"),
+        ({"experiment": {"seeds": "[x]"}}, "experiment.seeds: expected a list of integers"),
+        ({"experiment": {"seeds": 3}}, "experiment.seeds: expected a list of integers"),
+    ], ids=["width-string", "horizon-string", "steps-float", "batch-bool",
+            "warm-start-string", "algorithm-int", "seeds-strings", "seeds-int"])
+    def test_mistyped_field_exits_1_with_one_line(self, tmp_path, capsys, sections, message):
+        path = self._config(tmp_path, "delayed-neural-ucb", **sections)
+        assert main(["validate", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_optional_field_takes_null(self, tmp_path, capsys):
+        path = self._config(tmp_path, "delayed-neural-ucb", train={"batch_size": "null"})
+        assert main(["validate", "--config", path]) == 0
+        assert json.loads(capsys.readouterr().out)["train"]["batch_size"] is None
+
+    @pytest.mark.parametrize("option,message", [
+        (["--seeds", "x"], "error: --seeds: expected comma-separated integers, got 'x'"),
+        (["--seeds", "1,,2"], "error: --seeds: expected comma-separated integers"),
+        (["--jobs", "0"], "error: --jobs: must be >= 1, got 0"),
+        (["--jobs", "-2"], "error: --jobs: must be >= 1, got -2"),
+    ], ids=["seeds-letter", "seeds-empty-item", "jobs-zero", "jobs-negative"])
+    def test_bad_run_option_exits_1_with_one_line(self, config_file, tmp_path, capsys,
+                                                  option, message):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_file), "--out", str(out)] + option) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not out.exists()
 
     def test_configuration_error_in_run_exits_1_with_one_line(self, tmp_path, capsys,
                                                               monkeypatch):

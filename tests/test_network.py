@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,104 @@ def jacobian_train_reference(theta_start, shape, xs, rs, spec, rng=None, anchor=
             raise DivergedTrainingError(j)
         theta -= spec.eta * (resid @ grads + shape.width * spec.lam * (theta - anchor))
     return theta
+
+
+def unfused_train_reference(theta_start, shape, xs, rs, spec, rng=None, anchor=None):
+    """The step loop of train_nn before it was fused: one rng draw per step and
+    fresh temporaries for the activations, the backward pass and the update."""
+    anchor = theta_start if anchor is None else anchor
+    theta = theta_start.astype(np.float64, copy=True)
+    w1, wh, wl = unflatten(theta, shape)
+    m, p = shape.width, shape.param_count
+    sqrt_m = np.sqrt(m)
+    n = xs.shape[0]
+    for j in range(1, spec.steps + 1):
+        if spec.batch_size is None or spec.batch_size >= n:
+            bx, br = xs, rs
+        else:
+            idx = rng.integers(0, n, size=spec.batch_size)
+            bx, br = xs[idx], rs[idx]
+        acts = [bx, np.maximum(bx @ w1.T, 0.0)]
+        for w in wh:
+            acts.append(np.maximum(acts[-1] @ w.T, 0.0))
+        resid = np.sqrt(wl.shape[0]) * (acts[-1] @ wl) - br
+        if not np.isfinite(0.5 * float(resid @ resid)):
+            raise DivergedTrainingError(j)
+        back = np.empty(p)
+        back[-m:] = sqrt_m * (resid @ acts[-1])
+        delta = (sqrt_m * resid[:, None] * wl) * (acts[-1] > 0.0)
+        end = p - m
+        for layer in range(wh.shape[0] - 1, -1, -1):
+            back[end - m * m:end] = (delta.T @ acts[layer + 1]).ravel()
+            end -= m * m
+            delta = (delta @ wh[layer]) * (acts[layer + 1] > 0.0)
+        back[:end] = (delta.T @ acts[0]).ravel()
+        theta -= spec.eta * (back + shape.width * spec.lam * (theta - anchor))
+    return theta
+
+
+class TestFusedStepMatchesUnfusedLoop:
+    """train_nn is bit-for-bit the unfused loop, rng stream included."""
+
+    @staticmethod
+    def mushroom_sized(depth, rng, n=100):
+        # the criterion-8 network: width 64 on 88-dimensional embedded contexts
+        shape = NetworkShape(depth, 64, 88)
+        xs = rng.standard_normal((n, 88))
+        return shape, init_symmetric(shape, rng), xs / np.linalg.norm(xs, axis=1, keepdims=True)
+
+    @staticmethod
+    def assert_same(shape, theta0, xs, spec, seed):
+        rng = np.random.default_rng(seed)
+        rs = rng.random(xs.shape[0])
+        start = theta0 + 0.01 * rng.standard_normal(theta0.size)  # warm start off the anchor
+        ours_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ours = train_nn(start, shape, xs, rs, spec, ours_rng, anchor=theta0)
+        ref = unfused_train_reference(start, shape, xs, rs, spec, ref_rng, anchor=theta0)
+        assert np.array_equal(ours, ref)
+        assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("batch_size", [None, 7, 64])
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_mushroom_sized_network(self, depth, batch_size):
+        shape, theta0, xs = self.mushroom_sized(depth, np.random.default_rng(depth))
+        spec = TrainSpec(lam=0.1, eta=1e-4, steps=12, batch_size=batch_size)
+        self.assert_same(shape, theta0, xs, spec, seed=depth)
+        # fewer rows than the batch: every step takes the full batch
+        self.assert_same(shape, theta0, xs[:5], spec, seed=depth)
+
+    @pytest.mark.parametrize("batch_size", [None, 7])
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_dead_units(self, depth, batch_size):
+        shape, theta, xs = instance_with_dead_units(depth, np.random.default_rng(60 + depth))
+        spec = TrainSpec(lam=0.5, eta=0.01, steps=20, batch_size=batch_size)
+        self.assert_same(shape, theta, xs, spec, seed=depth)
+
+    @pytest.mark.parametrize("batch_size", [7, 64])
+    def test_rng_advances_as_per_step_draws(self, batch_size):
+        # NeuralTS samples from the same generator after training
+        shape, theta0, xs = self.mushroom_sized(2, np.random.default_rng(3), n=150)
+        spec = TrainSpec(lam=0.1, eta=1e-4, steps=9, batch_size=batch_size)
+        rng, expected = np.random.default_rng(11), np.random.default_rng(11)
+        train_nn(theta0, shape, xs, np.zeros(150), spec, rng)
+        for _ in range(spec.steps):
+            expected.integers(0, 150, size=batch_size)
+        assert rng.bit_generator.state == expected.bit_generator.state
+        assert rng.random() == expected.random()
+
+    def test_long_schedule_gathers_one_batch_at_a_time(self):
+        # steps_schedule: round reaches J in the thousands; a J x b x d gather
+        # of the mini-batches would take J * 45 KB here
+        shape, theta0, xs = self.mushroom_sized(2, np.random.default_rng(8), n=300)
+        spec = TrainSpec(lam=0.1, eta=1e-4, steps=2000, batch_size=64)
+        gather_bytes = spec.steps * 64 * 88 * 8
+        tracemalloc.start()
+        try:
+            train_nn(theta0, shape, xs, np.zeros(300), spec, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < gather_bytes / 20
 
 
 class TestVectorJacobianProduct:

@@ -169,6 +169,28 @@ class TestIngest:
         assert len(calls) == reads
         assert policy.gamma == gamma_value(policy.cfg, 1, logdet(), policy.cfg.train.steps)
 
+    @pytest.mark.parametrize("schedule", ["fixed", "round"])
+    def test_training_spec_follows_schedule(self, monkeypatch, schedule):
+        # a fixed schedule trains with the configured spec itself, not a copy
+        # per round; a round schedule trains for J = t steps at round t
+        specs = []
+
+        def record(theta, shape, xs, rs, spec, rng, anchor):
+            specs.append(spec)
+            return theta
+
+        monkeypatch.setattr(policies_mod, "train_nn", record)
+        policy = self.make_policy(steps_schedule=schedule)
+        rng = np.random.default_rng(5)
+        for t in range(1, 4):
+            self._play_round(policy, rng)
+            x, a = policy.pending[t]
+            policy.ingest_revealed([BanditRecord(t, x, a, 0.5)])
+        if schedule == "fixed":
+            assert len(specs) == 3 and all(spec is policy.cfg.train for spec in specs)
+        else:
+            assert specs == [replace(policy.cfg.train, steps=t) for t in (1, 2, 3)]
+
     def test_unknown_round_rejected(self):
         policy = self.make_policy()
         with pytest.raises(ProtocolViolationError):
