@@ -1,11 +1,13 @@
 """Command-line entry point: run / analyze / validate.
 
-Exit codes: 0 success, 1 configuration or validation failure, 2 runtime failure.
+Exit codes: 0 success, 1 configuration, validation or command-line failure,
+2 runtime failure.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .analysis import analyze_config
 from .config import load_config, resolved_summary
@@ -14,9 +16,14 @@ from .errors import (ConfigurationError, DegenerateContextError, DesignUpdateErr
 from .harness import emit, run_experiment
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line and exit 1, not argparse's usage text and 2
+        raise ConfigurationError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="delaybandit",
-                                     description="Delayed-feedback neural bandit simulator")
+    parser = _Parser(prog="delaybandit",
+                     description="Delayed-feedback neural bandit simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute the configured experiment")
@@ -38,17 +45,17 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seeds(text: str) -> list[int]:
+def _seeds(text: str) -> tuple[int, ...]:
     try:
-        return [int(seed) for seed in text.split(",")]
+        return tuple(int(seed) for seed in text.split(","))
     except ValueError:
         raise ConfigurationError(
             f"--seeds: expected comma-separated integers, got {text!r}") from None
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         cfg = load_config(args.config)
     except (ConfigurationError, OSError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -61,12 +68,13 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             print(json.dumps(analyze_config(cfg), indent=2))
             return 0
-        seeds = _seeds(args.seeds) if args.seeds else None
+        if args.seeds:  # checked as the config file's seeds are
+            cfg = replace(cfg, seeds=_seeds(args.seeds))
         if args.jobs < 1:
             raise ConfigurationError(f"--jobs: must be >= 1, got {args.jobs}")
         out_dir = args.out or cfg.output
         analysis = analyze_config(cfg) if args.analyze else None
-        results = run_experiment(cfg, seeds=seeds, jobs=args.jobs)
+        results = run_experiment(cfg, jobs=args.jobs)
         emit(results, out_dir, cfg, force=args.force, analysis=analysis)
         for result in results:
             print(f"seed {result.seed}: final cumulative regret "

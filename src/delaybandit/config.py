@@ -4,85 +4,141 @@ Defaults mirror the reference experimental setup (two-layer network of width
 128, nu = 1, lambda = 1, delta = 0.05, S = 1e-4, SGD batch 64, eta = 1e-3,
 J = t at round t), so a near-empty config file runs that setup at whatever
 horizon is requested.
+
+Each setting is declared once, as a field of the block that holds it: its
+type (an enum is a Literal alias defined beside the code that reads it), its
+default, its range check and, where it differs from the attribute name, its
+config-file key. Building a block checks every field and raises one
+ConfigurationError naming each violation; ``validate`` adds the checks that
+span fields.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import get_args
+from typing import ClassVar, Literal, get_args, get_origin
 
-from .data import MUSHROOM_ATTRIBUTES
-from .delay import DelayDistribution
+from .data import MUSHROOM_ATTRIBUTES, Source, SyntheticH
+from .delay import DelayDistribution, DelayKind
+from .design import DesignMode
 from .errors import ConfigurationError
-
-ALGORITHMS = ("delayed-neural-ucb", "delayed-neural-ts",
-              "neural-ucb", "neural-ts", "lin-ucb", "lin-ts")
+from .policies import Algorithm, GammaMode, RetrainTrigger, SqrtLambdaS, StepsSchedule
 
 DATA_ROOT_ENV = "DELAYED_BANDIT_DATA"
 
+# range checks: (test, the rule it enforces); None values are not tested
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_PROBABILITY = (lambda v: 0.0 < v < 1.0, "must lie in (0,1)")
+_SEEDS = (lambda seeds: len(seeds) > 0 and min(seeds) >= 0, "must be nonempty and >= 0")
+
+
+def _at_least(low):
+    return (lambda v: v >= low, f"must be >= {low}")
+
+
+def _field(default, check=None, key=None):
+    """A config field with its range check and its config-file key, if not its name."""
+    return field(default=default, metadata={"check": check, "key": key})
+
+
+def _key(f) -> str:
+    return f.metadata.get("key") or f.name
+
+
+class _Checked:
+    """Base of the config blocks: building one checks its fields."""
+
+    section: ClassVar[str]
+
+    def __post_init__(self):
+        problems = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            where = f"{self.section}.{_key(f)}"
+            options = get_args(f.type) if get_origin(f.type) is Literal else None
+            if options and value not in options:
+                problems.append(f"{where}: expected one of "
+                                f"{', '.join(map(repr, options))}, got {value!r}")
+            check = f.metadata.get("check")
+            if check and value is not None and not check[0](value):
+                problems.append(f"{where}: {check[1]}, got {value!r}")
+        if problems:
+            raise ConfigurationError("; ".join(problems))
+
 
 @dataclass(frozen=True)
-class PolicyBlock:
-    algorithm: str = "delayed-neural-ucb"
-    lam: float = 1.0
-    nu: float = 1.0
-    delta: float = 0.05
-    norm_s: float = 1e-4
+class PolicyBlock(_Checked):
+    section: ClassVar[str] = "policy"
+    algorithm: Algorithm = "delayed-neural-ucb"
+    lam: float = _field(1.0, _POSITIVE, key="lambda")
+    nu: float = _field(1.0, _NON_NEGATIVE)
+    delta: float = _field(0.05, _PROBABILITY)
+    norm_s: float = _field(1e-4, key="S")
     alpha: float = 1.0  # linear-baseline UCB bonus scale
-    c1: float = 1.0
-    c2: float = 1.0
-    c3: float = 1.0
-    gamma_mode: str = "simple"
+    c1: float = _field(1.0, key="C1")
+    c2: float = _field(1.0, key="C2")
+    c3: float = _field(1.0, key="C3")
+    gamma_mode: GammaMode = "simple"
     gamma_const: float = 1.0
-    design_mode: str = "full"
-    retrain_trigger: str = "every-round"
+    design_mode: DesignMode = "full"
+    retrain_trigger: RetrainTrigger = "every-round"
     warm_start: bool = False
-    sqrt_lambda_s: str = "product"
+    sqrt_lambda_s: SqrtLambdaS = "product"
 
 
 @dataclass(frozen=True)
-class NetworkBlock:
-    depth: int = 2
-    width: int = 128
+class NetworkBlock(_Checked):
+    section: ClassVar[str] = "network"
+    depth: int = _field(2, _at_least(2))
+    width: int = _field(128, _at_least(2))
 
 
 @dataclass(frozen=True)
-class TrainBlock:
-    eta: float = 0.001
-    steps: int = 1
-    steps_schedule: str = "round"
-    batch_size: int | None = 64
+class TrainBlock(_Checked):
+    section: ClassVar[str] = "train"
+    eta: float = _field(0.001, _POSITIVE)
+    steps: int = _field(1, _NON_NEGATIVE)
+    steps_schedule: StepsSchedule = "round"
+    batch_size: int | None = _field(64, _at_least(1))
 
 
 @dataclass(frozen=True)
-class EnvironmentBlock:
-    source: str = "synthetic"  # synthetic | mushroom | mnist
+class EnvironmentBlock(_Checked):
+    section: ClassVar[str] = "environment"
+    source: Source = "synthetic"
     dataset_path: str | None = None
     labels_path: str | None = None
-    synthetic_h: str = "quadratic-clipped"
-    synthetic_dim: int = 20
-    noise_variance: float = 0.001
+    synthetic_h: SyntheticH = "quadratic-clipped"
+    synthetic_dim: int = _field(20, _at_least(1))
+    noise_variance: float = _field(0.001, _NON_NEGATIVE)
     embed_assumption3: bool = False
     wrong_class_reward: float = 0.0
-    delay: str = "none"
-    expected_delay: float = 0.0
+    delay: DelayKind = "none"
+    expected_delay: float = _field(0.0, _NON_NEGATIVE)
     delay_lomax: bool = False
-    delay_seed: int | None = None
+    delay_seed: int | None = _field(None, _NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
-class AnalysisBlock:
-    n_contexts: int = 40
-    alpha: float = 0.0
-    b: float = 0.0
-    c4: float = 1.0
+class AnalysisBlock(_Checked):
+    section: ClassVar[str] = "analysis"
+    n_contexts: int = _field(40, _at_least(1))
+    alpha: float = _field(0.0, _NON_NEGATIVE)
+    b: float = _field(0.0, _NON_NEGATIVE)
+    c4: float = _field(1.0, key="C4")
+
+
+_BLOCKS = {cls.section: cls for cls in
+           (PolicyBlock, NetworkBlock, TrainBlock, EnvironmentBlock, AnalysisBlock)}
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    horizon: int = 2000
-    arms: int = 2
-    seeds: tuple = (1, 2, 3, 4, 5)
+class ExperimentConfig(_Checked):
+    section: ClassVar[str] = "experiment"
+    horizon: int = _field(2000, _at_least(1))
+    arms: int = _field(2, _at_least(2))
+    seeds: tuple[int, ...] = _field((1, 2, 3, 4, 5), _SEEDS)
     output: str = "runs/out"
     policy: PolicyBlock = field(default_factory=PolicyBlock)
     network: NetworkBlock = field(default_factory=NetworkBlock)
@@ -106,21 +162,6 @@ class ExperimentConfig:
         return path
 
 
-_BLOCKS = {
-    "policy": PolicyBlock,
-    "network": NetworkBlock,
-    "train": TrainBlock,
-    "environment": EnvironmentBlock,
-    "analysis": AnalysisBlock,
-}
-
-# config file spellings for fields whose code names differ
-_ALIASES = {
-    "policy": {"lambda": "lam", "S": "norm_s", "C1": "c1", "C2": "c2", "C3": "c3"},
-    "analysis": {"C4": "c4"},
-}
-
-
 _KINDS = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
 
 
@@ -129,8 +170,14 @@ def _coerce(ftype, value):
 
     YAML 1.1 reads exponents without a sign, such as 1.0e3, as strings, so a
     float field takes a string that parses as a float. bool is not a number.
+    A Literal field takes a string, which the block then checks.
     """
-    kinds = get_args(ftype) or (ftype,)
+    if get_origin(ftype) is tuple:
+        if isinstance(value, (list, tuple)) and all(
+                isinstance(item, int) and not isinstance(item, bool) for item in value):
+            return tuple(value)
+        raise ValueError("a list of integers")
+    kinds = (str,) if get_origin(ftype) is Literal else get_args(ftype) or (ftype,)
     if value is None and type(None) in kinds:
         return None
     kind = kinds[0]
@@ -145,55 +192,39 @@ def _coerce(ftype, value):
     raise ValueError(_KINDS[kind])
 
 
-def _put(kwargs: dict, fields, section: str, key: str, name: str, value, errors: list):
-    """Store the coerced value of one field in kwargs, or add the mismatch to errors."""
-    try:
-        kwargs[name] = _coerce(fields[name].type, value)
-    except ValueError as exc:
-        errors.append(f"{section}.{key}: expected {exc}, got {value!r}")
-
-
-def _build_block(cls, section: str, raw: dict, errors: list):
+def _build(cls, raw, errors: list, **blocks):
+    """cls from one config section, with every unknown key, mistyped value and
+    failed check added to errors; a failed block takes its defaults."""
+    if raw is None:  # a section header with nothing under it
+        raw = {}
+    if not isinstance(raw, dict):
+        errors.append(f"{cls.section}: expected a mapping, got {raw!r}")
+        raw = {}
+    spelled = {_key(f): f for f in fields(cls) if f.name not in _BLOCKS}
     kwargs = {}
-    aliases = _ALIASES.get(section, {})
-    fields = cls.__dataclass_fields__
     for key, value in raw.items():
-        name = aliases.get(key, key)
-        if name not in fields:
-            errors.append(f"{section}.{key}: unknown field")
+        if key not in spelled:
+            errors.append(f"{cls.section}.{key}: unknown field")
             continue
-        _put(kwargs, fields, section, key, name, value, errors)
+        try:
+            kwargs[spelled[key].name] = _coerce(spelled[key].type, value)
+        except ValueError as exc:
+            errors.append(f"{cls.section}.{key}: expected {exc}, got {value!r}")
     try:
-        return cls(**kwargs)
-    except (TypeError, ConfigurationError) as exc:
-        errors.append(f"{section}: {exc}")
-        return cls()
+        return cls(**kwargs, **blocks)
+    except ConfigurationError as exc:
+        errors.append(str(exc))
+        return cls(**blocks)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     errors: list[str] = []
     raw = dict(raw or {})
-    top = dict(raw.pop("experiment", {}))
-    kwargs = {}
-    fields = ExperimentConfig.__dataclass_fields__
-    for key in ("horizon", "arms", "output"):
-        if key in top:
-            _put(kwargs, fields, "experiment", key, key, top.pop(key), errors)
-    if "seeds" in top:
-        seeds = top.pop("seeds")
-        if isinstance(seeds, (list, tuple)) and all(
-                isinstance(seed, int) and not isinstance(seed, bool) for seed in seeds):
-            kwargs["seeds"] = tuple(seeds)
-        else:
-            errors.append(f"experiment.seeds: expected a list of integers, got {seeds!r}")
-    for key in top:
-        errors.append(f"experiment.{key}: unknown field")
-    for section, cls in _BLOCKS.items():
-        if section in raw:
-            kwargs[section] = _build_block(cls, section, dict(raw.pop(section)), errors)
-    for key in raw:
-        errors.append(f"{key}: unknown section")
-    cfg = ExperimentConfig(**kwargs)
+    top = raw.pop("experiment", {})
+    blocks = {section: _build(cls, raw.pop(section), errors)
+              for section, cls in _BLOCKS.items() if section in raw}
+    errors += [f"{key}: unknown section" for key in raw]
+    cfg = _build(ExperimentConfig, top, errors, **blocks)
     validate(cfg, errors)
     if errors:
         raise ConfigurationError("; ".join(errors))
@@ -201,44 +232,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def validate(cfg: ExperimentConfig, errors: list[str]) -> None:
-    if cfg.horizon < 1:
-        errors.append(f"experiment.horizon: must be >= 1, got {cfg.horizon}")
-    if cfg.arms < 2:
-        errors.append(f"experiment.arms: must be >= 2, got {cfg.arms}")
-    if not cfg.seeds:
-        errors.append("experiment.seeds: must be nonempty")
-    if cfg.policy.algorithm not in ALGORITHMS:
-        errors.append(f"policy.algorithm: unknown {cfg.policy.algorithm!r}")
-    if not 0.0 < cfg.policy.delta < 1.0:
-        errors.append(f"policy.delta: must lie in (0,1), got {cfg.policy.delta}")
-    if cfg.policy.lam <= 0:
-        errors.append(f"policy.lambda: must be > 0, got {cfg.policy.lam}")
-    if cfg.policy.nu < 0:
-        errors.append(f"policy.nu: must be >= 0, got {cfg.policy.nu}")
-    if cfg.policy.gamma_mode not in ("theoretical", "simple", "constant"):
-        errors.append(f"policy.gamma_mode: unknown {cfg.policy.gamma_mode!r}")
-    if cfg.policy.design_mode not in ("full", "diag"):
-        errors.append(f"policy.design_mode: unknown {cfg.policy.design_mode!r}")
-    if cfg.network.depth < 2:
-        errors.append(f"network.depth: must be >= 2, got {cfg.network.depth}")
-    if cfg.network.width < 2:
-        errors.append(f"network.width: must be >= 2, got {cfg.network.width}")
-    if cfg.train.eta <= 0:
-        errors.append(f"train.eta: must be > 0, got {cfg.train.eta}")
-    if cfg.train.steps < 0:
-        errors.append(f"train.steps: must be >= 0, got {cfg.train.steps}")
-    if cfg.train.batch_size is not None and cfg.train.batch_size < 1:
-        errors.append(f"train.batch_size: must be >= 1, got {cfg.train.batch_size}")
-    if cfg.train.steps_schedule not in ("fixed", "round"):
-        errors.append(f"train.steps_schedule: unknown {cfg.train.steps_schedule!r}")
-    if cfg.environment.source not in ("synthetic", "mushroom", "mnist"):
-        errors.append(f"environment.source: unknown {cfg.environment.source!r}")
-    if cfg.environment.noise_variance < 0:
-        errors.append("environment.noise_variance: must be >= 0")
-    if cfg.environment.expected_delay < 0:
-        errors.append("environment.expected_delay: must be >= 0")
-    if cfg.environment.delay not in ("none", "constant", "uniform", "exponential", "pareto"):
-        errors.append(f"environment.delay: unknown {cfg.environment.delay!r}")
+    """The checks that span fields; each field checks itself when its block is built."""
     if not cfg.policy.algorithm.startswith("lin-"):
         # only the neural algorithms build a network, and its symmetric
         # initialization splits both the width and the context in halves
@@ -248,8 +242,7 @@ def validate(cfg: ExperimentConfig, errors: list[str]) -> None:
         if dim is not None and dim % 2:
             errors.append(f"environment: the context dimension {dim} must be even for "
                           "neural algorithms; set embed_assumption3: true")
-    needs_data = cfg.environment.source in ("mushroom", "mnist")
-    if needs_data and cfg.environment.dataset_path is None:
+    if cfg.environment.source != "synthetic" and cfg.environment.dataset_path is None:
         errors.append("environment.dataset_path: required for dataset sources")
     if cfg.environment.source == "mnist" and cfg.environment.labels_path is None:
         errors.append("environment.labels_path: required for mnist")
@@ -280,18 +273,20 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+def _echo(block) -> dict:
+    return {f.name: getattr(block, f.name) for f in fields(block)}
+
+
 def resolved_summary(cfg: ExperimentConfig) -> dict:
     """Fully resolved, JSON-friendly echo of the configuration."""
-    delay = cfg.delay_distribution()
     return {
         "horizon": cfg.horizon,
         "arms": cfg.arms,
         "seeds": list(cfg.seeds),
         "algorithm": cfg.policy.algorithm,
-        "policy": {k: getattr(cfg.policy, k) for k in PolicyBlock.__dataclass_fields__},
-        "network": {"depth": cfg.network.depth, "width": cfg.network.width},
-        "train": {k: getattr(cfg.train, k) for k in TrainBlock.__dataclass_fields__},
-        "environment": {k: getattr(cfg.environment, k)
-                        for k in EnvironmentBlock.__dataclass_fields__},
-        "delay_distribution": delay.describe(),
+        "policy": _echo(cfg.policy),
+        "network": _echo(cfg.network),
+        "train": _echo(cfg.train),
+        "environment": _echo(cfg.environment),
+        "delay_distribution": cfg.delay_distribution().describe(),
     }

@@ -2,6 +2,7 @@
 
 import struct
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -10,6 +11,10 @@ from .errors import ConfigurationError, DegenerateContextError, FormatError
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
 MUSHROOM_ATTRIBUTES = 22  # categorical columns after the class in agaricus-lepiota
+
+# where a run's contexts come from: generated, or one of the datasets loaded here
+Source = Literal["synthetic", "mushroom", "mnist"]
+SyntheticH = Literal["linear", "quadratic-clipped", "cosine-clipped"]
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,7 @@ def assumption3_embed(context: np.ndarray) -> np.ndarray:
     return np.concatenate([context, context]) / (np.sqrt(2.0) * norm)
 
 
-def synthetic_h(h_id: str, direction: np.ndarray):
+def synthetic_h(h_id: SyntheticH, direction: np.ndarray):
     """Mean-reward function handle for synthetic environments, range [0, 1]."""
     a = np.asarray(direction, dtype=np.float64)
 

@@ -6,10 +6,13 @@ ceil(s + tau): the unique integer t with t-1 < s + tau <= t.
 
 import math
 from dataclasses import dataclass, field
+from typing import Literal, get_args
 
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolViolationError
+
+DelayKind = Literal["none", "constant", "uniform", "exponential", "pareto"]
 
 
 @dataclass(frozen=True)
@@ -20,7 +23,7 @@ class DelayDistribution:
     a*x_m/(a-1)), so the expected-delay shorthand is exact.
     """
 
-    kind: str
+    kind: DelayKind
     constant: float = 0.0
     upper: float = 0.0
     rate: float = 0.0
@@ -29,7 +32,7 @@ class DelayDistribution:
     lomax: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("none", "constant", "uniform", "exponential", "pareto"):
+        if self.kind not in get_args(DelayKind):
             raise ConfigurationError(f"unknown delay distribution {self.kind!r}")
         if self.kind == "constant" and self.constant < 0:
             raise ConfigurationError("constant delay must be >= 0")
@@ -41,7 +44,7 @@ class DelayDistribution:
             raise ConfigurationError("pareto needs shape > 1 and scale > 0")
 
     @classmethod
-    def from_expected(cls, kind: str, expected_delay: float, lomax: bool = False):
+    def from_expected(cls, kind: DelayKind, expected_delay: float, lomax: bool = False):
         """Expand an E[tau] shorthand into distribution parameters.
 
         exponential -> rate 1/E[tau]; uniform -> (0, 2 E[tau]);
@@ -60,7 +63,7 @@ class DelayDistribution:
         if kind == "pareto":
             return cls("pareto", shape_a=(1.0 + expected_delay) / expected_delay,
                        scale_xm=1.0, lomax=lomax)
-        raise ConfigurationError(f"unknown delay distribution {kind!r}")
+        return cls(kind)  # every known kind returned above, so this one is rejected
 
     def sample(self, rng: np.random.Generator) -> float:
         if self.kind == "none":

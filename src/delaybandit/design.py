@@ -30,6 +30,7 @@ design unchanged.
 """
 
 import math
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -39,6 +40,8 @@ REFRESH_PERIOD = 512  # Sherman-Morrison drift control
 _INITIAL_ROWS = 64    # first capacity of the dual buffers; doubles up to p
 _BLOCK_ROWS = 256     # rows of Z^{-1} per step of the in-place primal update
 
+DesignMode = Literal["full", "diag"]
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
@@ -47,12 +50,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class DesignMatrix:
-    def __init__(self, p: int, lam: float, mode: str = "full"):
+    def __init__(self, p: int, lam: float, mode: DesignMode = "full"):
         if lam <= 0:
             raise ConfigurationError(f"lambda must be > 0, got {lam}")
         if p < 1:
             raise ConfigurationError(f"dimension must be >= 1, got {p}")
-        if mode not in ("full", "diag"):
+        if mode not in get_args(DesignMode):
             raise ConfigurationError(f"unknown design-matrix mode {mode!r}")
         self.p = p
         self.lam = float(lam)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledSample, assumption3_embed, disjoint_transform, synthetic_h
+from .data import LabeledSample, SyntheticH, assumption3_embed, disjoint_transform, synthetic_h
 from .delay import DelayDistribution
 from .errors import DegenerateContextError
 
@@ -62,7 +62,7 @@ class SyntheticSource:
     """Draws K fresh unit-norm contexts per round; mean reward from a fixed
     clipped test function of the context."""
 
-    def __init__(self, h_id: str, dim: int, arms: int,
+    def __init__(self, h_id: SyntheticH, dim: int, arms: int,
                  rng: np.random.Generator, embed: bool = False):
         self.arms = arms
         self.dim = dim

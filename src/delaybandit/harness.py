@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import re
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,9 +16,8 @@ from .config import ExperimentConfig, resolved_summary
 from .data import load_idx, load_mushroom_csv
 from .delay import RevealQueue
 from .environment import DatasetSource, Environment, SyntheticSource
-from .errors import ConfigurationError
-from .network import NetworkShape, TrainSpec
-from .policies import BanditRecord, LinearBandit, NeuralBandit, PolicyConfig
+from .network import NetworkShape
+from .policies import BanditRecord, LinearBandit, NeuralBandit, exploration_of
 
 
 @dataclass
@@ -61,27 +64,13 @@ def build_environment(cfg: ExperimentConfig, seed: int, samples=None) -> Environ
 
 
 def build_policy(cfg: ExperimentConfig, context_dim: int, seed: int):
-    algo = cfg.policy.algorithm
     rng = _stream(seed, 4)
-    if algo in ("lin-ucb", "lin-ts"):
+    if cfg.policy.algorithm.startswith("lin-"):
         return LinearBandit(context_dim, rng, lam=cfg.policy.lam,
                             alpha=cfg.policy.alpha, nu=cfg.policy.nu,
-                            exploration="ts" if algo.endswith("ts") else "ucb")
+                            exploration=exploration_of(cfg.policy.algorithm))
     shape = NetworkShape(cfg.network.depth, cfg.network.width, context_dim)
-    spec = TrainSpec(cfg.policy.lam, cfg.train.eta, cfg.train.steps,
-                     cfg.train.batch_size)
-    pcfg = PolicyConfig(
-        shape=shape, train=spec, lam=cfg.policy.lam, nu=cfg.policy.nu,
-        delta=cfg.policy.delta, norm_s=cfg.policy.norm_s,
-        c1=cfg.policy.c1, c2=cfg.policy.c2, c3=cfg.policy.c3,
-        gamma_mode=cfg.policy.gamma_mode, gamma_const=cfg.policy.gamma_const,
-        exploration="ts" if algo.endswith("ts") else "ucb",
-        design_mode=cfg.policy.design_mode,
-        retrain_trigger=cfg.policy.retrain_trigger,
-        steps_schedule=cfg.train.steps_schedule,
-        warm_start=cfg.policy.warm_start,
-        sqrt_lambda_s=cfg.policy.sqrt_lambda_s)
-    return NeuralBandit(pcfg, rng)
+    return NeuralBandit(cfg.policy, cfg.train, shape, rng)
 
 
 def run_single(cfg: ExperimentConfig, seed: int, samples=None) -> RunResult:
@@ -123,19 +112,16 @@ def _run_single_star(args):
     return run_single(*args)
 
 
-def run_experiment(cfg: ExperimentConfig, seeds=None, jobs: int = 1) -> list[RunResult]:
-    """Run every seed (optionally in parallel processes), in seed order."""
-    seeds = list(cfg.seeds if seeds is None else seeds)
-    if not seeds:
-        raise ConfigurationError("no seeds to run")
+def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
+    """Run every seed of cfg (optionally in parallel processes), in seed order."""
     samples = _load_samples(cfg)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # deferred: costs start-up
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_run_single_star,
-                                 [(cfg, seed, samples) for seed in seeds]))
-    return [run_single(cfg, seed, samples) for seed in seeds]
+                                 [(cfg, seed, samples) for seed in cfg.seeds]))
+    return [run_single(cfg, seed, samples) for seed in cfg.seeds]
 
 
 def aggregate(results: list[RunResult]):
@@ -150,6 +136,7 @@ def aggregate(results: list[RunResult]):
 
 
 CSV_HEADER = "round,arm,regret,cum_regret,revealed,pending,gamma"
+_RUN_CSV = re.compile(r"run_\d+\.csv")
 
 
 def _fmt(value) -> str:
@@ -158,11 +145,31 @@ def _fmt(value) -> str:
 
 def emit(results: list[RunResult], out_dir, cfg: ExperimentConfig,
          force: bool = False, analysis: dict | None = None) -> None:
-    """Write run_<seed>.csv per seed, mean.csv and summary.json into out_dir."""
+    """Write run_<seed>.csv per seed, mean.csv and summary.json into out_dir.
+
+    The files are written into a temporary directory inside out_dir, then
+    moved into place, and an earlier run_<seed>.csv of a seed not written now
+    is removed; any other file in out_dir is kept. A write that fails leaves
+    the earlier output as it was.
+    """
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()) and not force:
         raise FileExistsError(f"{out} already contains output; pass --force to overwrite")
     out.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".emit-", dir=out))
+    try:
+        _write_outputs(results, staging, cfg, analysis)
+        written = {path.name for path in staging.iterdir()}
+        for name in written:
+            os.replace(staging / name, out / name)
+        for path in out.iterdir():
+            if path.name not in written and _RUN_CSV.fullmatch(path.name) and path.is_file():
+                path.unlink()
+    finally:
+        shutil.rmtree(staging)
+
+
+def _write_outputs(results, out: Path, cfg: ExperimentConfig, analysis) -> None:
     for result in results:
         lines = [CSV_HEADER]
         for t, arm, regret, cum, revealed, pending, gamma in result.rows:

@@ -216,26 +216,6 @@ def vjp(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray, v: np.ndarray) -
     return grad
 
 
-@dataclass(frozen=True)
-class TrainSpec:
-    """Regularized gradient-descent settings for train_nn."""
-
-    lam: float
-    eta: float
-    steps: int
-    batch_size: int | None = None  # None = full batch
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ConfigurationError(f"lambda must be > 0, got {self.lam}")
-        if self.eta <= 0:
-            raise ConfigurationError(f"eta must be > 0, got {self.eta}")
-        if self.steps < 0:
-            raise ConfigurationError(f"steps must be >= 0, got {self.steps}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-
-
 def loss_value(theta, shape, xs, rs, lam, anchor):
     """Sum of squared-error halves plus the m*lam/2 proximal regularizer."""
     resid = forward_many(theta, shape, xs) - rs
@@ -247,10 +227,15 @@ def train_nn(theta_start: np.ndarray,
              shape: NetworkShape,
              xs: np.ndarray,
              rs: np.ndarray,
-             spec: TrainSpec,
+             lam: float,
+             eta: float,
+             steps: int,
+             batch_size: int | None = None,
              rng: np.random.Generator | None = None,
              anchor: np.ndarray | None = None) -> np.ndarray:
-    """Run J steps of gradient descent on the regularized squared loss.
+    """Run J = ``steps`` steps of gradient descent at rate ``eta`` on the squared
+    loss plus the m*lam/2 proximal regularizer, on mini-batches of
+    ``batch_size`` rows (None: the full batch).
 
     ``anchor`` is the regularization center (the run's theta_0); it defaults to
     ``theta_start`` but differs from it under warm starts. Mini-batch mode
@@ -259,24 +244,26 @@ def train_nn(theta_start: np.ndarray,
     draws the J index vectors from ``rng`` before the first step, so a run
     stopped by DivergedTrainingError has drawn them all.
     """
+    if not (lam > 0 and eta > 0) or steps < 0 or (batch_size is not None and batch_size < 1):
+        raise ConfigurationError("train_nn needs lam > 0, eta > 0, steps >= 0 and batch_size "
+                                 f"None or >= 1, got {lam}, {eta}, {steps}, {batch_size}")
     xs = _check_contexts(xs, shape)
     rs = np.asarray(rs, dtype=np.float64)
     if xs.size == 0:
         return theta_start.copy()
     n = xs.shape[0]
-    full_batch = spec.batch_size is None or spec.batch_size >= n
+    full_batch = batch_size is None or batch_size >= n
     if rng is None and not full_batch:
-        raise ConfigurationError(
-            f"mini-batches of {spec.batch_size} from {n} rows need an rng")
+        raise ConfigurationError(f"mini-batches of {batch_size} from {n} rows need an rng")
     if anchor is None:
         anchor = theta_start
     theta = theta_start.astype(np.float64, copy=True)
     if full_batch:
         rows, bx, br = n, xs, rs
     else:
-        rows = spec.batch_size
+        rows = batch_size
         # one draw of all J index vectors yields the stream of J draws of one each
-        batches = rng.integers(0, n, size=(spec.steps, rows))
+        batches = rng.integers(0, n, size=(steps, rows))
         bx, br = np.empty((rows, shape.input_dim)), np.empty(rows)
     w1, wh, wl = unflatten(theta, shape)  # views: they follow the in-place steps
     grad = np.empty_like(theta)
@@ -284,10 +271,10 @@ def train_nn(theta_start: np.ndarray,
     reg = np.empty_like(theta)
     resid = np.empty(rows)
     passes = _Passes(shape, rows)
-    m_lam = shape.width * spec.lam
+    m_lam = shape.width * lam
     # a non-finite loss raises DivergedTrainingError, so overflow on the way there is not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, spec.steps + 1):
+        for j in range(1, steps + 1):
             if not full_batch:
                 # the indices lie in [0, n), so "clip" changes none; unlike the
                 # default "raise" it lets take write into out without a buffer
@@ -303,6 +290,6 @@ def train_nn(theta_start: np.ndarray,
             np.subtract(theta, anchor, out=reg)
             reg *= m_lam
             grad += reg
-            grad *= spec.eta
+            grad *= eta
             theta -= grad
     return theta

@@ -9,13 +9,29 @@ entirely in which records the caller passes to ``ingest_revealed``.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Literal, get_args
 
 import numpy as np
 
 from .design import DesignMatrix
 from .errors import ConfigurationError, ProtocolViolationError
-from .network import NetworkShape, TrainSpec, forward_many, gradient_many, init_symmetric, train_nn
+from .network import NetworkShape, gradient_many, init_symmetric, train_nn
+
+if TYPE_CHECKING:
+    from .config import PolicyBlock, TrainBlock
+
+Algorithm = Literal["delayed-neural-ucb", "delayed-neural-ts",
+                    "neural-ucb", "neural-ts", "lin-ucb", "lin-ts"]
+Exploration = Literal["ucb", "ts"]
+GammaMode = Literal["theoretical", "simple", "constant"]
+RetrainTrigger = Literal["every-round", "on-reveal"]
+StepsSchedule = Literal["fixed", "round"]  # round: J = t steps at round t
+SqrtLambdaS = Literal["product", "joint"]  # product: sqrt(lam)*S; joint: sqrt(lam*S)
+
+
+def exploration_of(algorithm: Algorithm) -> Exploration:
+    return "ts" if algorithm.endswith("-ts") else "ucb"
 
 
 @dataclass(frozen=True)
@@ -32,48 +48,8 @@ class BanditRecord:
             raise ValueError(f"round must be >= 1, got {self.round}")
 
 
-@dataclass(frozen=True)
-class PolicyConfig:
-    shape: NetworkShape
-    train: TrainSpec
-    lam: float = 1.0
-    nu: float = 1.0
-    delta: float = 0.05
-    norm_s: float = 1e-4
-    c1: float = 1.0
-    c2: float = 1.0
-    c3: float = 1.0
-    gamma_mode: str = "simple"        # theoretical | simple | constant
-    gamma_const: float = 1.0
-    exploration: str = "ucb"          # ucb | ts
-    design_mode: str = "full"         # full | diag
-    retrain_trigger: str = "every-round"  # every-round | on-reveal
-    steps_schedule: str = "fixed"     # fixed | round (J = t at round t)
-    warm_start: bool = False
-    sqrt_lambda_s: str = "product"    # product: sqrt(lam)*S; joint: sqrt(lam*S)
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigurationError(f"delta must lie in (0,1), got {self.delta}")
-        if self.nu < 0:
-            raise ConfigurationError(f"nu must be >= 0, got {self.nu}")
-        if self.gamma_mode not in ("theoretical", "simple", "constant"):
-            raise ConfigurationError(f"unknown gamma_mode {self.gamma_mode!r}")
-        if self.exploration not in ("ucb", "ts"):
-            raise ConfigurationError(f"unknown exploration {self.exploration!r}")
-        if self.retrain_trigger not in ("every-round", "on-reveal"):
-            raise ConfigurationError(f"unknown retrain_trigger {self.retrain_trigger!r}")
-        if self.steps_schedule not in ("fixed", "round"):
-            raise ConfigurationError(f"unknown steps_schedule {self.steps_schedule!r}")
-
-    def sqrt_lam_s(self) -> float:
-        if self.sqrt_lambda_s == "joint":
-            return math.sqrt(self.lam * self.norm_s)
-        return math.sqrt(self.lam) * self.norm_s
-
-
-def gamma_value(cfg: PolicyConfig, revealed_count: int, logdet: float,
-                steps: int | None = None) -> float:
+def gamma_value(cfg: "PolicyBlock", train: "TrainBlock", shape: NetworkShape,
+                revealed_count: int, logdet: float, steps: int | None = None) -> float:
     """Confidence-radius gamma as a function of |I_t| and log det(Z)/det(lam I).
 
     ``theoretical`` evaluates the full expression with width/depth correction
@@ -82,18 +58,22 @@ def gamma_value(cfg: PolicyConfig, revealed_count: int, logdet: float,
     """
     if cfg.gamma_mode == "constant":
         return cfg.gamma_const
+    if cfg.sqrt_lambda_s == "joint":
+        sqrt_lam_s = math.sqrt(cfg.lam * cfg.norm_s)
+    else:
+        sqrt_lam_s = math.sqrt(cfg.lam) * cfg.norm_s
     if cfg.gamma_mode == "simple":
-        return cfg.nu * math.sqrt(logdet - 2.0 * math.log(cfg.delta)) + cfg.sqrt_lam_s()
+        return cfg.nu * math.sqrt(logdet - 2.0 * math.log(cfg.delta)) + sqrt_lam_s
     n = float(revealed_count)
-    m = float(cfg.shape.width)
-    L = float(cfg.shape.depth)
-    lam, eta = cfg.lam, cfg.train.eta
-    J = float(cfg.train.steps if steps is None else steps)
+    m = float(shape.width)
+    L = float(shape.depth)
+    lam, eta = cfg.lam, train.eta
+    J = float(train.steps if steps is None else steps)
     w = m ** (-1.0 / 6.0) * math.sqrt(math.log(m))  # shared width-correction factor
     scale = math.sqrt(1.0 + cfg.c1 * w * L ** 4 * n ** (7.0 / 6.0) * lam ** (-7.0 / 6.0))
     inner = logdet + cfg.c2 * w * L ** 4 * n ** (5.0 / 3.0) * lam ** (-1.0 / 6.0) \
         - 2.0 * math.log(cfg.delta)
-    confidence = scale * (cfg.nu * math.sqrt(inner) + cfg.sqrt_lam_s())
+    confidence = scale * (cfg.nu * math.sqrt(inner) + sqrt_lam_s)
     base = max(0.0, 1.0 - eta * m * lam)
     optimization = (lam + cfg.c3 * n * L) * (
         base ** (J / 2.0) * math.sqrt(n / lam)
@@ -110,28 +90,33 @@ class Diagnostics:
 
 
 class NeuralBandit:
-    """Delayed NeuralUCB / NeuralTS over a from-scratch ReLU network."""
+    """Delayed NeuralUCB / NeuralTS over a from-scratch ReLU network, set by the
+    config's policy and train blocks; UCB or TS follows the algorithm's name."""
 
-    def __init__(self, cfg: PolicyConfig, rng: np.random.Generator):
+    def __init__(self, cfg: "PolicyBlock", train: "TrainBlock", shape: NetworkShape,
+                 rng: np.random.Generator):
         self.cfg = cfg
+        self.train = train
+        self.shape = shape
+        self.exploration = exploration_of(cfg.algorithm)
         self.rng = rng
-        self.theta0 = init_symmetric(cfg.shape, rng)
+        self.theta0 = init_symmetric(shape, rng)
         self.theta = self.theta0.copy()
-        self.design = DesignMatrix(cfg.shape.param_count, cfg.lam, cfg.design_mode)
+        self.design = DesignMatrix(shape.param_count, cfg.lam, cfg.design_mode)
         # revealed contexts and rewards fill the first revealed_count rows;
         # capacity doubles when full, so appending costs O(1) amortized
-        self._xs = np.empty((64, cfg.shape.input_dim))
+        self._xs = np.empty((64, shape.input_dim))
         self._rs = np.empty(64)
         self.revealed_count = 0
         self.pending: dict[int, tuple[np.ndarray, int]] = {}
         self.t = 0
-        self.gamma = gamma_value(cfg, 0, 0.0, self._steps_at(0))
+        self.gamma = gamma_value(cfg, train, shape, 0, 0.0, self._steps_at(0))
         self.max_scaled_grad_norm = 0.0
 
     def _steps_at(self, t: int) -> int:
-        if self.cfg.steps_schedule == "round":
+        if self.train.steps_schedule == "round":
             return t
-        return self.cfg.train.steps
+        return self.train.steps
 
     def _store(self, xs: np.ndarray, rs: list[float]) -> None:
         n, k = self.revealed_count, len(rs)
@@ -147,15 +132,15 @@ class NeuralBandit:
     def select_action(self, contexts: np.ndarray):
         """Score the K arm contexts and return (1-based action, diagnostics)."""
         contexts = np.asarray(contexts, dtype=np.float64)
-        if contexts.ndim != 2 or contexts.shape[1] != self.cfg.shape.input_dim:
+        if contexts.ndim != 2 or contexts.shape[1] != self.shape.input_dim:
             raise ValueError(
-                f"contexts have shape {contexts.shape}, expected (K, {self.cfg.shape.input_dim})")
-        sqrt_m = math.sqrt(self.cfg.shape.width)
-        grads, means = gradient_many(self.theta, self.cfg.shape, contexts)
+                f"contexts have shape {contexts.shape}, expected (K, {self.shape.input_dim})")
+        sqrt_m = math.sqrt(self.shape.width)
+        grads, means = gradient_many(self.theta, self.shape, contexts)
         quad = self.design.quad_form(grads / sqrt_m)
         gnorm = np.max(np.linalg.norm(grads, axis=1)) / sqrt_m
         self.max_scaled_grad_norm = max(self.max_scaled_grad_norm, float(gnorm))
-        if self.cfg.exploration == "ucb":
+        if self.exploration == "ucb":
             bonuses = self.gamma * np.sqrt(quad)
             scores = means + bonuses
         else:
@@ -184,8 +169,8 @@ class NeuralBandit:
         if records:
             xs = np.stack([record.context for record in records])
             # gradient features evaluated at the current (pre-retrain) parameters
-            grads, _ = gradient_many(self.theta, self.cfg.shape, xs)
-            grads /= math.sqrt(self.cfg.shape.width)
+            grads, _ = gradient_many(self.theta, self.shape, xs)
+            grads /= math.sqrt(self.shape.width)
             for record, grad in zip(records, grads):
                 self.design.rank1_update(grad)
                 del self.pending[record.round]
@@ -194,16 +179,16 @@ class NeuralBandit:
             else self.revealed_count > 0
         steps = self._steps_at(self.t)
         if retrain and steps > 0:
-            spec = self.cfg.train if self.cfg.steps_schedule == "fixed" \
-                else replace(self.cfg.train, steps=steps)
             start = self.theta if self.cfg.warm_start else self.theta0
-            self.theta = train_nn(start, self.cfg.shape,
+            self.theta = train_nn(start, self.shape,
                                   self._xs[:self.revealed_count],
                                   self._rs[:self.revealed_count],
-                                  spec, self.rng, anchor=self.theta0)
+                                  self.cfg.lam, self.train.eta, steps, self.train.batch_size,
+                                  self.rng, anchor=self.theta0)
         # constant gamma ignores log det, which costs O(p) in diag mode
         logdet = 0.0 if self.cfg.gamma_mode == "constant" else self.design.logdet_ratio()
-        self.gamma = gamma_value(self.cfg, self.revealed_count, logdet, steps)
+        self.gamma = gamma_value(self.cfg, self.train, self.shape, self.revealed_count,
+                                 logdet, steps)
 
 
 class LinearBandit:
@@ -215,8 +200,8 @@ class LinearBandit:
     """
 
     def __init__(self, dim: int, rng: np.random.Generator, lam: float = 1.0,
-                 alpha: float = 1.0, nu: float = 1.0, exploration: str = "ucb"):
-        if exploration not in ("ucb", "ts"):
+                 alpha: float = 1.0, nu: float = 1.0, exploration: Exploration = "ucb"):
+        if exploration not in get_args(Exploration):
             raise ConfigurationError(f"unknown exploration {exploration!r}")
         self.dim = dim
         self.rng = rng

@@ -1,11 +1,13 @@
 import json
+from dataclasses import fields, is_dataclass
+from typing import Literal, get_origin
 
 import pytest
 
 from delaybandit import config as config_mod
 from delaybandit.analysis import analyze_config
 from delaybandit.cli import main
-from delaybandit.config import config_from_dict
+from delaybandit.config import ExperimentConfig, config_from_dict
 from delaybandit.design import DesignMatrix
 from delaybandit.errors import DesignUpdateError
 
@@ -60,15 +62,52 @@ class TestCli:
         ({"experiment": {"horizon": -3}}, "experiment.horizon"),
         ({"train": {"batch_size": 0}}, "train.batch_size"),
         ({"policy": {"nu": -1}}, "policy.nu"),
-    ], ids=["horizon", "batch_size", "nu"])
+        ({"analysis": {"n_contexts": 0}}, "analysis.n_contexts"),
+        ({"analysis": {"n_contexts": -3}}, "analysis.n_contexts"),
+        ({"analysis": {"alpha": -1.0}}, "analysis.alpha"),
+        ({"environment": {"synthetic_dim": -2}}, "environment.synthetic_dim"),
+        ({"environment": {"delay_seed": -1}}, "environment.delay_seed"),
+        ({"experiment": {"seeds": [-1]}}, "experiment.seeds"),
+    ], ids=["horizon", "batch_size", "nu", "n_contexts-zero", "n_contexts-negative",
+            "analysis-alpha", "synthetic_dim", "delay_seed", "seeds-negative"])
     def test_validate_bad_config(self, tmp_path, capsys, sections, field):
-        # validate rejects what run would reject, and run exits as validate does
+        # validate rejects what run and analyze would reject, and they exit as validate does
         path = self._config(tmp_path, "delayed-neural-ucb", **sections)
         assert main(["validate", "--config", path]) == 1
         assert field in capsys.readouterr().err
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err and err.count("\n") == 1
+        assert main(["analyze", "--config", path]) == 1
+        assert capsys.readouterr().err == err
+
+    def test_every_enum_field_rejects_an_unknown_value(self, tmp_path, capsys):
+        # found through the dataclasses, so an enum added later is covered too
+        blocks = [f.type for f in fields(ExperimentConfig) if is_dataclass(f.type)]
+        cases = [(cls.section, f.metadata.get("key") or f.name)
+                 for cls in (ExperimentConfig, *blocks)
+                 for f in fields(cls) if get_origin(f.type) is Literal]
+        assert len(cases) >= 9
+        for section, key in cases:
+            path = self._config(tmp_path, "delayed-neural-ucb", **{section: {key: "bogus"}})
+            errs = []
+            for argv in (["validate"], ["run", "--out", str(tmp_path / "out")], ["analyze"]):
+                assert main(argv + ["--config", path]) == 1, (section, key)
+                errs.append(capsys.readouterr().err)
+            assert errs[0].startswith(f"error: {section}.{key}: expected one of ")
+            assert errs[0].endswith(", got 'bogus'\n") and errs[0].count("\n") == 1
+            assert errs == [errs[0]] * 3
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text,code,message", [
+        ("policy:\n", 0, ""),
+        ("policy: 5\n", 1, "error: policy: expected a mapping, got 5\n"),
+    ], ids=["empty-section", "scalar-section"])
+    def test_section_that_is_not_a_mapping(self, tmp_path, capsys, text, code, message):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(CONFIG_YAML + text)
+        assert main(["validate", "--config", str(path)]) == code
+        assert capsys.readouterr().err == message
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.yaml")]) == 1
@@ -87,6 +126,36 @@ class TestCli:
                      "--out", str(out), "--seeds", "7"]) == 0
         assert (out / "run_7.csv").exists()
         assert not (out / "run_1.csv").exists()
+        assert json.loads((out / "summary.json").read_text())["config"]["seeds"] == [7]
+
+    def test_forced_rerun_leaves_no_file_of_the_earlier_run(self, config_file, tmp_path):
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(config_file), "--out", str(out)]
+        assert main(argv) == 0
+        assert main(argv + ["--seeds", "1", "--force"]) == 0
+        assert sorted(f.name for f in out.iterdir()) == ["mean.csv", "run_1.csv",
+                                                          "summary.json"]
+        assert [run["seed"] for run in json.loads((out / "summary.json").read_text())["runs"]] \
+            == [1]
+        # nor any staging directory beside it
+        assert sorted(f.name for f in tmp_path.iterdir()) == [config_file.name, "out"]
+
+    def test_jobs_2_writes_the_bytes_of_jobs_1(self, tmp_path):
+        path = self._config(tmp_path, "delayed-neural-ts",
+                            experiment={"horizon": 30, "seeds": [1, 2, 3]},
+                            environment={"delay": "uniform", "expected_delay": 3})
+        for jobs in ("1", "2"):
+            assert main(["run", "--config", path, "--out", str(tmp_path / jobs),
+                         "--jobs", jobs]) == 0
+        names = ["mean.csv"] + [f"run_{seed}.csv" for seed in (1, 2, 3)]
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        summaries = [json.loads((tmp_path / jobs / "summary.json").read_text())
+                     for jobs in ("1", "2")]
+        for summary in summaries:
+            for run in summary["runs"]:
+                assert run.pop("wall_time_s") > 0
+        assert summaries[0] == summaries[1]
 
     def test_diverged_training_exits_2_with_one_line(self, tmp_path, capsys):
         path = tmp_path / "diverge.yaml"
@@ -173,19 +242,33 @@ class TestCli:
         assert main(["validate", "--config", path]) == 0
         assert json.loads(capsys.readouterr().out)["train"]["batch_size"] is None
 
-    @pytest.mark.parametrize("option,message", [
-        (["--seeds", "x"], "error: --seeds: expected comma-separated integers, got 'x'"),
-        (["--seeds", "1,,2"], "error: --seeds: expected comma-separated integers"),
-        (["--jobs", "0"], "error: --jobs: must be >= 1, got 0"),
-        (["--jobs", "-2"], "error: --jobs: must be >= 1, got -2"),
-    ], ids=["seeds-letter", "seeds-empty-item", "jobs-zero", "jobs-negative"])
+    RUN = ["run", "--config", "{config}", "--out", "{out}"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (RUN + ["--seeds", "x"], "error: --seeds: expected comma-separated integers, got 'x'"),
+        (RUN + ["--seeds", "1,,2"], "error: --seeds: expected comma-separated integers"),
+        (RUN + ["--seeds", "-1"], "error: experiment.seeds: must be nonempty and >= 0"),
+        (RUN + ["--jobs", "0"], "error: --jobs: must be >= 1, got 0"),
+        (RUN + ["--jobs", "-2"], "error: --jobs: must be >= 1, got -2"),
+        (RUN + ["--jobs", "abc"], "error: argument --jobs: invalid int value: 'abc'"),
+        (["bogus", "--config", "{config}"], "error: argument command: invalid choice: 'bogus'"),
+        (["run", "--out", "{out}"], "error: the following arguments are required: --config"),
+    ], ids=["seeds-letter", "seeds-empty-item", "seeds-negative", "jobs-zero",
+            "jobs-negative", "jobs-letters", "unknown-command", "no-config"])
     def test_bad_run_option_exits_1_with_one_line(self, config_file, tmp_path, capsys,
-                                                  option, message):
+                                                  argv, message):
         out = tmp_path / "out"
-        assert main(["run", "--config", str(config_file), "--out", str(out)] + option) == 1
+        argv = [arg.format(config=config_file, out=out) for arg in argv]
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
         assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["-h"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: delaybandit")
 
     def test_configuration_error_in_run_exits_1_with_one_line(self, tmp_path, capsys,
                                                               monkeypatch):

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from delaybandit.config import (ExperimentConfig, config_from_dict, load_config,
-                                resolved_summary)
+from delaybandit import harness
+from delaybandit.config import (ExperimentConfig, PolicyBlock, TrainBlock, config_from_dict,
+                                load_config, resolved_summary)
 from delaybandit.errors import ConfigurationError
 from delaybandit.harness import (aggregate, build_environment, emit,
                                  run_experiment, run_single)
@@ -40,6 +42,15 @@ class TestConfig:
         msg = str(err.value)
         for field in ("horizon", "arms", "seeds", "algorithm", "delta"):
             assert field in msg
+
+    def test_blocks_check_their_fields_when_built(self):
+        with pytest.raises(ConfigurationError, match=r"^train\.eta: must be > 0, got 0$"):
+            TrainBlock(eta=0)
+        with pytest.raises(ConfigurationError) as err:
+            PolicyBlock(lam=0.0, gamma_mode="bogus")
+        assert str(err.value) == ("policy.lambda: must be > 0, got 0.0; policy.gamma_mode: "
+                                  "expected one of 'theoretical', 'simple', 'constant', "
+                                  "got 'bogus'")
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown"):
@@ -117,8 +128,8 @@ class TestRun:
 
     def test_seed_order_independent(self):
         cfg = synthetic_config(experiment={"seeds": [1, 2]})
-        forward_order = run_experiment(cfg, seeds=[1, 2])
-        reverse_order = run_experiment(cfg, seeds=[2, 1])
+        forward_order = run_experiment(cfg)
+        reverse_order = run_experiment(replace(cfg, seeds=(2, 1)))
         assert forward_order[0].rows == reverse_order[1].rows
         assert forward_order[1].rows == reverse_order[0].rows
 
@@ -222,6 +233,32 @@ class TestAggregateEmit:
         with pytest.raises(FileExistsError):
             emit(results, out, cfg)
         emit(results, out, cfg, force=True)
+
+    def test_failed_emit_leaves_earlier_output(self, tmp_path, monkeypatch):
+        cfg, results = self.make_results()
+        out = tmp_path / "out"
+        emit(results, out, cfg)
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+
+        def fail(cfg):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(harness, "resolved_summary", fail)
+        with pytest.raises(RuntimeError):
+            emit(results[:1], out, cfg, force=True)
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+        assert [f.name for f in tmp_path.iterdir()] == ["out"]
+
+    def test_forced_emit_keeps_other_files(self, tmp_path):
+        cfg, results = self.make_results(seeds=(1, 2, 3))
+        out = tmp_path / "out"
+        emit(results, out, cfg)
+        (out / "cfg.yaml").write_text("policy: {}\n")
+        (out / "notes").mkdir()
+        emit(results[:1], out, replace(cfg, seeds=(1,)), force=True)
+        assert sorted(f.name for f in out.iterdir()) == ["cfg.yaml", "mean.csv", "notes",
+                                                          "run_1.csv", "summary.json"]
+        assert (out / "cfg.yaml").read_text() == "policy: {}\n"
 
     def test_reemit_byte_identical(self, tmp_path):
         cfg, _ = self.make_results()

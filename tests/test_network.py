@@ -1,15 +1,25 @@
 import pickle
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaybandit import (NetworkShape, TrainSpec, forward, forward_many,
+from delaybandit import (NetworkShape, forward, forward_many,
                          gradient, gradient_many, init_symmetric, train_nn)
 from delaybandit.errors import ConfigurationError, DivergedTrainingError
 from delaybandit.network import flatten, loss_value, unflatten, vjp
+
+
+class TrainSpec(NamedTuple):
+    """train_nn's training settings, in its argument order: train_nn(..., *spec)."""
+
+    lam: float
+    eta: float
+    steps: int
+    batch_size: int | None = None
 
 
 def sym_context(rng, d):
@@ -186,12 +196,12 @@ class TestTrainNN:
 
     def test_zero_steps_returns_start(self):
         spec = TrainSpec(lam=1.0, eta=0.01, steps=0)
-        out = train_nn(self.theta0, self.shape, self.x[None, :], np.array([1.0]), spec)
+        out = train_nn(self.theta0, self.shape, self.x[None, :], np.array([1.0]), *spec)
         assert np.array_equal(out, self.theta0)
 
     def test_empty_data_returns_start(self):
         spec = TrainSpec(lam=1.0, eta=0.01, steps=5)
-        out = train_nn(self.theta0, self.shape, np.empty((0, 2)), np.empty(0), spec)
+        out = train_nn(self.theta0, self.shape, np.empty((0, 2)), np.empty(0), *spec)
         assert np.array_equal(out, self.theta0)
 
     def test_frozen_first_layer_matches_scalar_recurrence(self):
@@ -208,7 +218,7 @@ class TestTrainNN:
         fixed_point = (r * a + lam * w2_0) / (a * a + lam)
         w2 = w2_0
         for _ in range(25):
-            theta = train_nn(theta, shape, x, np.array([r]), spec, anchor=anchor)
+            theta = train_nn(theta, shape, x, np.array([r]), *spec, anchor=anchor)
             theta[0] = w1
             w2 = fixed_point + (w2 - fixed_point) * scale
             assert theta[1] == pytest.approx(w2, abs=1e-10)
@@ -221,7 +231,7 @@ class TestTrainNN:
         theta = self.theta0.copy()
         prev = loss_value(theta, self.shape, xs, rs, 1.0, self.theta0)
         for _ in range(40):
-            theta = train_nn(theta, self.shape, xs, rs, spec, anchor=self.theta0)
+            theta = train_nn(theta, self.shape, xs, rs, *spec, anchor=self.theta0)
             cur = loss_value(theta, self.shape, xs, rs, 1.0, self.theta0)
             assert cur <= prev + 1e-12
             prev = cur
@@ -231,9 +241,9 @@ class TestTrainNN:
         xs = rng_data.standard_normal((20, 2))
         rs = rng_data.random(20)
         spec = TrainSpec(lam=1.0, eta=0.01, steps=10, batch_size=4)
-        out1 = train_nn(self.theta0, self.shape, xs, rs, spec,
+        out1 = train_nn(self.theta0, self.shape, xs, rs, *spec,
                         np.random.default_rng(77))
-        out2 = train_nn(self.theta0, self.shape, xs, rs, spec,
+        out2 = train_nn(self.theta0, self.shape, xs, rs, *spec,
                         np.random.default_rng(77))
         assert np.array_equal(out1, out2)
 
@@ -242,13 +252,22 @@ class TestTrainNN:
         xs = rng_data.standard_normal((5, 2))
         spec = TrainSpec(lam=1.0, eta=0.01, steps=3, batch_size=2)
         with pytest.raises(ConfigurationError):
-            train_nn(self.theta0, self.shape, xs, rng_data.random(5), spec)
+            train_nn(self.theta0, self.shape, xs, rng_data.random(5), *spec)
+
+    @pytest.mark.parametrize("spec", [TrainSpec(0.0, 0.01, 3), TrainSpec(float("nan"), 0.01, 3),
+                                      TrainSpec(1.0, 0.0, 3), TrainSpec(1.0, -0.01, 3),
+                                      TrainSpec(1.0, 0.01, -1), TrainSpec(1.0, 0.01, 3, 0)])
+    def test_bad_settings_rejected(self, spec):
+        xs = np.random.default_rng(4).standard_normal((5, 2))
+        with pytest.raises(ConfigurationError, match="^train_nn needs"):
+            train_nn(self.theta0, self.shape, xs, np.ones(5), *spec,
+                     np.random.default_rng(1))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_step(self):
         spec = TrainSpec(lam=1.0, eta=1e12, steps=50)
         with pytest.raises(DivergedTrainingError) as err:
-            train_nn(self.theta0, self.shape, self.x[None, :], np.array([1.0]), spec)
+            train_nn(self.theta0, self.shape, self.x[None, :], np.array([1.0]), *spec)
         assert err.value.step >= 1
 
 
@@ -333,7 +352,7 @@ class TestFusedStepMatchesUnfusedLoop:
         rs = rng.random(xs.shape[0])
         start = theta0 + 0.01 * rng.standard_normal(theta0.size)  # warm start off the anchor
         ours_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        ours = train_nn(start, shape, xs, rs, spec, ours_rng, anchor=theta0)
+        ours = train_nn(start, shape, xs, rs, *spec, ours_rng, anchor=theta0)
         ref = unfused_train_reference(start, shape, xs, rs, spec, ref_rng, anchor=theta0)
         assert np.array_equal(ours, ref)
         assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -360,7 +379,7 @@ class TestFusedStepMatchesUnfusedLoop:
         shape, theta0, xs = self.mushroom_sized(2, np.random.default_rng(3), n=150)
         spec = TrainSpec(lam=0.1, eta=1e-4, steps=9, batch_size=batch_size)
         rng, expected = np.random.default_rng(11), np.random.default_rng(11)
-        train_nn(theta0, shape, xs, np.zeros(150), spec, rng)
+        train_nn(theta0, shape, xs, np.zeros(150), *spec, rng)
         for _ in range(spec.steps):
             expected.integers(0, 150, size=batch_size)
         assert rng.bit_generator.state == expected.bit_generator.state
@@ -374,7 +393,7 @@ class TestFusedStepMatchesUnfusedLoop:
         gather_bytes = spec.steps * 64 * 88 * 8
         tracemalloc.start()
         try:
-            train_nn(theta0, shape, xs, np.zeros(300), spec, np.random.default_rng(1))
+            train_nn(theta0, shape, xs, np.zeros(300), *spec, np.random.default_rng(1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -411,7 +430,7 @@ class TestTrainMatchesJacobianReference:
     def test_same_iterates(self, batch_size):
         spec = TrainSpec(lam=0.5, eta=0.01, steps=30, batch_size=batch_size)
         start = self.theta0 + 0.1  # warm start away from the anchor
-        ours = train_nn(start, self.shape, self.xs, self.rs, spec,
+        ours = train_nn(start, self.shape, self.xs, self.rs, *spec,
                         np.random.default_rng(5), anchor=self.theta0)
         ref = jacobian_train_reference(start, self.shape, self.xs, self.rs, spec,
                                        np.random.default_rng(5), anchor=self.theta0)
@@ -425,7 +444,7 @@ class TestTrainMatchesJacobianReference:
             with np.errstate(over="ignore", invalid="ignore"):
                 jacobian_train_reference(self.theta0, self.shape, self.xs, self.rs, spec)
         with pytest.raises(DivergedTrainingError) as ours:
-            train_nn(self.theta0, self.shape, self.xs, self.rs, spec)
+            train_nn(self.theta0, self.shape, self.xs, self.rs, *spec)
         assert ours.value.step == ref.value.step > 1
 
     def test_diverged_error_survives_pickling(self):

@@ -5,49 +5,48 @@ import numpy as np
 import pytest
 
 from delaybandit import (BanditRecord, DelayDistribution, LinearBandit,
-                         NetworkShape, NeuralBandit, PolicyConfig, RevealQueue,
-                         TrainSpec, gamma_value, train_nn)
+                         NetworkShape, NeuralBandit, RevealQueue, gamma_value, train_nn)
+from delaybandit.config import PolicyBlock, TrainBlock
 from delaybandit.environment import Environment, SyntheticSource
 from delaybandit.errors import ConfigurationError, ProtocolViolationError
 from delaybandit import policies as policies_mod
 
 
-def make_cfg(**overrides):
-    base = dict(shape=NetworkShape(2, 4, 4),
-                train=TrainSpec(lam=1.0, eta=0.01, steps=3),
-                gamma_mode="constant", gamma_const=1.0,
-                steps_schedule="fixed")
+def make_cfg(shape=NetworkShape(2, 4, 4), steps=3, steps_schedule="fixed", **overrides):
+    """The (policy block, train block, shape) that NeuralBandit and gamma_value take."""
+    train = TrainBlock(eta=0.01, steps=steps, steps_schedule=steps_schedule, batch_size=None)
+    base = dict(gamma_mode="constant", gamma_const=1.0)
     base.update(overrides)
-    return PolicyConfig(**base)
+    return PolicyBlock(**base), train, shape
 
 
 class TestGamma:
     def test_theoretical_hand_value(self):
         cfg = make_cfg(gamma_mode="theoretical", c1=0.0, c2=0.0, c3=0.0,
                        nu=1.0, lam=1.0, norm_s=1.0, delta=math.exp(-0.5))
-        assert gamma_value(cfg, 0, 0.0) == pytest.approx(2.0, abs=1e-12)
+        assert gamma_value(*cfg, 0, 0.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_constant_mode(self):
         cfg = make_cfg(gamma_mode="constant", gamma_const=1.5)
-        assert gamma_value(cfg, 7, 3.2) == 1.5
+        assert gamma_value(*cfg, 7, 3.2) == 1.5
 
     def test_simple_mode(self):
         cfg = make_cfg(gamma_mode="simple", nu=2.0, lam=4.0, norm_s=0.5, delta=0.1)
         expected = 2.0 * math.sqrt(1.0 - 2 * math.log(0.1)) + 2.0 * 0.5
-        assert gamma_value(cfg, 0, 1.0) == pytest.approx(expected)
+        assert gamma_value(*cfg, 0, 1.0) == pytest.approx(expected)
 
     def test_sqrt_lambda_s_flag(self):
         joint = make_cfg(gamma_mode="simple", nu=0.0, lam=4.0, norm_s=0.25,
                          sqrt_lambda_s="joint")
-        assert gamma_value(joint, 0, 0.0) == pytest.approx(1.0)  # sqrt(4*0.25)
+        assert gamma_value(*joint, 0, 0.0) == pytest.approx(1.0)  # sqrt(4*0.25)
         product = make_cfg(gamma_mode="simple", nu=0.0, lam=4.0, norm_s=0.25)
-        assert gamma_value(product, 0, 0.0) == pytest.approx(0.5)  # 2*0.25
+        assert gamma_value(*product, 0, 0.0) == pytest.approx(0.5)  # 2*0.25
 
     def test_theoretical_monotone_grid(self):
         cfg = make_cfg(gamma_mode="theoretical", shape=NetworkShape(2, 16, 4))
         counts = [0, 1, 5, 20, 100]
         logdets = [0.0, 0.5, 2.0, 10.0]
-        grid = np.array([[gamma_value(cfg, n, ld) for ld in logdets]
+        grid = np.array([[gamma_value(*cfg, n, ld) for ld in logdets]
                          for n in counts])
         assert np.all(np.diff(grid, axis=0) >= 0)
         assert np.all(np.diff(grid, axis=1) >= 0)
@@ -60,8 +59,8 @@ class TestGamma:
 class TestSelection:
     def _stubbed_policy(self, monkeypatch, means, quads, cfg=None, rng_seed=0):
         cfg = cfg or make_cfg()
-        policy = NeuralBandit(cfg, np.random.default_rng(rng_seed))
-        p = cfg.shape.param_count
+        policy = NeuralBandit(*cfg, np.random.default_rng(rng_seed))
+        p = policy.shape.param_count
 
         def fake_gradient_many(theta, shape, xs):
             return np.zeros((len(means), p)), np.array(means, dtype=float)
@@ -87,34 +86,34 @@ class TestSelection:
         assert action == 1
 
     def test_ts_zero_nu_is_greedy(self, monkeypatch):
-        cfg = make_cfg(exploration="ts", nu=0.0)
+        cfg = make_cfg(algorithm="neural-ts", nu=0.0)
         policy = self._stubbed_policy(monkeypatch, [0.1, 0.9, 0.4], [1.0, 1.0, 1.0],
                                       cfg=cfg)
         action, _ = policy.select_action(np.zeros((3, 4)))
         assert action == 2
 
     def test_ts_draws_consume_policy_stream_in_arm_order(self):
-        cfg = make_cfg(exploration="ts", nu=1.0)
+        cfg = make_cfg(algorithm="neural-ts", nu=1.0)
         rng = np.random.default_rng(5)
-        policy = NeuralBandit(cfg, rng)
+        policy = NeuralBandit(*cfg, rng)
         contexts = np.tile(np.array([0.5, 0.5, 0.5, 0.5]), (2, 1))
         a1, d1 = policy.select_action(contexts)
         # reproduce: same seed, same arithmetic
         rng2 = np.random.default_rng(5)
-        policy2 = NeuralBandit(cfg, rng2)
+        policy2 = NeuralBandit(*cfg, rng2)
         a2, d2 = policy2.select_action(contexts)
         assert a1 == a2
         assert d1.scores == pytest.approx(d2.scores)
 
     def test_dimension_mismatch(self):
-        policy = NeuralBandit(make_cfg(), np.random.default_rng(0))
+        policy = NeuralBandit(*make_cfg(), np.random.default_rng(0))
         with pytest.raises(ValueError):
             policy.select_action(np.zeros((2, 3)))
 
 
 class TestIngest:
     def make_policy(self, **overrides):
-        return NeuralBandit(make_cfg(**overrides), np.random.default_rng(1))
+        return NeuralBandit(*make_cfg(**overrides), np.random.default_rng(1))
 
     def _play_round(self, policy, rng):
         x = rng.standard_normal((2, 4))
@@ -167,16 +166,17 @@ class TestIngest:
                             lambda: calls.append(1) or logdet())
         policy.ingest_revealed([BanditRecord(1, x, a, 0.5)])
         assert len(calls) == reads
-        assert policy.gamma == gamma_value(policy.cfg, 1, logdet(), policy.cfg.train.steps)
+        assert policy.gamma == gamma_value(policy.cfg, policy.train, policy.shape, 1, logdet(),
+                                           policy.train.steps)
 
     @pytest.mark.parametrize("schedule", ["fixed", "round"])
     def test_training_spec_follows_schedule(self, monkeypatch, schedule):
-        # a fixed schedule trains with the configured spec itself, not a copy
-        # per round; a round schedule trains for J = t steps at round t
+        # a fixed schedule trains with the configured settings every round;
+        # a round schedule trains for J = t steps at round t
         specs = []
 
-        def record(theta, shape, xs, rs, spec, rng, anchor):
-            specs.append(spec)
+        def record(theta, shape, xs, rs, lam, eta, steps, batch_size, rng, anchor):
+            specs.append((lam, eta, steps, batch_size))
             return theta
 
         monkeypatch.setattr(policies_mod, "train_nn", record)
@@ -187,9 +187,11 @@ class TestIngest:
             x, a = policy.pending[t]
             policy.ingest_revealed([BanditRecord(t, x, a, 0.5)])
         if schedule == "fixed":
-            assert len(specs) == 3 and all(spec is policy.cfg.train for spec in specs)
+            assert specs == [(policy.cfg.lam, policy.train.eta, policy.train.steps,
+                              policy.train.batch_size)] * 3
         else:
-            assert specs == [replace(policy.cfg.train, steps=t) for t in (1, 2, 3)]
+            assert specs == [(policy.cfg.lam, policy.train.eta, t, policy.train.batch_size)
+                             for t in (1, 2, 3)]
 
     def test_unknown_round_rejected(self):
         policy = self.make_policy()
@@ -227,7 +229,7 @@ class TestIngest:
     def test_training_sees_every_revealed_row(self):
         # 70 reveals outgrow the initial 64-row buffer; full-batch training
         # from theta0 must equal train_nn on the rows collected here
-        policy = self.make_policy(train=TrainSpec(lam=1.0, eta=0.01, steps=2))
+        policy = self.make_policy(steps=2)
         rng = np.random.default_rng(8)
         xs, rs = [], []
         for t in range(1, 71):
@@ -236,8 +238,9 @@ class TestIngest:
             xs.append(x)
             rs.append(0.01 * t)
             policy.ingest_revealed([BanditRecord(t, x, a, rs[-1])])
-        expected = train_nn(policy.theta0, policy.cfg.shape, np.array(xs), np.array(rs),
-                            policy.cfg.train, anchor=policy.theta0)
+        expected = train_nn(policy.theta0, policy.shape, np.array(xs), np.array(rs),
+                            policy.cfg.lam, policy.train.eta, policy.train.steps,
+                            policy.train.batch_size, anchor=policy.theta0)
         assert np.array_equal(policy.theta, expected)
 
     def test_round_revealed_twice_rejected(self):
@@ -256,7 +259,7 @@ class TestCausality:
             source = SyntheticSource("linear", 4, 3, rng_env)
             env = Environment(source, DelayDistribution("uniform", upper=6.0), 0.0,
                               np.random.default_rng(11), np.random.default_rng(12))
-            policy = NeuralBandit(make_cfg(train=TrainSpec(1.0, 0.01, 2)),
+            policy = NeuralBandit(*make_cfg(steps=2),
                                   np.random.default_rng(13))
             queue = RevealQueue()
             truth = {}
