@@ -1,6 +1,6 @@
 """Neural contextual bandits under stochastic delayed reward feedback."""
 
-from .data import (LabeledSample, assumption3_embed, disjoint_transform,
+from .data import (Dataset, assumption3_embed, disjoint_transform,
                    load_idx, load_mushroom_csv, synthetic_h)
 from .delay import DelayDistribution, RevealQueue, reveal_round
 from .design import DesignMatrix
@@ -12,8 +12,8 @@ from .ntk import (DelayBoundParams, d_plus, effective_dimension, ntk_gram,
 from .policies import BanditRecord, LinearBandit, NeuralBandit, gamma_value
 
 __all__ = [
-    "BanditRecord", "DatasetSource", "DelayBoundParams", "DelayDistribution",
-    "DesignMatrix", "Environment", "LabeledSample", "LinearBandit",
+    "BanditRecord", "Dataset", "DatasetSource", "DelayBoundParams", "DelayDistribution",
+    "DesignMatrix", "Environment", "LinearBandit",
     "NetworkShape", "NeuralBandit", "RevealQueue",
     "SyntheticSource", "assumption3_embed", "d_plus",
     "disjoint_transform", "effective_dimension", "forward", "forward_many",

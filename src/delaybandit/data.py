@@ -1,7 +1,19 @@
-"""Dataset ingestion and the classification-to-bandit context transforms."""
+"""Dataset ingestion and the classification-to-bandit context transforms.
+
+A loaded dataset is one ``Dataset``: an (n, d) float64 feature matrix and an
+(n,) int64 label vector, row i of each describing sample i. Both loaders raise
+``FormatError`` for a file with no data rows (a mushroom CSV of blank lines,
+an IDX pair of 0 images); ``environment.DatasetSource`` raises
+``ConfigurationError`` for a label that is not an arm.
+
+The mushroom CSV holds 23 single-character ASCII fields per line, separated
+by commas, with no header. Blank lines are skipped; a line of any other shape
+raises ``FormatError`` naming ``path:lineno``.
+"""
 
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Literal
 
 import numpy as np
@@ -11,6 +23,8 @@ from .errors import ConfigurationError, DegenerateContextError, FormatError
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
 MUSHROOM_ATTRIBUTES = 22  # categorical columns after the class in agaricus-lepiota
+_MUSHROOM_LINE_BYTES = 2 * MUSHROOM_ATTRIBUTES + 1  # 23 one-byte fields and 22 commas
+_MUSHROOM_COMMAS = b"," * MUSHROOM_ATTRIBUTES
 
 # where a run's contexts come from: generated, or one of the datasets loaded here
 Source = Literal["synthetic", "mushroom", "mnist"]
@@ -18,9 +32,11 @@ SyntheticH = Literal["linear", "quadratic-clipped", "cosine-clipped"]
 
 
 @dataclass(frozen=True)
-class LabeledSample:
+class Dataset:
+    """n labeled samples: ``features`` (n, d) float64, ``labels`` (n,) int64."""
+
     features: np.ndarray
-    label: int
+    labels: np.ndarray
 
 
 def _read_idx_header(buf: bytes, path, expected_magic: int, ndims: int):
@@ -36,7 +52,7 @@ def _read_idx_header(buf: bytes, path, expected_magic: int, ndims: int):
 
 def load_idx_images(path) -> np.ndarray:
     """Parse an IDX image file into an (n, rows*cols) float array in [0, 1]."""
-    buf = open(path, "rb").read()
+    buf = Path(path).read_bytes()
     (n, rows, cols), offset = _read_idx_header(buf, path, IDX_MAGIC_IMAGES, 3)
     expected = n * rows * cols
     if len(buf) - offset != expected:
@@ -47,7 +63,7 @@ def load_idx_images(path) -> np.ndarray:
 
 
 def load_idx_labels(path) -> np.ndarray:
-    buf = open(path, "rb").read()
+    buf = Path(path).read_bytes()
     (n,), offset = _read_idx_header(buf, path, IDX_MAGIC_LABELS, 1)
     if len(buf) - offset != n:
         raise FormatError(
@@ -55,46 +71,64 @@ def load_idx_labels(path) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.uint8, offset=offset).astype(np.int64)
 
 
-def load_idx(images_path, labels_path) -> list[LabeledSample]:
+def load_idx(images_path, labels_path) -> Dataset:
     """Load an MNIST-style (images, labels) IDX pair."""
     images = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
         raise FormatError(
             f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels")
-    return [LabeledSample(images[i], int(labels[i])) for i in range(images.shape[0])]
+    if images.shape[0] == 0:
+        raise FormatError(f"{images_path}: no data rows")
+    return Dataset(images, labels)
 
 
-def load_mushroom_csv(path) -> list[LabeledSample]:
-    """Parse the UCI agaricus-lepiota CSV (23 single-letter fields, no header).
+def _mushroom_line_error(line: bytes) -> str:
+    """Why a stripped, nonblank CSV line that failed the row check is not a row."""
+    if not line.isascii():
+        col = next(i for i, byte in enumerate(line) if byte > 0x7F)
+        return f"non-ASCII byte 0x{line[col]:02x} at column {col + 1}"
+    fields = line.split(b",")
+    if len(fields) != MUSHROOM_ATTRIBUTES + 1:
+        return f"{len(fields)} fields, expected {MUSHROOM_ATTRIBUTES + 1}"
+    for k, field in enumerate(fields, start=1):
+        if len(field) != 1:
+            return f"field {k} is {field.decode()!r}, expected a single character"
+    return f"unknown class {fields[0].decode()!r}"
+
+
+def load_mushroom_csv(path) -> Dataset:
+    """Parse the UCI agaricus-lepiota CSV (23 single-character fields, no header).
 
     Field 1 is the class: 'e' -> 0, 'p' -> 1. Each of the 22 categorical
     attributes maps to its alphabetical index within the column's observed
-    category set, scaled to [0, 1]; '?' participates like any other letter.
+    category set, scaled to [0, 1]; '?' participates like any other character.
     """
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            fields = line.split(",")
-            if len(fields) != MUSHROOM_ATTRIBUTES + 1:
-                raise FormatError(f"{path}:{lineno}: {len(fields)} fields, "
-                                  f"expected {MUSHROOM_ATTRIBUTES + 1}")
-            if fields[0] not in ("e", "p"):
-                raise FormatError(f"{path}:{lineno}: unknown class {fields[0]!r}")
-            rows.append(fields)
-    categories = [sorted({row[col + 1] for row in rows}) for col in range(MUSHROOM_ATTRIBUTES)]
-    samples = []
-    for row in rows:
-        feats = np.empty(MUSHROOM_ATTRIBUTES)
-        for col in range(MUSHROOM_ATTRIBUTES):
-            cats = categories[col]
-            idx = cats.index(row[col + 1])
-            feats[col] = idx / (len(cats) - 1) if len(cats) > 1 else 0.0
-        samples.append(LabeledSample(feats, 0 if row[0] == "e" else 1))
-    return samples
+            if not (len(line) == _MUSHROOM_LINE_BYTES and line[1::2] == _MUSHROOM_COMMAS
+                    and line.count(b",") == MUSHROOM_ATTRIBUTES and line.isascii()
+                    and line[0] in b"ep"):
+                raise FormatError(f"{path}:{lineno}: {_mushroom_line_error(line)}")
+            rows.append(line)
+    if not rows:
+        raise FormatError(f"{path}: no data rows")
+    # every row is 45 bytes, so the rows read as one grid; field c is byte column 2c
+    grid = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1)
+    attrs = grid[:, 2::2]
+    columns = np.arange(MUSHROOM_ATTRIBUTES)
+    seen = np.zeros((MUSHROOM_ATTRIBUTES, 256), dtype=bool)
+    seen[columns, attrs] = True
+    # a byte's rank among the bytes its column holds is its alphabetical index,
+    # scaled by (categories - 1); a column of one category reads 0 / 1 = 0.0
+    scaled = (np.cumsum(seen, axis=1) - 1) / np.maximum(seen.sum(axis=1, keepdims=True) - 1, 1)
+    features = scaled[columns, attrs]
+    labels = (grid[:, 0] == ord("p")).astype(np.int64)
+    return Dataset(features, labels)
 
 
 def disjoint_transform(features: np.ndarray, K: int) -> np.ndarray:

@@ -8,37 +8,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledSample, SyntheticH, assumption3_embed, disjoint_transform, synthetic_h
+from .data import Dataset, SyntheticH, assumption3_embed, disjoint_transform, synthetic_h
 from .delay import DelayDistribution
-from .errors import DegenerateContextError
+from .errors import ConfigurationError, DegenerateContextError
 
 
 class DatasetSource:
     """Cycles a labeled dataset in a seeded shuffle order; reward 1 for the
-    correct class (configurable value for wrong classes)."""
+    correct class (configurable value for wrong classes).
 
-    def __init__(self, samples: list[LabeledSample], arms: int,
+    Label c is the class of arm c + 1, so every label must lie in [0, arms).
+    """
+
+    def __init__(self, dataset: Dataset, arms: int,
                  rng: np.random.Generator, embed: bool = False,
                  wrong_class_reward: float = 0.0):
-        self.samples = samples
+        outside = dataset.labels[(dataset.labels < 0) | (dataset.labels >= arms)]
+        if outside.size:
+            raise ConfigurationError(
+                f"dataset label {outside[0]} has no arm: experiment.arms is {arms}, "
+                f"so labels must lie in [0, {arms - 1}]")
+        self.features = dataset.features
+        self.labels = dataset.labels
         self.arms = arms
         self.embed = embed
         self.wrong_class_reward = wrong_class_reward
-        self.order = rng.permutation(len(samples))
+        self.order = rng.permutation(len(self.labels))
 
     @property
     def context_dim(self) -> int:
-        d = self.samples[0].features.shape[0] * self.arms
+        d = self.features.shape[1] * self.arms
         return 2 * d if self.embed else d
 
     def round_data(self, t: int):
-        sample = self.samples[self.order[(t - 1) % len(self.samples)]]
+        i = self.order[(t - 1) % len(self.labels)]
+        features = self.features[i]
         if self.embed:
-            contexts = self._embedded_disjoint(sample.features)
+            contexts = self._embedded_disjoint(features)
         else:
-            contexts = disjoint_transform(sample.features, self.arms)
+            contexts = disjoint_transform(features, self.arms)
         h = np.full(self.arms, self.wrong_class_reward)
-        h[sample.label] = 1.0
+        h[self.labels[i]] = 1.0
         return contexts, h
 
     def _embedded_disjoint(self, features: np.ndarray) -> np.ndarray:

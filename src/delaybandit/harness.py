@@ -35,7 +35,7 @@ def _stream(seed: int, label: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, label])))
 
 
-def _load_samples(cfg: ExperimentConfig):
+def _load_dataset(cfg: ExperimentConfig):
     env = cfg.environment
     if env.source == "mushroom":
         return load_mushroom_csv(cfg.resolve_data_path(env.dataset_path))
@@ -45,7 +45,7 @@ def _load_samples(cfg: ExperimentConfig):
     return None
 
 
-def build_environment(cfg: ExperimentConfig, seed: int, samples=None) -> Environment:
+def build_environment(cfg: ExperimentConfig, seed: int, dataset=None) -> Environment:
     env = cfg.environment
     context_rng = _stream(seed, 1)
     noise_rng = _stream(seed, 2)
@@ -54,9 +54,9 @@ def build_environment(cfg: ExperimentConfig, seed: int, samples=None) -> Environ
         source = SyntheticSource(env.synthetic_h, env.synthetic_dim, cfg.arms,
                                  context_rng, embed=env.embed_assumption3)
     else:
-        if samples is None:
-            samples = _load_samples(cfg)
-        source = DatasetSource(samples, cfg.arms, context_rng,
+        if dataset is None:
+            dataset = _load_dataset(cfg)
+        source = DatasetSource(dataset, cfg.arms, context_rng,
                                embed=env.embed_assumption3,
                                wrong_class_reward=env.wrong_class_reward)
     return Environment(source, cfg.delay_distribution(),
@@ -73,10 +73,10 @@ def build_policy(cfg: ExperimentConfig, context_dim: int, seed: int):
     return NeuralBandit(cfg.policy, cfg.train, shape, rng)
 
 
-def run_single(cfg: ExperimentConfig, seed: int, samples=None) -> RunResult:
+def run_single(cfg: ExperimentConfig, seed: int, dataset=None) -> RunResult:
     """One seeded replicate of the full interaction loop."""
     started = time.perf_counter()
-    env = build_environment(cfg, seed, samples=samples)
+    env = build_environment(cfg, seed, dataset=dataset)
     policy = build_policy(cfg, env.context_dim, seed)
     delayed = cfg.policy.algorithm.startswith("delayed-")
     queue = RevealQueue()
@@ -114,14 +114,14 @@ def _run_single_star(args):
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
     """Run every seed of cfg (optionally in parallel processes), in seed order."""
-    samples = _load_samples(cfg)
+    dataset = _load_dataset(cfg)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # deferred: costs start-up
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_run_single_star,
-                                 [(cfg, seed, samples) for seed in cfg.seeds]))
-    return [run_single(cfg, seed, samples) for seed in cfg.seeds]
+                                 [(cfg, seed, dataset) for seed in cfg.seeds]))
+    return [run_single(cfg, seed, dataset) for seed in cfg.seeds]
 
 
 def aggregate(results: list[RunResult]):

@@ -81,6 +81,22 @@ def gamma_value(cfg: "PolicyBlock", train: "TrainBlock", shape: NetworkShape,
     return confidence + optimization
 
 
+def _checked_batch(batch: list[BanditRecord], pending: dict) -> list[BanditRecord]:
+    """The batch in round order, once every record is known to be pending.
+
+    Raises before any state changes if a round is not pending or is revealed
+    twice in the batch.
+    """
+    records = sorted(batch, key=lambda r: r.round)
+    previous = 0
+    for record in records:
+        if record.round not in pending or record.round == previous:
+            raise ProtocolViolationError(
+                f"round {record.round} revealed but not pending")
+        previous = record.round
+    return records
+
+
 @dataclass
 class Diagnostics:
     scores: np.ndarray
@@ -159,13 +175,7 @@ class NeuralBandit:
 
     def ingest_revealed(self, batch: list[BanditRecord]) -> None:
         """Absorb this round's revealed rewards, retrain, refresh gamma."""
-        records = sorted(batch, key=lambda r: r.round)
-        previous = 0
-        for record in records:
-            if record.round not in self.pending or record.round == previous:
-                raise ProtocolViolationError(
-                    f"round {record.round} revealed but not pending")
-            previous = record.round
+        records = _checked_batch(batch, self.pending)
         if records:
             xs = np.stack([record.context for record in records])
             # gradient features evaluated at the current (pre-retrain) parameters
@@ -245,10 +255,7 @@ class LinearBandit:
         return action, Diagnostics(scores, means, bonuses, self.alpha)
 
     def ingest_revealed(self, batch: list[BanditRecord]) -> None:
-        for record in sorted(batch, key=lambda r: r.round):
-            if record.round not in self.pending:
-                raise ProtocolViolationError(
-                    f"round {record.round} revealed but not pending")
+        for record in _checked_batch(batch, self.pending):
             self.design.rank1_update(record.context)
             self.b += record.reward * record.context
             del self.pending[record.round]

@@ -2,6 +2,7 @@ import json
 from dataclasses import fields, is_dataclass
 from typing import Literal, get_origin
 
+import numpy as np
 import pytest
 
 from delaybandit import config as config_mod
@@ -10,6 +11,8 @@ from delaybandit.cli import main
 from delaybandit.config import ExperimentConfig, config_from_dict
 from delaybandit.design import DesignMatrix
 from delaybandit.errors import DesignUpdateError
+
+from test_data import write_idx_images, write_idx_labels
 
 CONFIG_YAML = """\
 experiment:
@@ -279,6 +282,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: symmetric init needs even width")
         assert err.count("\n") == 1
+
+    def test_label_without_an_arm_exits_1_with_one_line(self, tmp_path, capsys):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx_images(images, np.zeros((4, 2, 2)))
+        write_idx_labels(labels, [0, 5, 1, 9])
+        path = self._config(tmp_path, "lin-ucb", environment={
+            "source": "mnist", "dataset_path": images, "labels_path": labels})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset label 5 has no arm: experiment.arms is 2")
+        assert err.count("\n") == 1
+
+    def test_dataset_without_rows_exits_2_with_one_line(self, tmp_path, capsys):
+        csv = tmp_path / "empty.csv"
+        csv.write_text("\n")
+        path = self._config(tmp_path, "lin-ucb", environment={
+            "source": "mushroom", "dataset_path": csv})
+        assert main(["validate", "--config", path]) == 0  # the file is read only by run
+        capsys.readouterr()
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {csv}: no data rows\n"
 
     def test_analyze(self, config_file, capsys):
         assert main(["analyze", "--config", str(config_file)]) == 0

@@ -1,14 +1,36 @@
+import gc
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
-from delaybandit import (assumption3_embed, disjoint_transform, load_idx,
+from delaybandit import (Dataset, assumption3_embed, disjoint_transform, load_idx,
                          load_mushroom_csv, synthetic_h)
-from delaybandit.data import LabeledSample, load_idx_images, load_idx_labels
+from delaybandit.data import load_idx_images, load_idx_labels
 from delaybandit.environment import DatasetSource
 from delaybandit.errors import (ConfigurationError, DegenerateContextError,
                                 FormatError)
+
+
+def reference_mushroom(path):
+    """The row-by-row parse that the columnar loader replaced: (features, labels)."""
+    rows = []
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                rows.append(line.split(","))
+    categories = [sorted({row[col + 1] for row in rows}) for col in range(22)]
+    features = np.empty((len(rows), 22))
+    for i, row in enumerate(rows):
+        for col in range(22):
+            cats = categories[col]
+            idx = cats.index(row[col + 1])
+            features[i, col] = idx / (len(cats) - 1) if len(cats) > 1 else 0.0
+    labels = np.array([0 if row[0] == "e" else 1 for row in rows], dtype=np.int64)
+    return features, labels
 
 
 def write_idx_images(path, images):
@@ -30,11 +52,11 @@ class TestIdx:
         lab = tmp_path / "labs"
         write_idx_images(img, np.zeros((1, 28, 28)))
         write_idx_labels(lab, [3])
-        samples = load_idx(img, lab)
-        assert len(samples) == 1
-        assert samples[0].features.shape == (784,)
-        assert np.all(samples[0].features == 0.0)
-        assert samples[0].label == 3
+        ds = load_idx(img, lab)
+        assert len(ds.labels) == 1
+        assert ds.features[0].shape == (784,)
+        assert np.all(ds.features[0] == 0.0)
+        assert ds.labels[0] == 3
 
     def test_pixel_scaling(self, tmp_path):
         img = tmp_path / "imgs"
@@ -76,8 +98,27 @@ class TestIdx:
         write_idx_labels(lab, list(rng.integers(0, 10, size=5)))
         a = load_idx(img, lab)
         b = load_idx(img, lab)
-        assert all(np.array_equal(s.features, t.features) and s.label == t.label
-                   for s, t in zip(a, b))
+        assert np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels)
+
+    def test_no_images(self, tmp_path):
+        img = tmp_path / "imgs"
+        lab = tmp_path / "labs"
+        write_idx_images(img, np.zeros((0, 28, 28)))
+        write_idx_labels(lab, [])
+        with pytest.raises(FormatError, match=f"^{re.escape(str(img))}: no data rows$"):
+            load_idx(img, lab)
+
+    def test_files_are_closed(self, tmp_path):
+        img = tmp_path / "imgs"
+        lab = tmp_path / "labs"
+        write_idx_images(img, np.zeros((2, 2, 2)))
+        write_idx_labels(lab, [0, 1])
+        # recorded, not raised: a warning raised in a file's finalizer never reaches the test
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            load_idx(img, lab)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestMushroom:
@@ -85,17 +126,17 @@ class TestMushroom:
         path = tmp_path / "shrooms.csv"
         lines = ["e," + "a," * 21 + x for x in "abc"]
         path.write_text("\n".join(lines) + "\n")
-        samples = load_mushroom_csv(path)
-        last = [s.features[21] for s in samples]
+        ds = load_mushroom_csv(path)
+        last = list(ds.features[:, 21])
         assert last == pytest.approx([0.0, 0.5, 1.0])
 
     def test_class_labels(self, tmp_path):
         path = tmp_path / "shrooms.csv"
         path.write_text("e," + ",".join(["a"] * 22) + "\n"
                         "p," + ",".join(["a"] * 22) + "\n")
-        samples = load_mushroom_csv(path)
-        assert [s.label for s in samples] == [0, 1]
-        assert samples[0].features.shape == (22,)
+        ds = load_mushroom_csv(path)
+        assert list(ds.labels) == [0, 1]
+        assert ds.features[0].shape == (22,)
 
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -104,12 +145,63 @@ class TestMushroom:
             load_mushroom_csv(path)
 
     def test_surrogate_fixture_loads(self, mushroom_csv):
-        samples = load_mushroom_csv(mushroom_csv)
-        assert len(samples) > 100
-        labels = {s.label for s in samples}
+        ds = load_mushroom_csv(mushroom_csv)
+        assert len(ds.labels) > 100
+        labels = set(ds.labels)
         assert labels == {0, 1}
-        feats = np.stack([s.features for s in samples])
+        feats = ds.features
         assert feats.min() >= 0.0 and feats.max() <= 1.0
+
+    def test_surrogate_matches_reference(self, mushroom_csv):
+        ds = load_mushroom_csv(mushroom_csv)
+        features, labels = reference_mushroom(mushroom_csv)
+        assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
+        assert np.array_equal(ds.features, features)
+        assert np.array_equal(ds.labels, labels)
+
+    def test_odd_but_valid_file_matches_reference(self, tmp_path):
+        # '?' categories, CRLF endings, blank lines, and a column with one category
+        rng = np.random.default_rng(5)
+        lines = []
+        for i in range(40):
+            attrs = ["?" if rng.random() < 0.2 else "abcdz"[rng.integers(5)]
+                     for _ in range(22)]
+            attrs[7] = "k"
+            lines.append(",".join(["ep"[i % 2]] + attrs))
+            if i % 9 == 0:
+                lines.append("")
+        path = tmp_path / "odd.csv"
+        path.write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode("ascii"))
+        ds = load_mushroom_csv(path)
+        features, labels = reference_mushroom(path)
+        assert np.array_equal(ds.features, features)
+        assert np.array_equal(ds.labels, labels)
+        assert np.all(ds.features[:, 7] == 0.0)
+
+    ROW = "e," + ",".join(["a"] * 22)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("e," + ",".join(["a"] * 23), "24 fields, expected 23"),
+        ("x," + ",".join(["a"] * 22), "unknown class 'x'"),
+        ("e,a,bb," + ",".join(["a"] * 20), "field 3 is 'bb', expected a single character"),
+        ("e,a,," + ",".join(["a"] * 20), "field 3 is '', expected a single character"),
+        ("e,a,,," + ",".join(["a"] * 20), "24 fields, expected 23"),
+        ("e,a,\u00e9," + ",".join(["a"] * 20), "non-ASCII byte 0xc3 at column 5"),
+    ], ids=["field-count", "unknown-class", "multi-character", "empty-field",
+          "comma-as-field", "non-ascii"])
+    def test_malformed_line_names_its_number(self, tmp_path, bad, message):
+        # the line number counts the blank line
+        path = tmp_path / "bad.csv"
+        path.write_bytes(f"{self.ROW}\n\n{bad}\n{self.ROW}\n".encode("utf-8"))
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
+            load_mushroom_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n", "\r\n  \n"], ids=["empty", "newline", "blank"])
+    def test_no_data_rows(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: no data rows$"):
+            load_mushroom_csv(path)
 
 
 class TestTransforms:
@@ -185,13 +277,13 @@ class TestSyntheticH:
 class TestDatasetSourceContexts:
     @pytest.mark.parametrize("arms", [2, 3])
     def test_embedded_rows_match_per_arm_transforms(self, mushroom_csv, arms):
-        samples = load_mushroom_csv(mushroom_csv)
-        source = DatasetSource(samples, arms, np.random.default_rng(0), embed=True)
-        for t in range(1, len(samples) + 1):
+        ds = load_mushroom_csv(mushroom_csv)
+        source = DatasetSource(ds, arms, np.random.default_rng(0), embed=True)
+        for t in range(1, len(ds.labels) + 1):
             contexts, _ = source.round_data(t)
-            sample = samples[source.order[t - 1]]
+            features = ds.features[source.order[t - 1]]
             expected = np.stack([assumption3_embed(x)
-                                 for x in disjoint_transform(sample.features, arms)])
+                                 for x in disjoint_transform(features, arms)])
             assert contexts.shape == expected.shape
             assert np.array_equal(contexts == 0.0, expected == 0.0)
             # the per-arm norms sum the same squares in different orders, so
@@ -199,7 +291,12 @@ class TestDatasetSourceContexts:
             np.testing.assert_array_max_ulp(contexts, expected, maxulp=4)
 
     def test_zero_features_rejected(self):
-        samples = [LabeledSample(np.zeros(3), 0)]
-        source = DatasetSource(samples, 2, np.random.default_rng(0), embed=True)
+        ds = Dataset(np.zeros((1, 3)), np.array([0]))
+        source = DatasetSource(ds, 2, np.random.default_rng(0), embed=True)
         with pytest.raises(DegenerateContextError):
             source.round_data(1)
+
+    def test_label_without_an_arm_rejected(self):
+        ds = Dataset(np.ones((3, 2)), np.array([0, 2, 1]))
+        with pytest.raises(ConfigurationError, match="dataset label 2 has no arm"):
+            DatasetSource(ds, 2, np.random.default_rng(0))

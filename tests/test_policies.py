@@ -313,3 +313,17 @@ class TestLinearBaseline:
         policy = LinearBandit(3, np.random.default_rng(0))
         with pytest.raises(ValueError):
             policy.select_action(np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("second_round", [7, 1], ids=["unknown", "repeated"])
+    def test_rejected_batch_changes_nothing(self, second_round):
+        policy = LinearBandit(3, np.random.default_rng(0))
+        policy.select_action(np.eye(3)[:2])
+        x, a = policy.pending[1]
+        b = policy.b.copy()
+        batch = [BanditRecord(1, x, a, 1.0), BanditRecord(second_round, x, a, 1.0)]
+        with pytest.raises(ProtocolViolationError):
+            policy.ingest_revealed(batch)
+        assert policy.design.update_count == 0
+        assert np.array_equal(policy.b, b)
+        assert list(policy.pending) == [1]
+        assert policy.revealed_count == 0
