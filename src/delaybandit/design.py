@@ -13,20 +13,24 @@ denominator, so log det grows by log(d^2 / lam). The p-th vector switches to
 the primal form: Z = lam*I + G^T G is built and inverted once and G and W
 are dropped.
 
-From then on Z^{-1} takes the Sherman-Morrison step
-Z^{-1} -= (Z^{-1}u)(Z^{-1}u)^T / (1 + u^T Z^{-1} u) in place, a block of rows
-at a time through a scratch of at most _BLOCK_ROWS x p, so an update allocates
-no p x p temporary. Every REFRESH_PERIOD updates Z^{-1} and log det are
-recomputed directly from Z against drift. Z is read only there, so the
-vectors added since the last refresh wait in a REFRESH_PERIOD x p buffer U and
-reach Z as one U^T U at the refresh.
+From then on Z^{-1} takes the Sherman-Morrison step as Z^{-1} -= w w^T with
+w = Z^{-1}u / sqrt(1 + u^T Z^{-1} u): one sqrt and p divisions, then per block
+of rows one outer product into a scratch of at most _BLOCK_ROWS x p and one
+subtraction, so an update allocates no p x p temporary. The step w w^T is
+exactly symmetric, but it rounds differently from the textbook
+(Z^{-1}u)(Z^{-1}u)^T / (1 + u^T Z^{-1} u), so Z^{-1} agrees with a direct
+inverse only up to rounding that accumulates between refreshes: every
+REFRESH_PERIOD updates Z^{-1} and log det are recomputed directly from Z.
+Z is read only there, so the vectors added since the last refresh wait in a
+REFRESH_PERIOD x p buffer U and reach Z as one U^T U at the refresh.
 
 Diag mode keeps only the diagonal of Z, the approximation NeuralUCB uses in
 its experiments.
 
 An update whose vector is not finite (or whose squared norm overflows), or whose
 pivot is not finite and positive, raises DesignUpdateError and leaves the
-design unchanged.
+design unchanged. check_update makes the first of these checks without
+updating, so a caller can check a whole batch before its first update.
 """
 
 import math
@@ -84,13 +88,29 @@ class DesignMatrix:
             raise DesignUpdateError(f"design-matrix update has pivot {pivot!r}, "
                                     "not a finite positive number")
 
-    def rank1_update(self, u: np.ndarray) -> None:
-        """Z += u u^T; raises DesignUpdateError, changing nothing, on numerical trouble."""
-        u = self._check_dim(u)
+    @staticmethod
+    def _squared_norm(u: np.ndarray) -> float:
         uu = float(np.vdot(u, u))  # unlike matmul, vdot does not warn on overflow
         if not math.isfinite(uu):
             raise DesignUpdateError("design-matrix update vector is not finite "
                                     "or its squared norm overflows")
+        return uu
+
+    def check_update(self, u: np.ndarray) -> None:
+        """Raise what rank1_update(u) raises before it reads the design.
+
+        That is ValueError for a shape other than (p,) and DesignUpdateError
+        for a vector that is not finite or whose squared norm overflows. A
+        caller checks every vector of a batch this way before its first update,
+        so such a vector leaves the whole batch unapplied. The pivot check
+        needs the design as the earlier updates leave it, so it is not made here.
+        """
+        self._squared_norm(self._check_dim(u))
+
+    def rank1_update(self, u: np.ndarray) -> None:
+        """Z += u u^T; raises DesignUpdateError, changing nothing, on numerical trouble."""
+        u = self._check_dim(u)
+        uu = self._squared_norm(u)
         if self.mode == "diag":
             self._diag += u * u  # every entry stays >= lam: no pivot to check
         elif self._zinv is None:
@@ -126,11 +146,11 @@ class DesignMatrix:
         denom = 1.0 + float(np.vdot(u, zu))
         self._check_pivot(denom)
         self._since_refresh[self.update_count % REFRESH_PERIOD] = u  # reaches Z at the refresh
+        w = zu / math.sqrt(denom)
         for start in range(0, self.p, len(scratch)):
             step = scratch[:self.p - start]
             stop = start + len(step)
-            np.multiply(zu[start:stop, None], zu, out=step)
-            step /= denom
+            np.einsum("i,j->ij", w[start:stop], w, out=step)
             zinv[start:stop] -= step
         self._logdet_ratio += math.log(denom)
 
@@ -174,7 +194,7 @@ class DesignMatrix:
             wgu = (rows @ self._g[:n].T) @ self._w[:n, :n].T
             vals = ((rows * rows).sum(axis=1) - (wgu * wgu).sum(axis=1)) / self.lam
         else:
-            vals = (rows @ self._zinv * rows).sum(axis=1)
+            vals = np.einsum("ij,ij->i", rows @ self._zinv, rows)
         np.maximum(vals, 0.0, out=vals)
         return float(vals[0]) if u.ndim == 1 else vals
 

@@ -4,6 +4,7 @@ Three independent seeded streams (context, noise, delay) let delay ablations
 hold the context and noise sequences fixed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,17 +56,19 @@ class DatasetSource:
         """assumption3_embed of each row of disjoint_transform, built in one array.
 
         Every arm's disjoint context holds the same entries, so all share one
-        norm; row a holds the scaled features in blocks a and K + a.
+        norm, sqrt(features . features) as np.linalg.norm computes it; row a
+        holds the scaled features in blocks a and K + a of a (K, 2 K d0) array.
         """
-        norm = np.linalg.norm(features)
+        norm = math.sqrt(features @ features)
         if norm == 0.0:
             raise DegenerateContextError("cannot embed a zero context")
         arms, d0 = self.arms, features.shape[0]
         scaled = features / (np.sqrt(2.0) * norm)
-        blocks = np.zeros((arms, 2, arms, d0))
+        contexts = np.zeros((arms, 2 * arms * d0))
         for a in range(arms):
-            blocks[a, :, a] = scaled
-        return blocks.reshape(arms, 2 * arms * d0)
+            contexts[a, a * d0:(a + 1) * d0] = scaled
+            contexts[a, (arms + a) * d0:(arms + a + 1) * d0] = scaled
+        return contexts
 
 
 class SyntheticSource:
@@ -133,5 +136,5 @@ class Environment:
         noise = self.noise_rng.normal(0.0, self.noise_sigma) if self.noise_sigma > 0 else 0.0
         reward = h[action - 1] + noise
         tau = self.delay.sample(self.delay_rng)
-        regret = float(np.max(h) - h[action - 1])
+        regret = float(h.max() - h[action - 1])
         return StepOutcome(float(reward), float(tau), regret)

@@ -161,9 +161,7 @@ class NeuralBandit:
             scores = means + bonuses
         else:
             sigma2 = self.cfg.lam * quad
-            draws = np.array([
-                self.rng.normal(means[a], self.cfg.nu * math.sqrt(sigma2[a]))
-                for a in range(contexts.shape[0])])
+            draws = self.rng.normal(means, self.cfg.nu * np.sqrt(sigma2))
             bonuses = draws - means
             scores = draws
         # argmax takes the lowest index among equal computed scores; scores that
@@ -174,13 +172,23 @@ class NeuralBandit:
         return action, Diagnostics(scores, means, bonuses, self.gamma)
 
     def ingest_revealed(self, batch: list[BanditRecord]) -> None:
-        """Absorb this round's revealed rewards, retrain, refresh gamma."""
+        """Absorb this round's revealed rewards, retrain, refresh gamma.
+
+        A batch with a round that is not pending, or whose gradient features
+        are not all finite, raises before any state changes. A pivot failure
+        (DesignUpdateError) on a later record still leaves the earlier records
+        in the design and out of pending, while no record of the batch reaches
+        the training data.
+        """
         records = _checked_batch(batch, self.pending)
         if records:
             xs = np.stack([record.context for record in records])
             # gradient features evaluated at the current (pre-retrain) parameters
             grads, _ = gradient_many(self.theta, self.shape, xs)
             grads /= math.sqrt(self.shape.width)
+            if len(grads) > 1:  # one update checks itself before it changes anything
+                for grad in grads:
+                    self.design.check_update(grad)
             for record, grad in zip(records, grads):
                 self.design.rank1_update(grad)
                 del self.pending[record.round]
@@ -227,15 +235,12 @@ class LinearBandit:
         self.gamma = alpha
         self.max_scaled_grad_norm = 0.0
 
-    def _theta_hat(self) -> np.ndarray:
-        return self.design.inverse() @ self.b
-
     def select_action(self, contexts: np.ndarray):
         contexts = np.asarray(contexts, dtype=np.float64)
         if contexts.ndim != 2 or contexts.shape[1] != self.dim:
             raise ValueError(
                 f"contexts have shape {contexts.shape}, expected (K, {self.dim})")
-        theta_hat = self._theta_hat()
+        theta_hat = self.design.inverse() @ self.b
         means = contexts @ theta_hat
         if self.exploration == "ucb":
             bonuses = self.alpha * np.sqrt(self.design.quad_form(contexts))
@@ -249,13 +254,24 @@ class LinearBandit:
             scores = contexts @ draw
             bonuses = scores - means
         # as in NeuralBandit, rounding decides between scores tied in exact arithmetic
-        action = int(np.argmax(scores)) + 1
+        action = int(scores.argmax()) + 1
         self.t += 1
         self.pending[self.t] = (contexts[action - 1].copy(), action)
         return action, Diagnostics(scores, means, bonuses, self.alpha)
 
     def ingest_revealed(self, batch: list[BanditRecord]) -> None:
-        for record in _checked_batch(batch, self.pending):
+        """Add each revealed record to A and b, in round order.
+
+        A batch with a round that is not pending, or with a context of the
+        wrong shape, not finite or with an overflowing squared norm, raises
+        before any state changes. A pivot failure (DesignUpdateError) on a
+        later record still leaves the earlier records applied.
+        """
+        records = _checked_batch(batch, self.pending)
+        if len(records) > 1:  # one update checks itself before it changes anything
+            for record in records:
+                self.design.check_update(record.context)
+        for record in records:
             self.design.rank1_update(record.context)
             self.b += record.reward * record.context
             del self.pending[record.round]

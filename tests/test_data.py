@@ -14,6 +14,19 @@ from delaybandit.errors import (ConfigurationError, DegenerateContextError,
                                 FormatError)
 
 
+def reference_embedded_disjoint(features, arms):
+    """The 4-D block build that DatasetSource._embedded_disjoint replaced."""
+    norm = np.linalg.norm(features)
+    if norm == 0.0:
+        raise DegenerateContextError("cannot embed a zero context")
+    d0 = features.shape[0]
+    scaled = features / (np.sqrt(2.0) * norm)
+    blocks = np.zeros((arms, 2, arms, d0))
+    for a in range(arms):
+        blocks[a, :, a] = scaled
+    return blocks.reshape(arms, 2 * arms * d0)
+
+
 def reference_mushroom(path):
     """The row-by-row parse that the columnar loader replaced: (features, labels)."""
     rows = []
@@ -282,6 +295,7 @@ class TestDatasetSourceContexts:
         for t in range(1, len(ds.labels) + 1):
             contexts, _ = source.round_data(t)
             features = ds.features[source.order[t - 1]]
+            assert np.array_equal(contexts, reference_embedded_disjoint(features, arms))
             expected = np.stack([assumption3_embed(x)
                                  for x in disjoint_transform(features, arms)])
             assert contexts.shape == expected.shape
@@ -295,6 +309,8 @@ class TestDatasetSourceContexts:
         source = DatasetSource(ds, 2, np.random.default_rng(0), embed=True)
         with pytest.raises(DegenerateContextError):
             source.round_data(1)
+        with pytest.raises(DegenerateContextError):
+            reference_embedded_disjoint(ds.features[0], 2)
 
     def test_label_without_an_arm_rejected(self):
         ds = Dataset(np.ones((3, 2)), np.array([0, 2, 1]))

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from delaybandit import DesignMatrix
+from delaybandit import DesignMatrix, assumption3_embed, disjoint_transform
 from delaybandit.design import REFRESH_PERIOD
 from delaybandit.errors import ConfigurationError, DesignUpdateError
 
@@ -68,6 +68,8 @@ class TestUpdates:
             dm.quad_form(np.zeros(2))
         with pytest.raises(ValueError):
             dm.rank1_update(np.zeros(4))
+        with pytest.raises(ValueError):
+            dm.check_update(np.zeros(4))
 
 
 class TestOracle:
@@ -144,6 +146,27 @@ class TestOracle:
         assert dm.logdet_ratio() == pytest.approx(direct_logdet - p * np.log(lam),
                                                   rel=1e-8)
 
+    def test_disjoint_embedded_contexts_at_the_linucb_dimension(self):
+        # mushroom's 22 features, disjoint over 2 arms and embedded: p = 88 and
+        # unit-norm vectors that span only 44 directions. 600 updates go primal
+        # at the 88th, refresh at the 512th and leave 88 pending.
+        p, lam = 88, 0.1
+        rng = np.random.default_rng(15)
+        dm = DesignMatrix(p, lam)
+        z = lam * np.eye(p)
+        for _ in range(600):
+            x = rng.integers(0, 12, size=22).astype(float)
+            u = assumption3_embed(disjoint_transform(x, 2)[rng.integers(2)])
+            dm.rank1_update(u)
+            z += np.outer(u, u)
+        direct_inv = np.linalg.inv(z)
+        assert (np.max(np.abs(dm.inverse() - direct_inv))
+                <= 1e-10 * np.max(np.abs(direct_inv)))
+        for a in range(2):
+            probe = assumption3_embed(disjoint_transform(rng.random(22), 2)[a])
+            assert dm.quad_form(probe) == pytest.approx(probe @ direct_inv @ probe,
+                                                        rel=1e-10)
+
     def test_primal_update_allocates_no_p_by_p_array(self):
         p = 1000
         rng = np.random.default_rng(12)
@@ -200,12 +223,18 @@ class TestNumericalTrouble:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_vector(self, mode, updates, bad):
         dm = self._design(mode, updates)
-        self._assert_rejected(dm, np.array([1.0, bad, 0.0, 0.0]))
+        u = np.array([1.0, bad, 0.0, 0.0])
+        with pytest.raises(DesignUpdateError):
+            dm.check_update(u)
+        self._assert_rejected(dm, u)
 
     @pytest.mark.parametrize("mode,updates", [("full", 2), ("full", 6), ("diag", 2)])
     def test_overflowing_vector(self, mode, updates):
         dm = self._design(mode, updates)
-        self._assert_rejected(dm, np.array([1e200, 0.0, 0.0, 0.0]))  # u.u overflows
+        u = np.array([1e200, 0.0, 0.0, 0.0])  # u.u overflows
+        with pytest.raises(DesignUpdateError):
+            dm.check_update(u)
+        self._assert_rejected(dm, u)
 
     def test_non_finite_pivot(self):
         # the first four updates never touch e4, so Z^{-1} e4 = e4 / lam and

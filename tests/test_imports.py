@@ -1,9 +1,14 @@
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import delaybandit
+import delaybandit.harness  # perfbench traces it; the package does not import it
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def _run_in_fresh_interpreter(code):
@@ -24,3 +29,16 @@ def test_harness_and_config_defer_optional_imports():
         "import sys, delaybandit.harness, delaybandit.config\n"
         "loaded = {'yaml', 'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
         "assert not loaded, loaded")
+
+
+def test_every_name_perfbench_traces_resolves():
+    # `perfbench/run.py --trace 1` wraps each TARGETS entry; a rename in the
+    # package would otherwise surface only as an AttributeError in a traced run
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for owner_path, attr, name in tracer.TARGETS:
+        owner = tracer._resolve(delaybandit, owner_path)
+        assert callable(getattr(owner, attr)), name
+    assert isinstance(delaybandit.design.REFRESH_PERIOD, int)

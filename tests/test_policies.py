@@ -8,8 +8,16 @@ from delaybandit import (BanditRecord, DelayDistribution, LinearBandit,
                          NetworkShape, NeuralBandit, RevealQueue, gamma_value, train_nn)
 from delaybandit.config import PolicyBlock, TrainBlock
 from delaybandit.environment import Environment, SyntheticSource
-from delaybandit.errors import ConfigurationError, ProtocolViolationError
+from delaybandit.errors import ConfigurationError, DesignUpdateError, ProtocolViolationError
 from delaybandit import policies as policies_mod
+
+# (second record's round, its context is NaN, the error) for a batch that
+# starts with the valid record of round 1 and must change nothing
+REJECTED_BATCHES = pytest.mark.parametrize(
+    "second_round,nan_context,error",
+    [(7, False, ProtocolViolationError), (1, False, ProtocolViolationError),
+     (2, True, DesignUpdateError)],
+    ids=["unknown", "repeated", "nan-context"])
 
 
 def make_cfg(shape=NetworkShape(2, 4, 4), steps=3, steps_schedule="fixed", **overrides):
@@ -104,6 +112,21 @@ class TestSelection:
         a2, d2 = policy2.select_action(contexts)
         assert a1 == a2
         assert d1.scores == pytest.approx(d2.scores)
+
+    def test_ts_draws_equal_one_normal_per_arm(self):
+        cfg = make_cfg(algorithm="neural-ts", nu=0.7)
+        policy = NeuralBandit(*cfg, np.random.default_rng(5))
+        reference = NeuralBandit(*cfg, np.random.default_rng(5))
+        contexts = np.random.default_rng(6).standard_normal((3, 4))
+        _, diag = policy.select_action(contexts)
+        # reference: one normal draw per arm, in arm order
+        grads, means = policies_mod.gradient_many(reference.theta, reference.shape, contexts)
+        sigma2 = reference.cfg.lam * reference.design.quad_form(
+            grads / math.sqrt(reference.shape.width))
+        draws = np.array([reference.rng.normal(means[a], reference.cfg.nu * math.sqrt(sigma2[a]))
+                          for a in range(len(contexts))])
+        assert np.array_equal(diag.scores, draws)
+        assert policy.rng.random() == reference.rng.random()
 
     def test_dimension_mismatch(self):
         policy = NeuralBandit(*make_cfg(), np.random.default_rng(0))
@@ -250,6 +273,23 @@ class TestIngest:
         with pytest.raises(ProtocolViolationError):
             policy.ingest_revealed([BanditRecord(1, x, a, 0.0), BanditRecord(1, x, a, 0.0)])
 
+    @REJECTED_BATCHES
+    def test_rejected_batch_changes_nothing(self, second_round, nan_context, error):
+        policy = self.make_policy()
+        rng = np.random.default_rng(2)
+        self._play_round(policy, rng)
+        self._play_round(policy, rng)
+        x, a = policy.pending[1]
+        theta = policy.theta.copy()
+        second = np.full(4, np.nan) if nan_context else x
+        batch = [BanditRecord(1, x, a, 1.0), BanditRecord(second_round, second, a, 1.0)]
+        with pytest.raises(error):
+            policy.ingest_revealed(batch)
+        assert policy.design.update_count == 0
+        assert policy.revealed_count == 0
+        assert list(policy.pending) == [1, 2]
+        assert np.array_equal(policy.theta, theta)
+
 
 class TestCausality:
     def test_policy_never_reads_unrevealed_rewards(self):
@@ -296,7 +336,8 @@ class TestLinearBaseline:
         policy.select_action(np.stack([e1, np.ones(3)]))
         x, a = policy.pending[1]
         policy.ingest_revealed([BanditRecord(1, e1, a, 1.0)])
-        assert policy._theta_hat() == pytest.approx([0.5, 0.0, 0.0])
+        _, diag = policy.select_action(np.eye(3))  # means e_i . theta_hat
+        assert diag.means == pytest.approx([0.5, 0.0, 0.0])
 
     def test_ts_zero_nu_is_greedy_ridge(self):
         ucb_free = LinearBandit(2, np.random.default_rng(0), nu=0.0,
@@ -314,16 +355,18 @@ class TestLinearBaseline:
         with pytest.raises(ValueError):
             policy.select_action(np.zeros((2, 4)))
 
-    @pytest.mark.parametrize("second_round", [7, 1], ids=["unknown", "repeated"])
-    def test_rejected_batch_changes_nothing(self, second_round):
+    @REJECTED_BATCHES
+    def test_rejected_batch_changes_nothing(self, second_round, nan_context, error):
         policy = LinearBandit(3, np.random.default_rng(0))
+        policy.select_action(np.eye(3)[:2])
         policy.select_action(np.eye(3)[:2])
         x, a = policy.pending[1]
         b = policy.b.copy()
-        batch = [BanditRecord(1, x, a, 1.0), BanditRecord(second_round, x, a, 1.0)]
-        with pytest.raises(ProtocolViolationError):
+        second = np.array([np.nan, 0.0, 0.0]) if nan_context else x
+        batch = [BanditRecord(1, x, a, 1.0), BanditRecord(second_round, second, a, 1.0)]
+        with pytest.raises(error):
             policy.ingest_revealed(batch)
         assert policy.design.update_count == 0
         assert np.array_equal(policy.b, b)
-        assert list(policy.pending) == [1]
+        assert list(policy.pending) == [1, 2]
         assert policy.revealed_count == 0
