@@ -4,6 +4,8 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import assumption3_embed
+from .environment import DatasetSource
+from .errors import DegenerateContextError
 from .harness import build_environment
 from .ntk import DelayBoundParams, d_plus, effective_dimension, ntk_gram, regret_bound
 
@@ -17,14 +19,18 @@ def analyze_config(cfg: ExperimentConfig) -> dict:
     """
     env = build_environment(cfg, cfg.seeds[0])
     wanted = cfg.analysis.n_contexts
-    contexts = []
-    t = 1
-    while len(contexts) < wanted:
-        for x in env.round_contexts(t):
-            if np.linalg.norm(x) > 0:
-                contexts.append(assumption3_embed(x))
-        t += 1
-    contexts = np.stack(contexts[:wanted])
+    # a dataset repeats after one pass over its rows, and its nonzero contexts
+    # with it; a synthetic context is never zero
+    rounds = len(env.source.labels) if isinstance(env.source, DatasetSource) else wanted
+    found = []
+    for t in range(1, rounds + 1):
+        found += [assumption3_embed(x) for x in env.round_contexts(t) if np.linalg.norm(x) > 0]
+        if len(found) >= wanted:
+            break
+    if not found:
+        raise DegenerateContextError(
+            f"the {cfg.environment.source} data holds no nonzero context in its {rounds} rows")
+    contexts = np.resize(np.stack(found), (wanted, found[0].size))  # repeats or truncates
     gram = ntk_gram(contexts, cfg.network.depth)
     d_tilde = effective_dimension(gram, cfg.policy.lam, cfg.horizon * cfg.arms)
     eigmin = float(np.linalg.eigvalsh(gram)[0])

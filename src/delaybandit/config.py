@@ -262,10 +262,23 @@ def _context_dim(cfg: ExperimentConfig) -> int | None:
 
 
 def load_config(path) -> ExperimentConfig:
+    """The config in a YAML file; a file that is not UTF-8 YAML raises
+    ConfigurationError naming it, and the line and column where YAML gives them."""
     import yaml  # deferred: configs built from a dict never need it
 
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        raw = yaml.safe_load(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigurationError(
+            f"{path}, line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 text") from None
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f", line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ConfigurationError(f"{path}{where}: {problem}") from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

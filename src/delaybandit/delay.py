@@ -6,6 +6,7 @@ ceil(s + tau): the unique integer t with t-1 < s + tau <= t.
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Literal, get_args
 
 import numpy as np
@@ -123,7 +124,8 @@ class RevealQueue:
             raise ProtocolViolationError(
                 f"pop_revealed({t}) after round {self.last_popped_round}")
         self.last_popped_round = t
-        items = self.buckets.pop(t, [])
-        items.sort(key=lambda sr: sr[0])
+        items = self.buckets.pop(t, ())
+        if len(items) > 1:
+            items.sort(key=itemgetter(0))  # records may be scheduled in any order
         self.popped += len(items)
         return [record for _, record in items]

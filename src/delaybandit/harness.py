@@ -8,6 +8,7 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from .data import load_idx, load_mushroom_csv
 from .delay import RevealQueue
 from .environment import DatasetSource, Environment, SyntheticSource
 from .network import NetworkShape
-from .policies import BanditRecord, LinearBandit, NeuralBandit, exploration_of
+from .policies import BanditRecord, LinearBandit, NeuralBandit
 
 
 @dataclass
@@ -66,9 +67,7 @@ def build_environment(cfg: ExperimentConfig, seed: int, dataset=None) -> Environ
 def build_policy(cfg: ExperimentConfig, context_dim: int, seed: int):
     rng = _stream(seed, 4)
     if cfg.policy.algorithm.startswith("lin-"):
-        return LinearBandit(context_dim, rng, lam=cfg.policy.lam,
-                            alpha=cfg.policy.alpha, nu=cfg.policy.nu,
-                            exploration=exploration_of(cfg.policy.algorithm))
+        return LinearBandit(cfg.policy, context_dim, rng)
     shape = NetworkShape(cfg.network.depth, cfg.network.width, context_dim)
     return NeuralBandit(cfg.policy, cfg.train, shape, rng)
 
@@ -78,21 +77,16 @@ def run_single(cfg: ExperimentConfig, seed: int, dataset=None) -> RunResult:
     started = time.perf_counter()
     env = build_environment(cfg, seed, dataset=dataset)
     policy = build_policy(cfg, env.context_dim, seed)
+    # an undelayed algorithm sees each reward in the round that earns it
     delayed = cfg.policy.algorithm.startswith("delayed-")
     queue = RevealQueue()
     rows = []
     cum_regret = 0.0
     for t in range(1, cfg.horizon + 1):
-        contexts = env.round_contexts(t)
-        action, _ = policy.select_action(contexts)
+        action, _ = policy.select_action(env.round_contexts(t))
         outcome = env.step(t, action)
-        record = BanditRecord(t, contexts[action - 1], action, outcome.reward)
-        if delayed:
-            queue.schedule(t, outcome.delay, record)
-            batch = queue.pop_revealed(t)
-        else:
-            batch = [record]
-        policy.ingest_revealed(batch)
+        queue.schedule(t, outcome.delay if delayed else 0.0, BanditRecord(t, outcome.reward))
+        policy.ingest_revealed(queue.pop_revealed(t))
         cum_regret += outcome.regret
         revealed = policy.revealed_count
         rows.append((t, action, outcome.regret, cum_regret,
@@ -108,19 +102,16 @@ def run_single(cfg: ExperimentConfig, seed: int, dataset=None) -> RunResult:
     return RunResult(seed, rows, summary)
 
 
-def _run_single_star(args):
-    return run_single(*args)
-
-
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
-    """Run every seed of cfg (optionally in parallel processes), in seed order."""
+    """Run every seed of cfg, in seed order, in up to ``jobs`` processes, one
+    per seed at most; with one, in this process."""
     dataset = _load_dataset(cfg)
-    if jobs > 1:
+    workers = min(jobs, len(cfg.seeds))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # deferred: costs start-up
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_single_star,
-                                 [(cfg, seed, dataset) for seed in cfg.seeds]))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run_single, repeat(cfg), cfg.seeds, repeat(dataset)))
     return [run_single(cfg, seed, dataset) for seed in cfg.seeds]
 
 

@@ -1,21 +1,25 @@
 """Bandit policies: neural UCB / Thompson sampling and linear ridge baselines.
 
 A policy is a single-threaded state machine driven once per round:
-``select_action`` scores the K contexts and commits the choice as pending,
-``ingest_revealed`` feeds back whichever rewards the environment released
-(possibly none), updates the design matrix, retrains and refreshes gamma.
-The same classes serve the delayed and undelayed algorithms; delay lives
-entirely in which records the caller passes to ``ingest_revealed``.
+``select_action`` scores the K contexts, plays the best as round t and keeps
+the played context as pending; ``ingest_revealed`` takes the records revealed
+this round (possibly none), each naming a pending round and its reward, adds
+the contexts played in those rounds to the design matrix and learns their
+rewards. ``Bandit`` holds this protocol once; ``NeuralBandit`` and
+``LinearBandit`` add only their scoring and learning. The same classes serve
+the delayed and undelayed algorithms; delay lives entirely in which records
+the caller passes to ``ingest_revealed``.
 """
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal, get_args
+from operator import attrgetter
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
 from .design import DesignMatrix
-from .errors import ConfigurationError, ProtocolViolationError
+from .errors import ProtocolViolationError
 from .network import NetworkShape, gradient_many, init_symmetric, train_nn
 
 if TYPE_CHECKING:
@@ -23,29 +27,18 @@ if TYPE_CHECKING:
 
 Algorithm = Literal["delayed-neural-ucb", "delayed-neural-ts",
                     "neural-ucb", "neural-ts", "lin-ucb", "lin-ts"]
-Exploration = Literal["ucb", "ts"]
 GammaMode = Literal["theoretical", "simple", "constant"]
 RetrainTrigger = Literal["every-round", "on-reveal"]
 StepsSchedule = Literal["fixed", "round"]  # round: J = t steps at round t
 SqrtLambdaS = Literal["product", "joint"]  # product: sqrt(lam)*S; joint: sqrt(lam*S)
 
 
-def exploration_of(algorithm: Algorithm) -> Exploration:
-    return "ts" if algorithm.endswith("-ts") else "ucb"
-
-
 @dataclass(frozen=True)
 class BanditRecord:
-    """One revealed interaction: the chosen arm's context and reward at round s."""
+    """The reward of the arm played at ``round``, revealed to the policy."""
 
     round: int
-    context: np.ndarray
-    action: int  # 1-based arm index
     reward: float
-
-    def __post_init__(self):
-        if self.round < 1:
-            raise ValueError(f"round must be >= 1, got {self.round}")
 
 
 def gamma_value(cfg: "PolicyBlock", train: "TrainBlock", shape: NetworkShape,
@@ -81,22 +74,6 @@ def gamma_value(cfg: "PolicyBlock", train: "TrainBlock", shape: NetworkShape,
     return confidence + optimization
 
 
-def _checked_batch(batch: list[BanditRecord], pending: dict) -> list[BanditRecord]:
-    """The batch in round order, once every record is known to be pending.
-
-    Raises before any state changes if a round is not pending or is revealed
-    twice in the batch.
-    """
-    records = sorted(batch, key=lambda r: r.round)
-    previous = 0
-    for record in records:
-        if record.round not in pending or record.round == previous:
-            raise ProtocolViolationError(
-                f"round {record.round} revealed but not pending")
-        previous = record.round
-    return records
-
-
 @dataclass
 class Diagnostics:
     scores: np.ndarray
@@ -105,52 +82,98 @@ class Diagnostics:
     gamma: float
 
 
-class NeuralBandit:
+_ROUND = attrgetter("round")
+
+
+class Bandit:
+    """The select/reveal protocol that both policies share.
+
+    ``select_action`` plays the highest-scoring of the K contexts as round t
+    and keeps its context as ``pending[t]``. ``ingest_revealed`` takes the
+    records revealed this round; the context of each is the one it played.
+
+    A batch that names a round not pending, or one round twice, or whose
+    design vectors are not all finite, raises before any state changes.
+    Otherwise its records enter the design matrix in round order and leave
+    pending, then the policy learns their rewards. A pivot failure
+    (DesignUpdateError) on a later record leaves the earlier records in the
+    design and out of pending, and learns no reward of the batch.
+
+    A subclass sets ``gamma`` and supplies ``_score`` (the scores, means and
+    bonuses of the K contexts), ``_design_vectors`` (the design-matrix vector
+    of each played context) and ``_learn`` (called with the records of the
+    batch and their contexts once ``revealed_count`` counts them).
+    """
+
+    def __init__(self, cfg: "PolicyBlock", dim: int, design: DesignMatrix,
+                 rng: np.random.Generator):
+        self.cfg = cfg
+        self.dim = dim
+        self.design = design
+        self.rng = rng
+        self.exploration = "ts" if cfg.algorithm.endswith("-ts") else "ucb"
+        self.pending: dict[int, np.ndarray] = {}
+        self.revealed_count = 0
+        self.t = 0
+        self.max_scaled_grad_norm = 0.0
+
+    def select_action(self, contexts: np.ndarray):
+        """Score the K arm contexts and return (1-based action, diagnostics)."""
+        contexts = np.asarray(contexts, dtype=np.float64)
+        if contexts.ndim != 2 or contexts.shape[1] != self.dim:
+            raise ValueError(f"contexts have shape {contexts.shape}, expected (K, {self.dim})")
+        scores, means, bonuses = self._score(contexts)
+        # argmax takes the lowest index among equal computed scores; scores that
+        # tie in exact arithmetic may differ by rounding, which then decides
+        action = int(scores.argmax()) + 1
+        self.t += 1
+        self.pending[self.t] = contexts[action - 1].copy()
+        return action, Diagnostics(scores, means, bonuses, self.gamma)
+
+    def ingest_revealed(self, batch: list[BanditRecord]) -> None:
+        """Absorb this round's revealed records (possibly none), in round order."""
+        records = sorted(batch, key=_ROUND)
+        previous = 0
+        for record in records:
+            if record.round not in self.pending or record.round == previous:
+                raise ProtocolViolationError(f"round {record.round} revealed but not pending")
+            previous = record.round
+        contexts = [self.pending[record.round] for record in records]
+        vectors = self._design_vectors(contexts)
+        if len(records) > 1:  # one update checks itself before it changes anything
+            for u in vectors:
+                self.design.check_update(u)
+        for record, u in zip(records, vectors):
+            self.design.rank1_update(u)
+            del self.pending[record.round]
+        self.revealed_count += len(records)
+        self._learn(records, contexts)
+
+
+class NeuralBandit(Bandit):
     """Delayed NeuralUCB / NeuralTS over a from-scratch ReLU network, set by the
     config's policy and train blocks; UCB or TS follows the algorithm's name."""
 
     def __init__(self, cfg: "PolicyBlock", train: "TrainBlock", shape: NetworkShape,
                  rng: np.random.Generator):
-        self.cfg = cfg
+        super().__init__(cfg, shape.input_dim,
+                         DesignMatrix(shape.param_count, cfg.lam, cfg.design_mode), rng)
         self.train = train
         self.shape = shape
-        self.exploration = exploration_of(cfg.algorithm)
-        self.rng = rng
         self.theta0 = init_symmetric(shape, rng)
         self.theta = self.theta0.copy()
-        self.design = DesignMatrix(shape.param_count, cfg.lam, cfg.design_mode)
         # revealed contexts and rewards fill the first revealed_count rows;
         # capacity doubles when full, so appending costs O(1) amortized
         self._xs = np.empty((64, shape.input_dim))
         self._rs = np.empty(64)
-        self.revealed_count = 0
-        self.pending: dict[int, tuple[np.ndarray, int]] = {}
-        self.t = 0
         self.gamma = gamma_value(cfg, train, shape, 0, 0.0, self._steps_at(0))
-        self.max_scaled_grad_norm = 0.0
 
     def _steps_at(self, t: int) -> int:
         if self.train.steps_schedule == "round":
             return t
         return self.train.steps
 
-    def _store(self, xs: np.ndarray, rs: list[float]) -> None:
-        n, k = self.revealed_count, len(rs)
-        if n + k > len(self._rs):
-            capacity = max(2 * len(self._rs), n + k)
-            grown_x = np.empty((capacity, self._xs.shape[1]))
-            grown_r = np.empty(capacity)
-            grown_x[:n], grown_r[:n] = self._xs[:n], self._rs[:n]
-            self._xs, self._rs = grown_x, grown_r
-        self._xs[n:n + k], self._rs[n:n + k] = xs, rs
-        self.revealed_count = n + k
-
-    def select_action(self, contexts: np.ndarray):
-        """Score the K arm contexts and return (1-based action, diagnostics)."""
-        contexts = np.asarray(contexts, dtype=np.float64)
-        if contexts.ndim != 2 or contexts.shape[1] != self.shape.input_dim:
-            raise ValueError(
-                f"contexts have shape {contexts.shape}, expected (K, {self.shape.input_dim})")
+    def _score(self, contexts: np.ndarray):
         sqrt_m = math.sqrt(self.shape.width)
         grads, means = gradient_many(self.theta, self.shape, contexts)
         quad = self.design.quad_form(grads / sqrt_m)
@@ -158,42 +181,33 @@ class NeuralBandit:
         self.max_scaled_grad_norm = max(self.max_scaled_grad_norm, float(gnorm))
         if self.exploration == "ucb":
             bonuses = self.gamma * np.sqrt(quad)
-            scores = means + bonuses
-        else:
-            sigma2 = self.cfg.lam * quad
-            draws = self.rng.normal(means, self.cfg.nu * np.sqrt(sigma2))
-            bonuses = draws - means
-            scores = draws
-        # argmax takes the lowest index among equal computed scores; scores that
-        # tie in exact arithmetic may differ by rounding, which then decides
-        action = int(np.argmax(scores)) + 1
-        self.t += 1
-        self.pending[self.t] = (contexts[action - 1].copy(), action)
-        return action, Diagnostics(scores, means, bonuses, self.gamma)
+            return means + bonuses, means, bonuses
+        sigma2 = self.cfg.lam * quad
+        draws = self.rng.normal(means, self.cfg.nu * np.sqrt(sigma2))
+        return draws, means, draws - means
 
-    def ingest_revealed(self, batch: list[BanditRecord]) -> None:
-        """Absorb this round's revealed rewards, retrain, refresh gamma.
+    def _design_vectors(self, contexts: list[np.ndarray]):
+        """Scaled gradient features at the current (pre-retrain) parameters."""
+        if not contexts:
+            return ()
+        grads, _ = gradient_many(self.theta, self.shape, np.stack(contexts))
+        grads /= math.sqrt(self.shape.width)
+        return grads
 
-        A batch with a round that is not pending, or whose gradient features
-        are not all finite, raises before any state changes. A pivot failure
-        (DesignUpdateError) on a later record still leaves the earlier records
-        in the design and out of pending, while no record of the batch reaches
-        the training data.
-        """
-        records = _checked_batch(batch, self.pending)
+    def _learn(self, records: list[BanditRecord], contexts: list[np.ndarray]) -> None:
+        """Store the revealed rows, retrain and refresh gamma."""
         if records:
-            xs = np.stack([record.context for record in records])
-            # gradient features evaluated at the current (pre-retrain) parameters
-            grads, _ = gradient_many(self.theta, self.shape, xs)
-            grads /= math.sqrt(self.shape.width)
-            if len(grads) > 1:  # one update checks itself before it changes anything
-                for grad in grads:
-                    self.design.check_update(grad)
-            for record, grad in zip(records, grads):
-                self.design.rank1_update(grad)
-                del self.pending[record.round]
-            self._store(xs, [record.reward for record in records])
-        retrain = bool(batch) if self.cfg.retrain_trigger == "on-reveal" \
+            k = len(records)
+            n = self.revealed_count - k  # rows stored before this batch
+            if n + k > len(self._rs):
+                capacity = max(2 * len(self._rs), n + k)
+                grown_x = np.empty((capacity, self.dim))
+                grown_r = np.empty(capacity)
+                grown_x[:n], grown_r[:n] = self._xs[:n], self._rs[:n]
+                self._xs, self._rs = grown_x, grown_r
+            self._xs[n:n + k] = contexts
+            self._rs[n:n + k] = [record.reward for record in records]
+        retrain = bool(records) if self.cfg.retrain_trigger == "on-reveal" \
             else self.revealed_count > 0
         steps = self._steps_at(self.t)
         if retrain and steps > 0:
@@ -209,70 +223,37 @@ class NeuralBandit:
                                  logdet, steps)
 
 
-class LinearBandit:
-    """LinUCB / LinTS ridge baseline sharing the neural policy interface.
+class LinearBandit(Bandit):
+    """LinUCB / LinTS ridge baseline on the raw contexts.
 
     A = lam*I + sum x x^T, b = sum r x, theta_hat = A^{-1} b; UCB bonus is
     alpha * sqrt(x^T A^{-1} x), TS draws one parameter vector per round from
     N(theta_hat, nu^2 A^{-1}).
     """
 
-    def __init__(self, dim: int, rng: np.random.Generator, lam: float = 1.0,
-                 alpha: float = 1.0, nu: float = 1.0, exploration: Exploration = "ucb"):
-        if exploration not in get_args(Exploration):
-            raise ConfigurationError(f"unknown exploration {exploration!r}")
-        self.dim = dim
-        self.rng = rng
-        self.lam = lam
-        self.alpha = alpha
-        self.nu = nu
-        self.exploration = exploration
-        self.design = DesignMatrix(dim, lam, "full")
+    def __init__(self, cfg: "PolicyBlock", dim: int, rng: np.random.Generator):
+        super().__init__(cfg, dim, DesignMatrix(dim, cfg.lam, "full"), rng)
         self.b = np.zeros(dim)
-        self.pending: dict[int, tuple[np.ndarray, int]] = {}
-        self.revealed_count = 0
-        self.t = 0
-        self.gamma = alpha
-        self.max_scaled_grad_norm = 0.0
+        self.gamma = cfg.alpha
 
-    def select_action(self, contexts: np.ndarray):
-        contexts = np.asarray(contexts, dtype=np.float64)
-        if contexts.ndim != 2 or contexts.shape[1] != self.dim:
-            raise ValueError(
-                f"contexts have shape {contexts.shape}, expected (K, {self.dim})")
+    def _score(self, contexts: np.ndarray):
         theta_hat = self.design.inverse() @ self.b
         means = contexts @ theta_hat
         if self.exploration == "ucb":
-            bonuses = self.alpha * np.sqrt(self.design.quad_form(contexts))
-            scores = means + bonuses
+            bonuses = self.cfg.alpha * np.sqrt(self.design.quad_form(contexts))
+            return means + bonuses, means, bonuses
+        if self.cfg.nu == 0.0:
+            draw = theta_hat
         else:
-            if self.nu == 0.0:
-                draw = theta_hat
-            else:
-                chol = np.linalg.cholesky(self.design.inverse())
-                draw = theta_hat + self.nu * (chol @ self.rng.standard_normal(self.dim))
-            scores = contexts @ draw
-            bonuses = scores - means
-        # as in NeuralBandit, rounding decides between scores tied in exact arithmetic
-        action = int(scores.argmax()) + 1
-        self.t += 1
-        self.pending[self.t] = (contexts[action - 1].copy(), action)
-        return action, Diagnostics(scores, means, bonuses, self.alpha)
+            chol = np.linalg.cholesky(self.design.inverse())
+            draw = theta_hat + self.cfg.nu * (chol @ self.rng.standard_normal(self.dim))
+        scores = contexts @ draw
+        return scores, means, scores - means
 
-    def ingest_revealed(self, batch: list[BanditRecord]) -> None:
-        """Add each revealed record to A and b, in round order.
+    def _design_vectors(self, contexts: list[np.ndarray]):
+        return contexts
 
-        A batch with a round that is not pending, or with a context of the
-        wrong shape, not finite or with an overflowing squared norm, raises
-        before any state changes. A pivot failure (DesignUpdateError) on a
-        later record still leaves the earlier records applied.
-        """
-        records = _checked_batch(batch, self.pending)
-        if len(records) > 1:  # one update checks itself before it changes anything
-            for record in records:
-                self.design.check_update(record.context)
-        for record in records:
-            self.design.rank1_update(record.context)
-            self.b += record.reward * record.context
-            del self.pending[record.round]
-            self.revealed_count += 1
+    def _learn(self, records: list[BanditRecord], contexts: list[np.ndarray]) -> None:
+        """b += r x per record, in round order."""
+        for record, x in zip(records, contexts):
+            self.b += record.reward * x

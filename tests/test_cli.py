@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 from typing import Literal, get_origin
 
 import numpy as np
@@ -303,6 +307,44 @@ class TestCli:
         capsys.readouterr()
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {csv}: no data rows\n"
+
+    @pytest.mark.parametrize("content,message", [
+        (b"experiment: {horizon: [1\n",
+         ", line 2, column 1: expected ',' or ']', but got '<stream end>'\n"),
+        (b"experiment:\n  horizon: 5\n\xff\n", ", line 3: byte 0xff is not UTF-8 text\n"),
+    ], ids=["unclosed-flow", "not-utf8"])
+    @pytest.mark.parametrize("command", ["validate", "run", "analyze"])
+    def test_malformed_config_file_exits_1_with_one_line(self, tmp_path, capsys, command,
+                                                          content, message):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(content)
+        argv = [command, "--config", str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}{message}"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["analyze"], ["run", "--analyze", "--out", "out"]])
+    def test_analyze_without_a_nonzero_context_exits_2(self, tmp_path, command):
+        # every attribute of every row is the column's only category, so every
+        # context is zero; the search for a nonzero one used to loop forever,
+        # hence the subprocess and its timeout
+        csv = tmp_path / "flat.csv"
+        csv.write_text(("e," + ",".join("a" * 22) + "\n") * 5)
+        path = self._config(tmp_path, "lin-ucb", environment={
+            "source": "mushroom", "dataset_path": csv})
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                          env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "delaybandit.cli", *command,
+                               "--config", path], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr == ("error: the mushroom data holds no nonzero context "
+                               "in its 5 rows\n")
+        assert not (tmp_path / "out").exists()
 
     def test_analyze(self, config_file, capsys):
         assert main(["analyze", "--config", str(config_file)]) == 0

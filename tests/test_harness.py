@@ -133,6 +133,34 @@ class TestRun:
         assert forward_order[0].rows == reverse_order[1].rows
         assert forward_order[1].rows == reverse_order[0].rows
 
+    @pytest.mark.parametrize("seeds,jobs,workers", [
+        ((1, 2, 3), 1000, [3]), ((1, 2, 3), 2, [2]), ((4,), 8, []), ((1, 2), 1, [])])
+    def test_jobs_start_at_most_one_worker_per_seed(self, monkeypatch, seeds, jobs, workers):
+        # a stand-in pool that runs in this process and records its size, so
+        # a large jobs value starts no process
+        import concurrent.futures
+
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        cfg = synthetic_config(experiment={"seeds": list(seeds)})
+        results = run_experiment(cfg, jobs=jobs)
+        assert started == workers
+        assert [r.rows for r in results] == [run_single(cfg, seed).rows for seed in seeds]
+
     def test_delay_seed_separation(self):
         base = synthetic_config(environment={"delay": "exponential",
                                              "expected_delay": 5})

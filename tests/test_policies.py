@@ -11,8 +11,8 @@ from delaybandit.environment import Environment, SyntheticSource
 from delaybandit.errors import ConfigurationError, DesignUpdateError, ProtocolViolationError
 from delaybandit import policies as policies_mod
 
-# (second record's round, its context is NaN, the error) for a batch that
-# starts with the valid record of round 1 and must change nothing
+# (second record's round, whether round 2 played a NaN context, the error)
+# for a batch that starts with the valid record of round 1 and must change nothing
 REJECTED_BATCHES = pytest.mark.parametrize(
     "second_round,nan_context,error",
     [(7, False, ProtocolViolationError), (1, False, ProtocolViolationError),
@@ -156,7 +156,7 @@ class TestIngest:
         policy = self.make_policy(retrain_trigger="every-round", warm_start=True)
         rng = np.random.default_rng(2)
         self._play_round(policy, rng)
-        policy.ingest_revealed([BanditRecord(1, rng.standard_normal(4), 1, 1.0)])
+        policy.ingest_revealed([BanditRecord(1, 1.0)])
         theta_after_first = policy.theta.copy()
         self._play_round(policy, rng)
         policy.ingest_revealed([])
@@ -169,8 +169,7 @@ class TestIngest:
         records = []
         for t in range(1, 4):
             self._play_round(policy, rng)
-            x, a = policy.pending[t]
-            records.append(BanditRecord(t, x, a, 0.5))
+            records.append(BanditRecord(t, 0.5))
             policy.ingest_revealed([])
         policy.select_action(rng.standard_normal((2, 4)))
         policy.ingest_revealed(records[:2])
@@ -183,11 +182,10 @@ class TestIngest:
         policy = self.make_policy(gamma_mode=gamma_mode, design_mode="diag")
         rng = np.random.default_rng(4)
         self._play_round(policy, rng)
-        x, a = policy.pending[1]
         logdet, calls = policy.design.logdet_ratio, []
         monkeypatch.setattr(policy.design, "logdet_ratio",
                             lambda: calls.append(1) or logdet())
-        policy.ingest_revealed([BanditRecord(1, x, a, 0.5)])
+        policy.ingest_revealed([BanditRecord(1, 0.5)])
         assert len(calls) == reads
         assert policy.gamma == gamma_value(policy.cfg, policy.train, policy.shape, 1, logdet(),
                                            policy.train.steps)
@@ -207,8 +205,7 @@ class TestIngest:
         rng = np.random.default_rng(5)
         for t in range(1, 4):
             self._play_round(policy, rng)
-            x, a = policy.pending[t]
-            policy.ingest_revealed([BanditRecord(t, x, a, 0.5)])
+            policy.ingest_revealed([BanditRecord(t, 0.5)])
         if schedule == "fixed":
             assert specs == [(policy.cfg.lam, policy.train.eta, policy.train.steps,
                               policy.train.batch_size)] * 3
@@ -219,7 +216,7 @@ class TestIngest:
     def test_unknown_round_rejected(self):
         policy = self.make_policy()
         with pytest.raises(ProtocolViolationError):
-            policy.ingest_revealed([BanditRecord(9, np.zeros(4), 1, 0.0)])
+            policy.ingest_revealed([BanditRecord(9, 0.0)])
 
     def test_batch_permutation_invariance(self):
         batches = []
@@ -228,8 +225,7 @@ class TestIngest:
             records = []
             for t in range(1, 4):
                 self._play_round(policy, np.random.default_rng(t))
-                x, a = policy.pending[t]
-                records.append(BanditRecord(t, x, a, 0.3 * t))
+                records.append(BanditRecord(t, 0.3 * t))
                 policy.ingest_revealed([])
             policy.select_action(np.random.default_rng(9).standard_normal((2, 4)))
             policy.ingest_revealed([records[i] for i in order])
@@ -242,8 +238,7 @@ class TestIngest:
         queue = RevealQueue()
         for t in range(1, 11):
             self._play_round(policy, rng)
-            x, a = policy.pending[t]
-            queue.schedule(t, 0.0, BanditRecord(t, x, a, 1.0))
+            queue.schedule(t, 0.0, BanditRecord(t, 1.0))
             policy.ingest_revealed(queue.pop_revealed(t))
         assert policy.revealed_count == 10
         assert policy.design.update_count == 10
@@ -257,10 +252,9 @@ class TestIngest:
         xs, rs = [], []
         for t in range(1, 71):
             self._play_round(policy, rng)
-            x, a = policy.pending[t]
-            xs.append(x)
+            xs.append(policy.pending[t])
             rs.append(0.01 * t)
-            policy.ingest_revealed([BanditRecord(t, x, a, rs[-1])])
+            policy.ingest_revealed([BanditRecord(t, rs[-1])])
         expected = train_nn(policy.theta0, policy.shape, np.array(xs), np.array(rs),
                             policy.cfg.lam, policy.train.eta, policy.train.steps,
                             policy.train.batch_size, anchor=policy.theta0)
@@ -269,20 +263,20 @@ class TestIngest:
     def test_round_revealed_twice_rejected(self):
         policy = self.make_policy()
         self._play_round(policy, np.random.default_rng(2))
-        x, a = policy.pending[1]
         with pytest.raises(ProtocolViolationError):
-            policy.ingest_revealed([BanditRecord(1, x, a, 0.0), BanditRecord(1, x, a, 0.0)])
+            policy.ingest_revealed([BanditRecord(1, 0.0), BanditRecord(1, 0.0)])
 
     @REJECTED_BATCHES
     def test_rejected_batch_changes_nothing(self, second_round, nan_context, error):
         policy = self.make_policy()
         rng = np.random.default_rng(2)
         self._play_round(policy, rng)
-        self._play_round(policy, rng)
-        x, a = policy.pending[1]
+        if nan_context:  # round 2 plays a NaN context, whose gradient is NaN
+            policy.select_action(np.full((2, 4), np.nan))
+        else:
+            self._play_round(policy, rng)
         theta = policy.theta.copy()
-        second = np.full(4, np.nan) if nan_context else x
-        batch = [BanditRecord(1, x, a, 1.0), BanditRecord(second_round, second, a, 1.0)]
+        batch = [BanditRecord(1, 1.0), BanditRecord(second_round, 1.0)]
         with pytest.raises(error):
             policy.ingest_revealed(batch)
         assert policy.design.update_count == 0
@@ -311,8 +305,7 @@ class TestCausality:
                 out = env.step(t, action)
                 truth[t] = out.reward
                 reward = math.nan if poison else out.reward
-                queue.schedule(t, out.delay, BanditRecord(t, contexts[action - 1],
-                                                          action, reward))
+                queue.schedule(t, out.delay, BanditRecord(t, reward))
                 batch = queue.pop_revealed(t)
                 if poison:
                     batch = [replace(rec, reward=truth[rec.round]) for rec in batch]
@@ -322,51 +315,81 @@ class TestCausality:
         assert run(poison=False) == run(poison=True)
 
 
+def linear_bandit(dim, algorithm="lin-ucb", **policy):
+    return LinearBandit(PolicyBlock(algorithm=algorithm, **policy), dim,
+                        np.random.default_rng(0))
+
+
 class TestLinearBaseline:
     def test_no_data_score_is_alpha_norm(self):
-        policy = LinearBandit(3, np.random.default_rng(0), lam=1.0, alpha=2.0)
+        policy = linear_bandit(3, lam=1.0, alpha=2.0)
         x = np.array([[3.0, 0.0, 4.0]])
         _, diag = policy.select_action(x)
         assert diag.means[0] == 0.0
         assert diag.scores[0] == pytest.approx(2.0 * 5.0)
 
     def test_ridge_closed_form(self):
-        policy = LinearBandit(3, np.random.default_rng(0), lam=1.0)
+        policy = linear_bandit(3, lam=1.0)
         e1 = np.array([1.0, 0.0, 0.0])
-        policy.select_action(np.stack([e1, np.ones(3)]))
-        x, a = policy.pending[1]
-        policy.ingest_revealed([BanditRecord(1, e1, a, 1.0)])
+        action, _ = policy.select_action(np.stack([e1, 0.5 * e1]))  # plays e1
+        assert action == 1
+        policy.ingest_revealed([BanditRecord(1, 1.0)])
         _, diag = policy.select_action(np.eye(3))  # means e_i . theta_hat
         assert diag.means == pytest.approx([0.5, 0.0, 0.0])
 
     def test_ts_zero_nu_is_greedy_ridge(self):
-        ucb_free = LinearBandit(2, np.random.default_rng(0), nu=0.0,
-                                exploration="ts")
+        ucb_free = linear_bandit(2, algorithm="lin-ts", nu=0.0)
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
-        ucb_free.select_action(np.stack([e1, e2]))
-        ucb_free.ingest_revealed([BanditRecord(1, e1, 1, 1.0)])
+        ucb_free.select_action(np.stack([e1, e2]))  # a tie, so arm 1 plays e1
+        ucb_free.ingest_revealed([BanditRecord(1, 1.0)])
         action, diag = ucb_free.select_action(np.stack([e1, e2]))
         assert action == 1
         assert diag.scores == pytest.approx(diag.means)
 
     def test_dimension_mismatch(self):
-        policy = LinearBandit(3, np.random.default_rng(0))
+        policy = linear_bandit(3)
         with pytest.raises(ValueError):
             policy.select_action(np.zeros((2, 4)))
 
     @REJECTED_BATCHES
     def test_rejected_batch_changes_nothing(self, second_round, nan_context, error):
-        policy = LinearBandit(3, np.random.default_rng(0))
+        policy = linear_bandit(3)
         policy.select_action(np.eye(3)[:2])
-        policy.select_action(np.eye(3)[:2])
-        x, a = policy.pending[1]
+        # round 2 plays a NaN context in the nan-context case
+        policy.select_action(np.full((2, 3), np.nan) if nan_context else np.eye(3)[:2])
         b = policy.b.copy()
-        second = np.array([np.nan, 0.0, 0.0]) if nan_context else x
-        batch = [BanditRecord(1, x, a, 1.0), BanditRecord(second_round, second, a, 1.0)]
+        batch = [BanditRecord(1, 1.0), BanditRecord(second_round, 1.0)]
         with pytest.raises(error):
             policy.ingest_revealed(batch)
         assert policy.design.update_count == 0
         assert np.array_equal(policy.b, b)
         assert list(policy.pending) == [1, 2]
         assert policy.revealed_count == 0
+
+
+@pytest.mark.parametrize("neural", [True, False], ids=["neural", "linear"])
+def test_pivot_failure_keeps_earlier_updates_and_learns_no_reward(monkeypatch, neural):
+    if neural:
+        policy = NeuralBandit(*make_cfg(), np.random.default_rng(1))
+    else:
+        policy = linear_bandit(4)
+    rng = np.random.default_rng(2)
+    for _ in range(2):
+        policy.select_action(rng.standard_normal((2, 4)))
+    update, calls = policy.design.rank1_update, []
+
+    def fail_second(u):
+        calls.append(1)
+        if len(calls) == 2:
+            raise DesignUpdateError("pivot")
+        update(u)
+
+    monkeypatch.setattr(policy.design, "rank1_update", fail_second)
+    learned = policy.theta.copy() if neural else policy.b.copy()
+    with pytest.raises(DesignUpdateError):
+        policy.ingest_revealed([BanditRecord(1, 1.0), BanditRecord(2, 1.0)])
+    assert policy.design.update_count == 1
+    assert list(policy.pending) == [2]
+    assert policy.revealed_count == 0
+    assert np.array_equal(policy.theta if neural else policy.b, learned)
