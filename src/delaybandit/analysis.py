@@ -34,16 +34,15 @@ def analyze_config(cfg: ExperimentConfig) -> dict:
     gram = ntk_gram(contexts, cfg.network.depth)
     d_tilde = effective_dimension(gram, cfg.policy.lam, cfg.horizon * cfg.arms)
     eigmin = float(np.linalg.eigvalsh(gram)[0])
-    params = DelayBoundParams(cfg.horizon, cfg.policy.delta,
-                              cfg.environment.expected_delay,
+    mean_delay = cfg.delay_distribution().expected_delay
+    params = DelayBoundParams(cfg.horizon, cfg.policy.delta, mean_delay,
                               cfg.analysis.alpha, cfg.analysis.b)
     dp, d_tau, psi_tau = d_plus(params)
     grid = np.unique(np.linspace(1, cfg.horizon, num=min(cfg.horizon, 50)).astype(int))
     steps = cfg.train.steps if cfg.train.steps_schedule == "fixed" else cfg.horizon
     curve = [
         [int(t), regret_bound(
-            d_plus(DelayBoundParams(int(t), cfg.policy.delta,
-                                    cfg.environment.expected_delay,
+            d_plus(DelayBoundParams(int(t), cfg.policy.delta, mean_delay,
                                     cfg.analysis.alpha, cfg.analysis.b))[0],
             d_tilde, int(t), cfg.arms, cfg.policy.lam, cfg.policy.nu,
             cfg.policy.delta, cfg.policy.norm_s, cfg.train.eta,

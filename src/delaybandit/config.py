@@ -13,6 +13,7 @@ ConfigurationError naming each violation; ``validate`` adds the checks that
 span fields.
 """
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -29,6 +30,7 @@ DATA_ROOT_ENV = "DELAYED_BANDIT_DATA"
 # range checks: (test, the rule it enforces); None values are not tested
 _POSITIVE = (lambda v: v > 0, "must be > 0")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_FINITE_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and >= 0")
 _PROBABILITY = (lambda v: 0.0 < v < 1.0, "must lie in (0,1)")
 _SEEDS = (lambda seeds: len(seeds) > 0 and min(seeds) >= 0, "must be nonempty and >= 0")
 
@@ -115,7 +117,7 @@ class EnvironmentBlock(_Checked):
     embed_assumption3: bool = False
     wrong_class_reward: float = 0.0
     delay: DelayKind = "none"
-    expected_delay: float = _field(0.0, _NON_NEGATIVE)
+    expected_delay: float = _field(0.0, _FINITE_NON_NEGATIVE)
     delay_lomax: bool = False
     delay_seed: int | None = _field(None, _NON_NEGATIVE)
 
@@ -148,8 +150,7 @@ class ExperimentConfig(_Checked):
 
     def delay_distribution(self) -> DelayDistribution:
         env = self.environment
-        return DelayDistribution.from_expected(env.delay, env.expected_delay,
-                                               lomax=env.delay_lomax)
+        return DelayDistribution(env.delay, env.expected_delay, env.delay_lomax)
 
     def resolve_data_path(self, name: str | None) -> Path | None:
         if name is None:
@@ -242,6 +243,11 @@ def validate(cfg: ExperimentConfig, errors: list[str]) -> None:
         if dim is not None and dim % 2:
             errors.append(f"environment: the context dimension {dim} must be even for "
                           "neural algorithms; set embed_assumption3: true")
+    if not cfg.policy.algorithm.startswith("delayed-") and \
+            cfg.delay_distribution().kind != "none":
+        errors.append(f"environment.delay: must be 'none' for {cfg.policy.algorithm}, "
+                      "which sees each reward in the round that earns it, "
+                      f"got {cfg.environment.delay!r}")
     if cfg.environment.source != "synthetic" and cfg.environment.dataset_path is None:
         errors.append("environment.dataset_path: required for dataset sources")
     if cfg.environment.source == "mnist" and cfg.environment.labels_path is None:

@@ -1,4 +1,5 @@
-"""Delay distributions and the round-indexed reveal queue.
+"""Delay distributions, each set by its kind and expected delay E[tau], and the
+round-indexed reveal queue.
 
 A reward generated at round s with delay tau becomes visible at round
 ceil(s + tau): the unique integer t with t-1 < s + tau <= t.
@@ -18,79 +19,58 @@ DelayKind = Literal["none", "constant", "uniform", "exponential", "pareto"]
 
 @dataclass(frozen=True)
 class DelayDistribution:
-    """One of: none, constant(c), uniform(0, b), exponential(rate), pareto(a, x_m).
+    """A delay distribution: its kind, E[tau] = expected_delay and the lomax shift.
 
-    ``lomax=True`` shifts the Pareto to start at 0 (mean x_m/(a-1) instead of
-    a*x_m/(a-1)), so the expected-delay shorthand is exact.
+    Each kind derives its parameters from E[tau]: constant(E[tau]),
+    uniform(0, 2 E[tau]), exponential(rate 1/E[tau]) and pareto(a, x_m = 1)
+    with shape a = (1 + E[tau])/E[tau]. A classic Pareto of that shape has
+    mean a/(a-1) = 1 + E[tau]; ``lomax=True`` shifts it to start at 0, so its
+    mean is exactly E[tau]. Kind "none" and E[tau] = 0 are one distribution:
+    building either gives kind "none" with expected_delay 0.
     """
 
     kind: DelayKind
-    constant: float = 0.0
-    upper: float = 0.0
-    rate: float = 0.0
-    shape_a: float = 0.0
-    scale_xm: float = 1.0
+    expected_delay: float = 0.0
     lomax: bool = False
 
     def __post_init__(self):
         if self.kind not in get_args(DelayKind):
             raise ConfigurationError(f"unknown delay distribution {self.kind!r}")
-        if self.kind == "constant" and self.constant < 0:
-            raise ConfigurationError("constant delay must be >= 0")
-        if self.kind == "uniform" and self.upper <= 0:
-            raise ConfigurationError("uniform upper bound must be > 0")
-        if self.kind == "exponential" and self.rate <= 0:
-            raise ConfigurationError("exponential rate must be > 0")
-        if self.kind == "pareto" and (self.shape_a <= 1 or self.scale_xm <= 0):
-            raise ConfigurationError("pareto needs shape > 1 and scale > 0")
-
-    @classmethod
-    def from_expected(cls, kind: DelayKind, expected_delay: float, lomax: bool = False):
-        """Expand an E[tau] shorthand into distribution parameters.
-
-        exponential -> rate 1/E[tau]; uniform -> (0, 2 E[tau]);
-        pareto -> shape (1+E[tau])/E[tau] with scale 1.
-        """
-        if kind == "none" or expected_delay == 0:
-            return cls("none")
-        if expected_delay < 0:
-            raise ConfigurationError("expected delay must be >= 0")
-        if kind == "constant":
-            return cls("constant", constant=expected_delay)
-        if kind == "uniform":
-            return cls("uniform", upper=2.0 * expected_delay)
-        if kind == "exponential":
-            return cls("exponential", rate=1.0 / expected_delay)
-        if kind == "pareto":
-            return cls("pareto", shape_a=(1.0 + expected_delay) / expected_delay,
-                       scale_xm=1.0, lomax=lomax)
-        return cls(kind)  # every known kind returned above, so this one is rejected
+        if not 0 <= self.expected_delay < math.inf:
+            raise ConfigurationError("expected delay must be finite and >= 0")
+        if self.kind == "none" or self.expected_delay == 0:
+            object.__setattr__(self, "kind", "none")
+            object.__setattr__(self, "expected_delay", 0.0)
 
     def sample(self, rng: np.random.Generator) -> float:
+        # each parameter is formed as describe() prints it (2 E, 1/E, (1+E)/E)
+        # before it is used, so a seeded draw does not move by rounding
         if self.kind == "none":
             return 0.0
+        mean = self.expected_delay
         if self.kind == "constant":
-            return self.constant
+            return mean
         if self.kind == "uniform":
-            return self.upper * rng.random()
+            return 2.0 * mean * rng.random()
         u = rng.random()
         if self.kind == "exponential":
-            return -math.log(1.0 - u) / self.rate
-        # classic Pareto via inverse CDF; lomax variant shifts support to 0
-        tau = self.scale_xm * (1.0 - u) ** (-1.0 / self.shape_a)
-        return tau - self.scale_xm if self.lomax else tau
+            return -math.log(1.0 - u) / (1.0 / mean)
+        # classic Pareto with x_m = 1 via inverse CDF; lomax shifts support to 0
+        tau = (1.0 - u) ** (-1.0 / ((1.0 + mean) / mean))
+        return tau - 1.0 if self.lomax else tau
 
     def describe(self) -> str:
         if self.kind == "none":
             return "None"
+        mean = self.expected_delay
         if self.kind == "constant":
-            return f"Constant({self.constant!r})"
+            return f"Constant({mean!r})"
         if self.kind == "uniform":
-            return f"Uniform(0, {self.upper!r})"
+            return f"Uniform(0, {2.0 * mean!r})"
         if self.kind == "exponential":
-            return f"Exponential(rate={self.rate!r})"
+            return f"Exponential(rate={1.0 / mean!r})"
         name = "Lomax" if self.lomax else "Pareto"
-        return f"{name}(a={self.shape_a!r}, x_m={self.scale_xm!r})"
+        return f"{name}(a={(1.0 + mean) / mean!r}, x_m=1.0)"
 
 
 def reveal_round(s: int, tau: float) -> int:

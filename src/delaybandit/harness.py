@@ -77,15 +77,13 @@ def run_single(cfg: ExperimentConfig, seed: int, dataset=None) -> RunResult:
     started = time.perf_counter()
     env = build_environment(cfg, seed, dataset=dataset)
     policy = build_policy(cfg, env.context_dim, seed)
-    # an undelayed algorithm sees each reward in the round that earns it
-    delayed = cfg.policy.algorithm.startswith("delayed-")
     queue = RevealQueue()
     rows = []
     cum_regret = 0.0
     for t in range(1, cfg.horizon + 1):
         action, _ = policy.select_action(env.round_contexts(t))
         outcome = env.step(t, action)
-        queue.schedule(t, outcome.delay if delayed else 0.0, BanditRecord(t, outcome.reward))
+        queue.schedule(t, outcome.delay, BanditRecord(t, outcome.reward))
         policy.ingest_revealed(queue.pop_revealed(t))
         cum_regret += outcome.regret
         revealed = policy.revealed_count

@@ -115,7 +115,7 @@ class Bandit:
         self.pending: dict[int, np.ndarray] = {}
         self.revealed_count = 0
         self.t = 0
-        self.max_scaled_grad_norm = 0.0
+        self.max_scaled_grad_norm = None  # only the neural policy computes gradients
 
     def select_action(self, contexts: np.ndarray):
         """Score the K arm contexts and return (1-based action, diagnostics)."""
@@ -162,6 +162,7 @@ class NeuralBandit(Bandit):
         self.shape = shape
         self.theta0 = init_symmetric(shape, rng)
         self.theta = self.theta0.copy()
+        self.max_scaled_grad_norm = 0.0
         # revealed contexts and rewards fill the first revealed_count rows;
         # capacity doubles when full, so appending costs O(1) amortized
         self._xs = np.empty((64, shape.input_dim))

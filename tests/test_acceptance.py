@@ -233,7 +233,7 @@ class TestCriterion5RevealProtocol:
     def test_criterion_5_reveal_protocol_properties(self):
         started = time.perf_counter()
         rng = np.random.default_rng(555)
-        distributions = [DelayDistribution.from_expected(kind, 30.0)
+        distributions = [DelayDistribution(kind, 30.0)
                          for kind in ("uniform", "exponential", "pareto")]
         for dist in distributions:
             queue = RevealQueue()

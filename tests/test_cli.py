@@ -75,18 +75,35 @@ class TestCli:
         ({"environment": {"synthetic_dim": -2}}, "environment.synthetic_dim"),
         ({"environment": {"delay_seed": -1}}, "environment.delay_seed"),
         ({"experiment": {"seeds": [-1]}}, "experiment.seeds"),
+        ({"policy": {"algorithm": "neural-ucb"},
+          "environment": {"delay": "uniform", "expected_delay": 3}}, "environment.delay"),
+        ({"policy": {"algorithm": "lin-ucb"},
+          "environment": {"delay": "exponential", "expected_delay": 3}}, "environment.delay"),
+        ({"environment": {"delay": "uniform", "expected_delay": ".inf"}},
+         "environment.expected_delay"),
     ], ids=["horizon", "batch_size", "nu", "n_contexts-zero", "n_contexts-negative",
-            "analysis-alpha", "synthetic_dim", "delay_seed", "seeds-negative"])
+            "analysis-alpha", "synthetic_dim", "delay_seed", "seeds-negative",
+            "neural-ucb-delayed", "lin-ucb-delayed", "infinite-expected-delay"])
     def test_validate_bad_config(self, tmp_path, capsys, sections, field):
         # validate rejects what run and analyze would reject, and they exit as validate does
         path = self._config(tmp_path, "delayed-neural-ucb", **sections)
         assert main(["validate", "--config", path]) == 1
-        assert field in capsys.readouterr().err
-        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err and err.count("\n") == 1
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == err
         assert main(["analyze", "--config", path]) == 1
         assert capsys.readouterr().err == err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("algorithm", ["neural-ucb", "lin-ucb"])
+    @pytest.mark.parametrize("delay,expected_delay", [("uniform", 0), ("none", 30)])
+    def test_undelayed_algorithm_takes_a_delay_that_resolves_to_none(
+            self, tmp_path, capsys, algorithm, delay, expected_delay):
+        path = self._config(tmp_path, algorithm, environment={
+            "delay": delay, "expected_delay": expected_delay})
+        assert main(["validate", "--config", path]) == 0
+        assert json.loads(capsys.readouterr().out)["delay_distribution"] == "None"
 
     def test_every_enum_field_rejects_an_unknown_value(self, tmp_path, capsys):
         # found through the dataclasses, so an enum added later is covered too
@@ -370,3 +387,20 @@ class TestAnalysis:
         assert 0 < report["d_tilde"] <= 12
         bounds = [b for _, b in report["bound_curve"]]
         assert all(b > 0 for b in bounds)
+
+    def test_delay_none_ignores_expected_delay(self):
+        # delay: none draws no delay whatever expected_delay says, so its D_+
+        # is that of no delay
+        def report(expected_delay):
+            return analyze_config(config_from_dict({
+                "experiment": {"horizon": 50, "arms": 2, "seeds": [1]},
+                "policy": {"algorithm": "delayed-neural-ucb"},
+                "network": {"width": 8},
+                "environment": {"source": "synthetic", "synthetic_dim": 4,
+                                "delay": "none", "expected_delay": expected_delay},
+                "analysis": {"n_contexts": 12},
+            }))
+
+        ignored, zero = report(30), report(0)
+        for key in ("D_plus", "D_tau", "psi_tau", "bound_curve"):
+            assert ignored[key] == zero[key], key

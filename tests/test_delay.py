@@ -64,40 +64,38 @@ class TestQueue:
 
 
 class TestDistributions:
-    def test_expected_delay_mapping(self):
-        exp = DelayDistribution.from_expected("exponential", 30)
-        uni = DelayDistribution.from_expected("uniform", 30)
-        par = DelayDistribution.from_expected("pareto", 30)
-        assert exp.rate == 1 / 30
-        assert uni.upper == 60.0
-        assert par.shape_a == 31 / 30
-        assert par.scale_xm == 1.0
-
     def test_describe_strings(self):
-        assert DelayDistribution.from_expected("exponential", 30).describe() == \
+        assert DelayDistribution("exponential", 30).describe() == \
             f"Exponential(rate={1 / 30!r})"
-        assert DelayDistribution.from_expected("uniform", 30).describe() == \
-            "Uniform(0, 60.0)"
-        assert DelayDistribution.from_expected("pareto", 30).describe() == \
+        assert DelayDistribution("uniform", 30).describe() == "Uniform(0, 60.0)"
+        assert DelayDistribution("pareto", 30).describe() == \
             f"Pareto(a={31 / 30!r}, x_m=1.0)"
+        assert DelayDistribution("pareto", 30, lomax=True).describe() == \
+            f"Lomax(a={31 / 30!r}, x_m=1.0)"
+        assert DelayDistribution("constant", 4.5).describe() == "Constant(4.5)"
 
     def test_none_always_zero(self):
         dist = DelayDistribution("none")
         rng = np.random.default_rng(0)
         assert all(dist.sample(rng) == 0.0 for _ in range(100))
 
+    def test_none_and_zero_mean_are_one_distribution(self):
+        for dist in (DelayDistribution("uniform", 0), DelayDistribution("none", 30.0)):
+            assert dist == DelayDistribution("none")
+            assert dist.describe() == "None"
+
     def test_constant(self):
-        dist = DelayDistribution("constant", constant=4.5)
+        dist = DelayDistribution("constant", 4.5)
         assert dist.sample(np.random.default_rng(0)) == 4.5
 
     def test_exponential_sample_mean(self):
-        dist = DelayDistribution("exponential", rate=1 / 30)
+        dist = DelayDistribution("exponential", 30)
         rng = np.random.default_rng(123)
         draws = np.array([dist.sample(rng) for _ in range(1_000_000)])
         assert abs(draws.mean() - 30.0) <= 0.3
 
     def test_uniform_support(self):
-        dist = DelayDistribution("uniform", upper=60.0)
+        dist = DelayDistribution("uniform", 30)
         rng = np.random.default_rng(1)
         draws = np.array([dist.sample(rng) for _ in range(10_000)])
         assert draws.min() >= 0.0 and draws.max() <= 60.0
@@ -105,21 +103,21 @@ class TestDistributions:
 
     def test_pareto_support_and_lomax_mean(self):
         rng = np.random.default_rng(2)
-        classic = DelayDistribution("pareto", shape_a=3.0, scale_xm=1.0)
+        classic = DelayDistribution("pareto", 0.5)  # a = 3, x_m = 1
         draws = np.array([classic.sample(rng) for _ in range(10_000)])
         assert draws.min() >= 1.0
         assert abs(draws.mean() - 1.5) < 0.1  # a x_m/(a-1)
-        lomax = DelayDistribution("pareto", shape_a=3.0, scale_xm=1.0, lomax=True)
+        lomax = DelayDistribution("pareto", 0.5, lomax=True)
         draws = np.array([lomax.sample(rng) for _ in range(10_000)])
         assert draws.min() >= 0.0
         assert abs(draws.mean() - 0.5) < 0.1  # x_m/(a-1)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigurationError):
-            DelayDistribution("uniform", upper=0.0)
+            DelayDistribution("uniform", -1.0)
         with pytest.raises(ConfigurationError):
-            DelayDistribution("pareto", shape_a=1.0)
+            DelayDistribution("pareto", math.nan)
+        with pytest.raises(ConfigurationError):
+            DelayDistribution("uniform", math.inf)
         with pytest.raises(ConfigurationError):
             DelayDistribution("gamma")
-        with pytest.raises(ConfigurationError):
-            DelayDistribution.from_expected("uniform", -1.0)

@@ -1,12 +1,15 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from delaybandit import harness
 from delaybandit.config import (ExperimentConfig, PolicyBlock, TrainBlock, config_from_dict,
                                 load_config, resolved_summary)
+from delaybandit.delay import DelayDistribution
 from delaybandit.errors import ConfigurationError
 from delaybandit.harness import (aggregate, build_environment, emit,
                                  run_experiment, run_single)
@@ -57,11 +60,19 @@ class TestConfig:
             config_from_dict({"policy": {"exploration_bonus": 3}})
 
     def test_delay_shorthand_resolution(self):
-        cfg = synthetic_config(environment={"delay": "exponential",
-                                            "expected_delay": 30})
-        assert cfg.delay_distribution().rate == pytest.approx(1 / 30)
+        cfg = synthetic_config(policy={"algorithm": "delayed-neural-ucb"},
+                               environment={"delay": "exponential", "expected_delay": 30})
+        assert cfg.delay_distribution() == DelayDistribution("exponential", 30)
         echo = resolved_summary(cfg)
         assert echo["delay_distribution"] == f"Exponential(rate={1 / 30!r})"
+
+    def test_readme_example_builds(self):
+        # the documented config must pass the rules that validate enforces
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        example = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+        cfg = config_from_dict(yaml.safe_load(example))
+        assert cfg.delay_distribution() == DelayDistribution("uniform", 30)
+        assert cfg.policy.algorithm == "delayed-neural-ucb"
 
     def test_yaml_round_trip(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -162,10 +173,11 @@ class TestRun:
         assert [r.rows for r in results] == [run_single(cfg, seed).rows for seed in seeds]
 
     def test_delay_seed_separation(self):
-        base = synthetic_config(environment={"delay": "exponential",
-                                             "expected_delay": 5})
-        other = synthetic_config(environment={"delay": "exponential",
-                                              "expected_delay": 5,
+        delayed = {"algorithm": "delayed-neural-ucb"}
+        base = synthetic_config(policy=delayed,
+                                environment={"delay": "exponential", "expected_delay": 5})
+        other = synthetic_config(policy=delayed,
+                                 environment={"delay": "exponential", "expected_delay": 5,
                                               "delay_seed": 777})
         env_a = build_environment(base, seed=1)
         env_b = build_environment(other, seed=1)
@@ -253,6 +265,17 @@ class TestAggregateEmit:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["algorithm"] == "lin-ucb"
         assert len(summary["runs"]) == 2
+
+    @pytest.mark.parametrize("algorithm", ["lin-ucb", "lin-ts", "neural-ucb"])
+    def test_summary_grad_norm_only_for_neural_runs(self, tmp_path, algorithm):
+        # the linear baselines compute no gradient features, so they report none
+        cfg = synthetic_config(policy={"algorithm": algorithm}, network={"width": 4})
+        emit(run_experiment(cfg), tmp_path, cfg)
+        run, = json.loads((tmp_path / "summary.json").read_text())["runs"]
+        if algorithm.startswith("lin-"):
+            assert run["max_scaled_grad_norm"] is None
+        else:
+            assert run["max_scaled_grad_norm"] > 0
 
     def test_emit_refuses_existing_without_force(self, tmp_path):
         cfg, results = self.make_results()

@@ -291,7 +291,7 @@ class TestCausality:
         def run(poison):
             rng_env = np.random.default_rng(10)
             source = SyntheticSource("linear", 4, 3, rng_env)
-            env = Environment(source, DelayDistribution("uniform", upper=6.0), 0.0,
+            env = Environment(source, DelayDistribution("uniform", 3.0), 0.0,
                               np.random.default_rng(11), np.random.default_rng(12))
             policy = NeuralBandit(*make_cfg(steps=2),
                                   np.random.default_rng(13))
