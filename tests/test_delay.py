@@ -64,6 +64,21 @@ class TestQueue:
 
 
 class TestDistributions:
+    def test_expected_delay_mapping(self):
+        # E[tau] = 30 maps to upper 60, rate 1/30 and Pareto a = 31/30, x_m = 1;
+        # a twin generator gives the uniform u that sample() draws
+        u = np.random.default_rng(4).random()
+
+        def draw(kind, lomax=False):
+            return DelayDistribution(kind, 30, lomax=lomax).sample(
+                np.random.default_rng(4))
+
+        assert draw("constant") == 30.0
+        assert draw("uniform") == 60.0 * u
+        assert draw("exponential") == -math.log(1.0 - u) / (1 / 30)
+        assert draw("pareto") == 1.0 * (1.0 - u) ** (-1.0 / (31 / 30))
+        assert draw("pareto", lomax=True) == (1.0 - u) ** (-1.0 / (31 / 30)) - 1.0
+
     def test_describe_strings(self):
         assert DelayDistribution("exponential", 30).describe() == \
             f"Exponential(rate={1 / 30!r})"
