@@ -27,10 +27,10 @@ from .policies import Algorithm, GammaMode, RetrainTrigger, SqrtLambdaS, StepsSc
 
 DATA_ROOT_ENV = "DELAYED_BANDIT_DATA"
 
-# range checks: (test, the rule it enforces); None values are not tested
+# range checks: (test, the rule it enforces); None values are not tested,
+# and a float field must be finite before its range is tested
 _POSITIVE = (lambda v: v > 0, "must be > 0")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
-_FINITE_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and >= 0")
 _PROBABILITY = (lambda v: 0.0 < v < 1.0, "must lie in (0,1)")
 _SEEDS = (lambda seeds: len(seeds) > 0 and min(seeds) >= 0, "must be nonempty and >= 0")
 
@@ -63,7 +63,9 @@ class _Checked:
                 problems.append(f"{where}: expected one of "
                                 f"{', '.join(map(repr, options))}, got {value!r}")
             check = f.metadata.get("check")
-            if check and value is not None and not check[0](value):
+            if isinstance(value, float) and not math.isfinite(value):
+                problems.append(f"{where}: must be finite, got {value!r}")
+            elif check and value is not None and not check[0](value):
                 problems.append(f"{where}: {check[1]}, got {value!r}")
         if problems:
             raise ConfigurationError("; ".join(problems))
@@ -117,7 +119,7 @@ class EnvironmentBlock(_Checked):
     embed_assumption3: bool = False
     wrong_class_reward: float = 0.0
     delay: DelayKind = "none"
-    expected_delay: float = _field(0.0, _FINITE_NON_NEGATIVE)
+    expected_delay: float = _field(0.0, _NON_NEGATIVE)
     delay_lomax: bool = False
     delay_seed: int | None = _field(None, _NON_NEGATIVE)
 

@@ -11,6 +11,7 @@ by commas, with no header. Blank lines are skipped; a line of any other shape
 raises ``FormatError`` naming ``path:lineno``.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,36 +40,34 @@ class Dataset:
     labels: np.ndarray
 
 
-def _read_idx_header(buf: bytes, path, expected_magic: int, ndims: int):
-    if len(buf) < 4 + 4 * ndims:
+def _read_idx(path, expected_magic: int, ndims: int):
+    """The ndims header dims of an IDX file and its uint8 payload, which must
+    hold exactly the product of the dims in bytes."""
+    buf = Path(path).read_bytes()
+    offset = 4 + 4 * ndims
+    if len(buf) < offset:
         raise FormatError(f"{path}: truncated header at byte {len(buf)}")
     magic = struct.unpack(">i", buf[:4])[0]
     if magic != expected_magic:
         raise FormatError(
             f"{path}: bad magic 0x{magic:08x} at byte 0, expected 0x{expected_magic:08x}")
-    dims = struct.unpack(f">{ndims}i", buf[4:4 + 4 * ndims])
-    return dims, 4 + 4 * ndims
+    dims = struct.unpack(f">{ndims}I", buf[4:offset])  # unsigned: a size is never negative
+    expected = math.prod(dims)
+    if len(buf) - offset != expected:
+        raise FormatError(
+            f"{path}: payload is {len(buf) - offset} bytes at byte {offset}, expected {expected}")
+    return dims, np.frombuffer(buf, dtype=np.uint8, offset=offset)
 
 
 def load_idx_images(path) -> np.ndarray:
     """Parse an IDX image file into an (n, rows*cols) float array in [0, 1]."""
-    buf = Path(path).read_bytes()
-    (n, rows, cols), offset = _read_idx_header(buf, path, IDX_MAGIC_IMAGES, 3)
-    expected = n * rows * cols
-    if len(buf) - offset != expected:
-        raise FormatError(
-            f"{path}: payload is {len(buf) - offset} bytes at byte {offset}, expected {expected}")
-    pixels = np.frombuffer(buf, dtype=np.uint8, offset=offset)
+    (n, rows, cols), pixels = _read_idx(path, IDX_MAGIC_IMAGES, 3)
     return pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
 
 
 def load_idx_labels(path) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    (n,), offset = _read_idx_header(buf, path, IDX_MAGIC_LABELS, 1)
-    if len(buf) - offset != n:
-        raise FormatError(
-            f"{path}: payload is {len(buf) - offset} bytes at byte {offset}, expected {n}")
-    return np.frombuffer(buf, dtype=np.uint8, offset=offset).astype(np.int64)
+    _, labels = _read_idx(path, IDX_MAGIC_LABELS, 1)
+    return labels.astype(np.int64)
 
 
 def load_idx(images_path, labels_path) -> Dataset:

@@ -8,13 +8,14 @@ Weight layout used throughout: ``w1`` of shape (m, d), ``wh`` of shape
 parameter vectors concatenate ``vec(w1)``, ``vec(w2)``, ..., ``vec(w_{L-1})``
 (row-major) followed by ``wl``. The ReLU subgradient at 0 is 0.
 
-Per-row gradients (the n x p Jacobian) are built only where each row is a
-feature vector: the arms being scored and the revealed records entering the
-design matrix. A training step needs only residual @ Jacobian, which it gets
-by backpropagating the residual through the layers. ``train_nn`` runs its J
-steps as one loop: it draws all J mini-batch index vectors at once and writes
+Differentiation is one backward pass, ``_Passes.backward``, which writes
+v @ J for the (n, p) Jacobian J of a batch's outputs. Training backpropagates
+its residual, ``vjp`` any v, and ``grad_batch`` builds J as the rows e_i @ J,
+only where each row is a feature vector: the arms being scored and the
+revealed records entering the design matrix. ``train_nn`` runs its steps as
+one loop: it draws every mini-batch index vector at once and writes
 activations, residuals, deltas and the gradient into buffers allocated once
-per call, so a step allocates nothing. ``vjp`` runs the same backward pass.
+per call, so a step allocates nothing.
 """
 
 import math
@@ -177,30 +178,25 @@ def gradient(theta: np.ndarray, shape: NetworkShape, x: np.ndarray) -> np.ndarra
 
 
 def gradient_many(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray):
-    """Per-row gradients (n, p) and forward values (n,) in one backward pass."""
+    """Per-row gradients (n, p) and forward values (n,)."""
+    return grad_batch(theta, shape, _check_contexts(xs, shape))
+
+
+def grad_batch(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray):
+    """The (n, p) Jacobian J and the outputs (n,) at the rows of xs, from one
+    forward pass. Row i is e_i @ J, which the backward pass writes straight
+    into its row. That is n backward passes over n rows, so n must stay small:
+    the K arms, or one round's reveals."""
     w1, wh, wl = unflatten(theta, shape)
-    return grad_batch(w1, wh, wl, _check_contexts(xs, shape))
-
-
-def grad_batch(w1, wh, wl, xs):
-    """Per-row flattened parameter gradients; returns (n, p) with outputs (n,)."""
     n = xs.shape[0]
-    m, d = w1.shape
-    sqrt_m = np.sqrt(m)
-    passes = _Passes(NetworkShape(wh.shape[0] + 2, m, d), n)
+    passes = _Passes(shape, n)
     outputs = passes.forward(w1, wh, wl, xs, np.empty(n))
-    acts = passes.acts
-    p = m * d + wh.shape[0] * m * m + m
-    grads = np.empty((n, p), dtype=np.float64)
-    grads[:, p - m:] = sqrt_m * acts[-1]
-    delta = (sqrt_m * wl) * (acts[-1] > 0.0)
-    offset = p - m
-    for layer in range(wh.shape[0] - 1, -1, -1):
-        offset -= m * m
-        grads[:, offset:offset + m * m] = (
-            delta[:, :, None] * acts[layer][:, None, :]).reshape(n, m * m)
-        delta = (delta @ wh[layer]) * (acts[layer] > 0.0)
-    grads[:, :m * d] = (delta[:, :, None] * xs[:, None, :]).reshape(n, m * d)
+    grads = np.empty((n, shape.param_count))
+    unit = np.zeros(n)
+    for i in range(n):
+        unit[i] = 1.0
+        passes.backward(wh, wl, xs, unit, unflatten(grads[i], shape))
+        unit[i] = 0.0
     return grads, outputs
 
 

@@ -177,9 +177,10 @@ class NeuralBandit(Bandit):
     def _score(self, contexts: np.ndarray):
         sqrt_m = math.sqrt(self.shape.width)
         grads, means = gradient_many(self.theta, self.shape, contexts)
-        quad = self.design.quad_form(grads / sqrt_m)
         gnorm = np.max(np.linalg.norm(grads, axis=1)) / sqrt_m
         self.max_scaled_grad_norm = max(self.max_scaled_grad_norm, float(gnorm))
+        grads /= sqrt_m
+        quad = self.design.quad_form(grads)
         if self.exploration == "ucb":
             bonuses = self.gamma * np.sqrt(quad)
             return means + bonuses, means, bonuses

@@ -81,9 +81,13 @@ class TestCli:
           "environment": {"delay": "exponential", "expected_delay": 3}}, "environment.delay"),
         ({"environment": {"delay": "uniform", "expected_delay": ".inf"}},
          "environment.expected_delay"),
+        ({"environment": {"source": "mushroom"}}, "environment.dataset_path"),
+        ({"environment": {"source": "mnist", "dataset_path": "images.idx"}},
+         "environment.labels_path"),
     ], ids=["horizon", "batch_size", "nu", "n_contexts-zero", "n_contexts-negative",
             "analysis-alpha", "synthetic_dim", "delay_seed", "seeds-negative",
-            "neural-ucb-delayed", "lin-ucb-delayed", "infinite-expected-delay"])
+            "neural-ucb-delayed", "lin-ucb-delayed", "infinite-expected-delay",
+            "no-dataset-path", "no-labels-path"])
     def test_validate_bad_config(self, tmp_path, capsys, sections, field):
         # validate rejects what run and analyze would reject, and they exit as validate does
         path = self._config(tmp_path, "delayed-neural-ucb", **sections)
@@ -122,6 +126,24 @@ class TestCli:
             assert errs[0].endswith(", got 'bogus'\n") and errs[0].count("\n") == 1
             assert errs == [errs[0]] * 3
             assert not (tmp_path / "out").exists()
+
+    def test_every_float_field_rejects_a_non_finite_value(self, tmp_path, capsys):
+        # found through the dataclasses, so a float field added later is covered too
+        blocks = [f.type for f in fields(ExperimentConfig) if is_dataclass(f.type)]
+        cases = [(cls.section, f.metadata.get("key") or f.name)
+                 for cls in (ExperimentConfig, *blocks)
+                 for f in fields(cls) if f.type is float]
+        assert len(cases) >= 16
+        for section, key in cases:
+            for text, shown in [(".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf")]:
+                path = self._config(tmp_path, "delayed-neural-ucb", **{section: {key: text}})
+                errs = []
+                for argv in (["validate"], ["run", "--out", str(tmp_path / "out")],
+                             ["analyze"]):
+                    assert main(argv + ["--config", path]) == 1, (section, key, text)
+                    errs.append(capsys.readouterr().err)
+                assert errs == [f"error: {section}.{key}: must be finite, got {shown}\n"] * 3
+                assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text,code,message", [
         ("policy:\n", 0, ""),
@@ -315,6 +337,18 @@ class TestCli:
         assert err.startswith("error: dataset label 5 has no arm: experiment.arms is 2")
         assert err.count("\n") == 1
 
+    def test_short_label_file_exits_2_with_one_line(self, tmp_path, capsys):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx_images(images, np.zeros((4, 2, 2)))
+        write_idx_labels(labels, [0, 1, 1, 0])
+        labels.write_bytes(labels.read_bytes()[:-1])  # one label short
+        path = self._config(tmp_path, "lin-ucb", environment={
+            "source": "mnist", "dataset_path": images, "labels_path": labels})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {labels}: payload is 3 bytes at byte 8, expected 4\n")
+        assert not (tmp_path / "out").exists()
+
     def test_dataset_without_rows_exits_2_with_one_line(self, tmp_path, capsys):
         csv = tmp_path / "empty.csv"
         csv.write_text("\n")
@@ -329,7 +363,8 @@ class TestCli:
         (b"experiment: {horizon: [1\n",
          ", line 2, column 1: expected ',' or ']', but got '<stream end>'\n"),
         (b"experiment:\n  horizon: 5\n\xff\n", ", line 3: byte 0xff is not UTF-8 text\n"),
-    ], ids=["unclosed-flow", "not-utf8"])
+        (b"- experiment\n- policy\n", ": top level must be a mapping\n"),
+    ], ids=["unclosed-flow", "not-utf8", "top-level-list"])
     @pytest.mark.parametrize("command", ["validate", "run", "analyze"])
     def test_malformed_config_file_exits_1_with_one_line(self, tmp_path, capsys, command,
                                                           content, message):

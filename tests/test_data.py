@@ -95,6 +95,28 @@ class TestIdx:
         with pytest.raises(FormatError, match="byte"):
             load_idx_images(img)
 
+    def test_truncated_header(self, tmp_path):
+        img = tmp_path / "imgs"
+        img.write_bytes(struct.pack(">iii", 0x00000803, 2, 2))  # rows but no cols
+        with pytest.raises(FormatError,
+                           match=f"^{re.escape(str(img))}: truncated header at byte 12$"):
+            load_idx_images(img)
+
+    def test_size_with_the_sign_bit_set(self, tmp_path):
+        # read as signed, rows = cols = -1 would make 4 payload bytes 4 images of one pixel
+        img = tmp_path / "imgs"
+        img.write_bytes(struct.pack(">iiii", 0x00000803, 4, -1, -1) + bytes(4))
+        message = f"{img}: payload is 4 bytes at byte 16, expected {4 * (2**32 - 1) ** 2}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_idx_images(img)
+
+    def test_short_label_payload(self, tmp_path):
+        lab = tmp_path / "labs"
+        lab.write_bytes(struct.pack(">ii", 0x00000801, 3) + bytes([0, 1]))
+        message = f"{lab}: payload is 2 bytes at byte 8, expected 3"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_idx_labels(lab)
+
     def test_count_mismatch(self, tmp_path):
         img = tmp_path / "imgs"
         lab = tmp_path / "labs"
@@ -218,6 +240,10 @@ class TestMushroom:
 
 
 class TestTransforms:
+    def test_disjoint_needs_two_arms(self):
+        with pytest.raises(ValueError, match="^need K >= 2 arms, got 1$"):
+            disjoint_transform(np.array([0.5, 0.5]), 1)
+
     def test_disjoint_block_placement(self):
         x = np.array([0.5, 0.5])
         ctx = disjoint_transform(x, 3)

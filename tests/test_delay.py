@@ -40,6 +40,12 @@ class TestQueue:
         with pytest.raises(ProtocolViolationError):
             q.pop_revealed(3)
 
+    def test_schedule_rejects_round_0(self):
+        q = RevealQueue()
+        with pytest.raises(ValueError, match="^round must be >= 1, got 0$"):
+            q.schedule(0, 1.0, "a")
+        assert q.pending_count == 0
+
     def test_conservation_and_reveal_set_definition(self):
         # exhaustive oracle: popped at t must be exactly {s: t-1 < s+tau <= t}
         rng = np.random.default_rng(8)

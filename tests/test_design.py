@@ -25,6 +25,10 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             DesignMatrix(1, 1.0, "sparse")
 
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(ConfigurationError, match="^dimension must be >= 1, got 0$"):
+            DesignMatrix(0, 1.0)
+
 
 class TestUpdates:
     def test_axis_update_quad_form(self):

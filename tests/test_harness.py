@@ -191,6 +191,13 @@ class TestRun:
         taus_b = [env_b.step(t, 1).delay for t in range(1, 6)]
         assert taus_a != taus_b
 
+    @pytest.mark.parametrize("action", [0, 3])
+    def test_step_rejects_an_action_out_of_range(self, action):
+        env = build_environment(synthetic_config(), seed=1)
+        env.round_contexts(1)
+        with pytest.raises(ValueError, match=rf"^action {action} out of range \[1, 2\]$"):
+            env.step(1, action)
+
     def test_zero_delay_equivalence_small(self):
         delayed = synthetic_config(
             experiment={"horizon": 40, "arms": 3},

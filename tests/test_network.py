@@ -74,6 +74,20 @@ class TestInit:
         assert NetworkShape(2, 4, 2).param_count == 4 * 2 + 4
         assert NetworkShape(3, 4, 2).param_count == 4 * 2 + 16 + 4
 
+    @pytest.mark.parametrize("depth,width,dim,message", [
+        (1, 4, 4, "^depth must be >= 2, got 1$"),
+        (2, 0, 4, "^width and input_dim must be >= 1$"),
+    ])
+    def test_bad_shape_rejected(self, depth, width, dim, message):
+        with pytest.raises(ConfigurationError, match=message):
+            NetworkShape(depth, width, dim)
+
+    def test_unflatten_rejects_a_wrong_length(self):
+        shape = NetworkShape(3, 4, 2)
+        with pytest.raises(ValueError, match=r"^parameter vector has length \(27,\), "
+                                             r"expected \(28,\)$"):
+            unflatten(np.zeros(shape.param_count - 1), shape)
+
 
 class TestForward:
     def test_single_neuron_hand_value(self):
@@ -398,6 +412,53 @@ class TestFusedStepMatchesUnfusedLoop:
         finally:
             tracemalloc.stop()
         assert peak < gather_bytes / 20
+
+
+def per_row_jacobian_reference(theta, shape, xs):
+    """The per-sample Jacobian by its own recursion over the layers: every row's
+    output-layer deltas are pushed back together, one layer at a time, and each
+    layer's block is the outer product of a row's delta and its input."""
+    w1, wh, wl = unflatten(theta, shape)
+    n, (m, d) = xs.shape[0], w1.shape
+    sqrt_m = np.sqrt(m)
+    acts = [np.maximum(xs @ w1.T, 0.0)]
+    for w in wh:
+        acts.append(np.maximum(acts[-1] @ w.T, 0.0))
+    outputs = sqrt_m * (acts[-1] @ wl)
+    p = shape.param_count
+    grads = np.empty((n, p))
+    grads[:, p - m:] = sqrt_m * acts[-1]
+    delta = (sqrt_m * wl) * (acts[-1] > 0.0)
+    offset = p - m
+    for layer in range(wh.shape[0] - 1, -1, -1):
+        offset -= m * m
+        grads[:, offset:offset + m * m] = (
+            delta[:, :, None] * acts[layer][:, None, :]).reshape(n, m * m)
+        delta = (delta @ wh[layer]) * (acts[layer] > 0.0)
+    grads[:, :m * d] = (delta[:, :, None] * xs[:, None, :]).reshape(n, m * d)
+    return grads, outputs
+
+
+class TestJacobianMatchesPerRowRecursion:
+    """Each row of gradient_many, e_i @ J by the backward pass, equals the
+    per-row recursion bit for bit (as values: exact zeros may differ in sign)."""
+
+    @pytest.mark.parametrize("width,dim", [(2, 2), (8, 6), (64, 88), (128, 40)])
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_bitwise_equal(self, depth, width, dim):
+        shape = NetworkShape(depth, width, dim)
+        rng = np.random.default_rng(depth * 1000 + width + dim)
+        theta = rng.standard_normal(shape.param_count)
+        dead_units = False
+        for n in [1, 2, 3, 5, 10, 33, 64]:
+            mixed = rng.standard_normal((n, dim))
+            for xs in (np.abs(mixed), mixed):
+                grads, outputs = gradient_many(theta, shape, xs)
+                ref_grads, ref_outputs = per_row_jacobian_reference(theta, shape, xs)
+                assert np.array_equal(grads, ref_grads), (n, xs.min() >= 0)
+                assert np.array_equal(outputs, ref_outputs)
+                dead_units |= bool(np.any(grads[:, -width:] == 0.0))
+        assert dead_units  # the masks of the backward pass were exercised
 
 
 class TestVectorJacobianProduct:

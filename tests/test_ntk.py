@@ -96,6 +96,10 @@ class TestNtkGram:
         with pytest.raises(DegenerateContextError):
             ntk_gram(np.zeros((2, 3)), 2)
 
+    def test_depth_below_two_rejected(self):
+        with pytest.raises(ConfigurationError, match="^depth must be >= 2, got 1$"):
+            ntk_gram(np.eye(2), 1)
+
 
 class TestEffectiveDimension:
     def test_identity_hand_value(self):
@@ -121,6 +125,13 @@ class TestEffectiveDimension:
         H = np.diag([1.0, -1.0])
         with pytest.raises(ArithmeticError):
             effective_dimension(H, 1.0, 2)
+
+    def test_zero_lambda_rejected(self):
+        with pytest.raises(ConfigurationError, match="^lambda must be > 0, got 0.0$"):
+            effective_dimension(np.eye(2), 0.0, 2)
+
+    def test_empty_gram_matrix(self):
+        assert effective_dimension(np.zeros((0, 0)), 1.0, 10) == 0.0
 
 
 class TestDPlus:
@@ -161,6 +172,13 @@ class TestDPlus:
     def test_invalid_delta(self):
         with pytest.raises(ConfigurationError):
             DelayBoundParams(10, 1.5, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("field", ["horizon", "expected_delay", "alpha", "b"])
+    def test_negative_field_rejected(self, field):
+        values = {"horizon": 10, "delta": 0.05, "expected_delay": 1.0, "alpha": 1.0, "b": 1.0}
+        values[field] = -1
+        with pytest.raises(ConfigurationError, match="must be >= 0$"):
+            DelayBoundParams(**values)
 
 
 class TestRegretBound:
