@@ -154,9 +154,7 @@ class ExperimentConfig(_Checked):
         env = self.environment
         return DelayDistribution(env.delay, env.expected_delay, env.delay_lomax)
 
-    def resolve_data_path(self, name: str | None) -> Path | None:
-        if name is None:
-            return None
+    def resolve_data_path(self, name: str) -> Path:
         path = Path(name)
         if not path.is_absolute():
             root = os.environ.get(DATA_ROOT_ENV)

@@ -131,22 +131,30 @@ def load_mushroom_csv(path) -> Dataset:
 
 
 def disjoint_transform(features: np.ndarray, K: int) -> np.ndarray:
-    """Embed a d0-vector into K block vectors of dimension d0*K (one per arm)."""
+    """Embed a d0-vector into K block vectors of dimension d0*K (one per arm):
+    row a holds the features in block a.
+
+    ``features`` may also be the (h, d0) halves of a vector: row a of the
+    (K, h*K*d0) result holds half j in block j*K + a. On the halves of
+    ``assumption3_embed(x)``, row a is the embedding of row a of
+    ``disjoint_transform(x, K)``, normalised by the norm of x.
+    """
     if K < 2:
         raise ValueError(f"need K >= 2 arms, got {K}")
-    d0 = features.shape[0]
-    contexts = np.zeros((K, d0 * K))
+    halves = features.reshape(-1, features.shape[-1])  # a d0-vector is one half
+    h, d0 = halves.shape
+    blocks = np.zeros((K, h, K, d0))
     for a in range(K):
-        contexts[a, a * d0:(a + 1) * d0] = features
-    return contexts
+        blocks[a, :, a] = halves
+    return blocks.reshape(K, h * K * d0)
 
 
 def assumption3_embed(context: np.ndarray) -> np.ndarray:
     """Duplicate and normalize so the output has unit norm and equal halves."""
-    norm = np.linalg.norm(context)
+    norm = math.sqrt(context.dot(context))  # np.linalg.norm's sum, without its checks
     if norm == 0.0:
         raise DegenerateContextError("cannot embed a zero context")
-    return np.concatenate([context, context]) / (np.sqrt(2.0) * norm)
+    return np.concatenate([context, context]) / (math.sqrt(2.0) * norm)
 
 
 def synthetic_h(h_id: SyntheticH, direction: np.ndarray):

@@ -4,14 +4,13 @@ Three independent seeded streams (context, noise, delay) let delay ablations
 hold the context and noise sequences fixed.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, SyntheticH, assumption3_embed, disjoint_transform, synthetic_h
 from .delay import DelayDistribution
-from .errors import ConfigurationError, DegenerateContextError
+from .errors import ConfigurationError
 
 
 class DatasetSource:
@@ -44,31 +43,12 @@ class DatasetSource:
     def round_data(self, t: int):
         i = self.order[(t - 1) % len(self.labels)]
         features = self.features[i]
-        if self.embed:
-            contexts = self._embedded_disjoint(features)
-        else:
-            contexts = disjoint_transform(features, self.arms)
+        if self.embed:  # row a: (x_a, x_a) / (sqrt(2) ||x||), x_a the disjoint row a
+            features = assumption3_embed(features).reshape(2, -1)
+        contexts = disjoint_transform(features, self.arms)
         h = np.full(self.arms, self.wrong_class_reward)
         h[self.labels[i]] = 1.0
         return contexts, h
-
-    def _embedded_disjoint(self, features: np.ndarray) -> np.ndarray:
-        """assumption3_embed of each row of disjoint_transform, built in one array.
-
-        Every arm's disjoint context holds the same entries, so all share one
-        norm, sqrt(features . features) as np.linalg.norm computes it; row a
-        holds the scaled features in blocks a and K + a of a (K, 2 K d0) array.
-        """
-        norm = math.sqrt(features @ features)
-        if norm == 0.0:
-            raise DegenerateContextError("cannot embed a zero context")
-        arms, d0 = self.arms, features.shape[0]
-        scaled = features / (np.sqrt(2.0) * norm)
-        contexts = np.zeros((arms, 2 * arms * d0))
-        for a in range(arms):
-            contexts[a, a * d0:(a + 1) * d0] = scaled
-            contexts[a, (arms + a) * d0:(arms + a + 1) * d0] = scaled
-        return contexts
 
 
 class SyntheticSource:

@@ -21,7 +21,8 @@ class DivergedTrainingError(RuntimeError):
 
 
 class DesignUpdateError(RuntimeError):
-    """A design-matrix update met a non-finite vector or a pivot that is not finite and positive."""
+    """A design-matrix update met a non-finite vector or a pivot that is not finite
+    and positive, or the computed inverse is not positive definite where it must be."""
 
 
 class FormatError(ValueError):

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Literal
 import numpy as np
 
 from .design import DesignMatrix
-from .errors import ProtocolViolationError
+from .errors import DesignUpdateError, ProtocolViolationError
 from .network import NetworkShape, gradient_many, init_symmetric, train_nn
 
 if TYPE_CHECKING:
@@ -247,7 +247,12 @@ class LinearBandit(Bandit):
         if self.cfg.nu == 0.0:
             draw = theta_hat
         else:
-            chol = np.linalg.cholesky(self.design.inverse())
+            try:
+                chol = np.linalg.cholesky(self.design.inverse())
+            except np.linalg.LinAlgError:  # Z^-1 inverted from an ill-conditioned Z
+                raise DesignUpdateError(
+                    f"lin-ts posterior covariance nu^2 Z^-1 is not positive definite "
+                    f"at round {self.t + 1} (policy.lambda = {self.cfg.lam!r})") from None
             draw = theta_hat + self.cfg.nu * (chol @ self.rng.standard_normal(self.dim))
         scores = contexts @ draw
         return scores, means, scores - means

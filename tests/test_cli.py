@@ -12,7 +12,7 @@ import pytest
 from delaybandit import config as config_mod
 from delaybandit.analysis import analyze_config
 from delaybandit.cli import main
-from delaybandit.config import ExperimentConfig, config_from_dict
+from delaybandit.config import ExperimentConfig, config_from_dict, resolved_summary
 from delaybandit.design import DesignMatrix
 from delaybandit.errors import DesignUpdateError
 
@@ -155,6 +155,13 @@ class TestCli:
         assert main(["validate", "--config", str(path)]) == code
         assert capsys.readouterr().err == message
 
+    def test_empty_config_file_validates_to_the_defaults(self, tmp_path, capsys):
+        path = tmp_path / "empty.yaml"
+        path.write_text("")
+        assert main(["validate", "--config", str(path)]) == 0
+        echo = json.loads(capsys.readouterr().out)
+        assert echo == json.loads(json.dumps(resolved_summary(ExperimentConfig())))
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.yaml")]) == 1
 
@@ -210,6 +217,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: training loss became non-finite at step")
         assert err.count("\n") == 1
+
+    def test_lin_ts_posterior_not_positive_definite_exits_2_with_one_line(self, tmp_path,
+                                                                          capsys):
+        # embedded contexts have equal halves, so Z = lam I + G^T G is
+        # ill-conditioned at a tiny lambda and its computed inverse is not
+        # positive definite; LinTS cannot draw from it
+        path = self._config(tmp_path, "lin-ts", experiment={"horizon": 100},
+                            policy={"lambda": 1.0e-8},
+                            environment={"embed_assumption3": "true"})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: lin-ts posterior covariance nu^2 Z^-1 is not "
+                              "positive definite at round ")
+        assert err.endswith(" (policy.lambda = 1e-08)\n") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_design_update_error_exits_2_with_one_line(self, config_file, tmp_path,
                                                        capsys, monkeypatch):
@@ -397,6 +419,20 @@ class TestCli:
         assert done.stderr == ("error: the mushroom data holds no nonzero context "
                                "in its 5 rows\n")
         assert not (tmp_path / "out").exists()
+
+    def test_run_analyze_writes_the_analysis_beside_the_same_runs(self, config_file,
+                                                                  tmp_path, capsys):
+        plain, analyzed = tmp_path / "plain", tmp_path / "analyzed"
+        assert main(["run", "--config", str(config_file), "--out", str(plain)]) == 0
+        assert main(["run", "--config", str(config_file), "--out", str(analyzed),
+                     "--analyze"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(config_file)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert json.loads((analyzed / "summary.json").read_text())["analysis"] == report
+        assert "analysis" not in json.loads((plain / "summary.json").read_text())
+        for name in ("run_1.csv", "run_2.csv", "mean.csv"):
+            assert (analyzed / name).read_bytes() == (plain / name).read_bytes()
 
     def test_analyze(self, config_file, capsys):
         assert main(["analyze", "--config", str(config_file)]) == 0

@@ -8,10 +8,12 @@ import pytest
 
 from delaybandit import (Dataset, assumption3_embed, disjoint_transform, load_idx,
                          load_mushroom_csv, synthetic_h)
-from delaybandit.data import load_idx_images, load_idx_labels
+from delaybandit.config import config_from_dict
+from delaybandit.data import MUSHROOM_ATTRIBUTES, load_idx_images, load_idx_labels
 from delaybandit.environment import DatasetSource
 from delaybandit.errors import (ConfigurationError, DegenerateContextError,
                                 FormatError)
+from delaybandit.harness import build_environment
 
 
 def reference_embedded_disjoint(features, arms):
@@ -329,6 +331,52 @@ class TestDatasetSourceContexts:
             # the per-arm norms sum the same squares in different orders, so
             # they differ from the shared norm, and from each other, by a few ulp
             np.testing.assert_array_max_ulp(contexts, expected, maxulp=4)
+
+    @pytest.mark.parametrize("arms", [2, 3, 10])
+    @pytest.mark.parametrize("d0", [22, 784])
+    def test_halves_layout_matches_reference_build(self, arms, d0):
+        # DatasetSource's embedded contexts: the halves of assumption3_embed
+        # laid out by disjoint_transform, bit for bit the reference 4-D build
+        rng = np.random.default_rng(1000 * arms + d0)
+        for _ in range(5):
+            dense = rng.random(d0) + 0.01
+            sparse = np.where(rng.random(d0) < 0.5, 0.0, rng.standard_normal(d0))
+            sparse[rng.integers(d0)] = 1.0
+            for features in (dense, sparse):
+                contexts = disjoint_transform(assumption3_embed(features).reshape(2, -1), arms)
+                assert contexts.shape == (arms, 2 * arms * d0)
+                assert np.array_equal(contexts, reference_embedded_disjoint(features, arms))
+
+    def test_unembedded_round_is_the_disjoint_transform(self, mushroom_csv):
+        cfg = config_from_dict({
+            "experiment": {"horizon": 5, "arms": 3, "seeds": [1]},
+            "policy": {"algorithm": "lin-ucb"},
+            "environment": {"source": "mushroom", "dataset_path": str(mushroom_csv)}})
+        assert not cfg.environment.embed_assumption3
+        env = build_environment(cfg, seed=1)
+        assert env.context_dim == MUSHROOM_ATTRIBUTES * 3
+        ds = env.source
+        for t in range(1, 6):
+            features = ds.features[ds.order[t - 1]]
+            assert np.array_equal(env.round_contexts(t), disjoint_transform(features, 3))
+
+    def test_wrong_class_reward(self, mushroom_csv):
+        cfg = config_from_dict({
+            "experiment": {"horizon": 5, "arms": 3, "seeds": [1]},
+            "policy": {"algorithm": "lin-ucb"},
+            "environment": {"source": "mushroom", "dataset_path": str(mushroom_csv),
+                            "noise_variance": 0.0, "wrong_class_reward": 0.25}})
+        env = build_environment(cfg, seed=1)
+        for t in range(1, 6):
+            label = env.source.labels[env.source.order[t - 1]]
+            _, h = env.source.round_data(t)
+            assert h.tolist() == [1.0 if arm == label else 0.25 for arm in range(3)]
+            env.round_contexts(t)
+            wrong = 1 + (label + 1) % 3
+            outcome = env.step(t, wrong)
+            assert (outcome.reward, outcome.regret) == (0.25, 0.75)
+            env.round_contexts(t)
+            assert env.step(t, label + 1).regret == 0.0
 
     def test_zero_features_rejected(self):
         ds = Dataset(np.zeros((1, 3)), np.array([0]))

@@ -13,6 +13,7 @@ from delaybandit.delay import DelayDistribution
 from delaybandit.errors import ConfigurationError
 from delaybandit.harness import (aggregate, build_environment, emit,
                                  run_experiment, run_single)
+from delaybandit.policies import Bandit
 
 
 def synthetic_config(**overrides):
@@ -73,6 +74,38 @@ class TestConfig:
         cfg = config_from_dict(yaml.safe_load(example))
         assert cfg.delay_distribution() == DelayDistribution("uniform", 30)
         assert cfg.policy.algorithm == "delayed-neural-ucb"
+
+    def test_readme_python_blocks_run(self, tmp_path, monkeypatch, mushroom_csv):
+        # the documented library calls, in order and in one namespace: a
+        # one-seed experiment, then the loop that run_single runs
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "experiment.yaml").write_text(yaml.safe_dump({
+            "experiment": {"horizon": 30, "arms": 2, "seeds": [1]},
+            "policy": {"algorithm": "delayed-neural-ucb", "design_mode": "diag"},
+            "network": {"width": 8},
+            "train": {"steps": 2, "steps_schedule": "fixed"},
+            "environment": {"source": "mushroom", "dataset_path": str(mushroom_csv),
+                            "embed_assumption3": True,
+                            "delay": "uniform", "expected_delay": 3}}))
+        actions = []
+        select_action = Bandit.select_action
+
+        def recording(self, contexts):
+            action, diagnostics = select_action(self, contexts)
+            actions.append(action)
+            return action, diagnostics
+
+        namespace = {}
+        exec(blocks[0], namespace)
+        assert (tmp_path / "results" / "run_1.csv").is_file()
+        monkeypatch.setattr(Bandit, "select_action", recording)
+        for block in blocks[1:]:
+            exec(block, namespace)
+        monkeypatch.undo()
+        cfg = load_config(tmp_path / "experiment.yaml")
+        assert actions == [row[1] for row in run_single(cfg, 1).rows]
 
     def test_yaml_round_trip(self, tmp_path):
         path = tmp_path / "cfg.yaml"
