@@ -14,17 +14,19 @@ def analyze_config(cfg: ExperimentConfig) -> dict:
     """Desk-scale theory summary: d_tilde, D_+ and the bound curve.
 
     Contexts are sampled from the configured environment (first rounds, all
-    arms) and passed through the duplicate-and-normalize embedding so they
-    satisfy the unit-norm / equal-halves conditions the theory assumes.
+    arms) and, unless the environment embeds them already, passed through the
+    duplicate-and-normalize embedding so they satisfy the unit-norm /
+    equal-halves conditions the theory assumes.
     """
     env = build_environment(cfg, cfg.seeds[0])
     wanted = cfg.analysis.n_contexts
     # a dataset repeats after one pass over its rows, and its nonzero contexts
     # with it; a synthetic context is never zero
     rounds = len(env.source.labels) if isinstance(env.source, DatasetSource) else wanted
+    embed = (lambda x: x) if cfg.environment.embed_assumption3 else assumption3_embed
     found = []
     for t in range(1, rounds + 1):
-        found += [assumption3_embed(x) for x in env.round_contexts(t) if np.linalg.norm(x) > 0]
+        found += [embed(x) for x in env.round_contexts(t) if np.linalg.norm(x) > 0]
         if len(found) >= wanted:
             break
     if not found:

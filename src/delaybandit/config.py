@@ -170,7 +170,8 @@ def _coerce(ftype, value):
     """value as a field of type ftype holds it; ValueError names the kind expected.
 
     YAML 1.1 reads exponents without a sign, such as 1.0e3, as strings, so a
-    float field takes a string that parses as a float. bool is not a number.
+    float field takes a string that parses as a float. A float field holds an
+    integer as a float. bool is not a number.
     A Literal field takes a string, which the block then checks.
     """
     if get_origin(ftype) is tuple:
@@ -189,6 +190,11 @@ def _coerce(ftype, value):
             pass
     accepted = (int, float) if kind is float else kind
     if isinstance(value, accepted) and (kind is bool or not isinstance(value, bool)):
+        if kind is float:
+            try:
+                return float(value)
+            except OverflowError:  # an integer beyond every float, so as .inf
+                return math.inf if value > 0 else -math.inf
         return value
     raise ValueError(_KINDS[kind])
 

@@ -7,9 +7,12 @@ import re
 import shutil
 import tempfile
 import time
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,15 +24,69 @@ from .network import NetworkShape
 from .policies import BanditRecord, LinearBandit, NeuralBandit
 
 
+class RunColumns(NamedTuple):
+    """A run's per-round results, one fixed-width column each (8 bytes a round).
+
+    Row i is round t = i + 1; its pending count is t - revealed.
+    """
+
+    arm: array
+    regret: array
+    cum_regret: array
+    revealed: array
+    gamma: array
+
+    @classmethod
+    def empty(cls) -> "RunColumns":
+        return cls(array("q"), array("d"), array("d"), array("q"), array("d"))
+
+
+class Rows(Sequence):
+    """Read-only view of RunColumns as (round, arm, regret, cum_regret, revealed,
+    pending, gamma) tuples of Python ints and floats, built as they are read."""
+
+    __slots__ = ("_columns",)
+    __hash__ = None
+
+    def __init__(self, columns: RunColumns):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns.arm)
+
+    def __getitem__(self, index: int) -> tuple:
+        i = range(len(self))[index]  # IndexError out of range; counts back from -1
+        arm, regret, cum, revealed, gamma = (column[i] for column in self._columns)
+        return i + 1, arm, regret, cum, revealed, i + 1 - revealed, gamma
+
+    def __iter__(self):
+        for t, arm, regret, cum, revealed, gamma in zip(count(1), *self._columns):
+            yield t, arm, regret, cum, revealed, t - revealed, gamma
+
+    def __eq__(self, other):
+        if isinstance(other, Rows):
+            return self._columns == other._columns
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 @dataclass
 class RunResult:
     seed: int
-    rows: list  # (round, arm, regret, cum_regret, revealed, pending, gamma)
+    columns: RunColumns
     summary: dict
 
     @property
+    def rows(self) -> Rows:
+        return Rows(self.columns)
+
+    @property
     def cum_regret(self) -> np.ndarray:
-        return np.array([row[3] for row in self.rows])
+        """The cumulative-regret column as a read-only float64 array, without a copy."""
+        view = np.frombuffer(self.columns.cum_regret, dtype=np.float64)
+        view.flags.writeable = False
+        return view
 
 
 def _stream(seed: int, label: int) -> np.random.Generator:
@@ -78,7 +135,8 @@ def run_single(cfg: ExperimentConfig, seed: int, dataset=None) -> RunResult:
     env = build_environment(cfg, seed, dataset=dataset)
     policy = build_policy(cfg, env.context_dim, seed)
     queue = RevealQueue()
-    rows = []
+    columns = RunColumns.empty()
+    arms, regrets, cum_regrets, reveals, gammas = (column.append for column in columns)
     cum_regret = 0.0
     for t in range(1, cfg.horizon + 1):
         action, _ = policy.select_action(env.round_contexts(t))
@@ -86,18 +144,21 @@ def run_single(cfg: ExperimentConfig, seed: int, dataset=None) -> RunResult:
         queue.schedule(t, outcome.delay, BanditRecord(t, outcome.reward))
         policy.ingest_revealed(queue.pop_revealed(t))
         cum_regret += outcome.regret
-        revealed = policy.revealed_count
-        rows.append((t, action, outcome.regret, cum_regret,
-                     revealed, t - revealed, policy.gamma))
+        arms(action)
+        regrets(outcome.regret)
+        cum_regrets(cum_regret)
+        reveals(policy.revealed_count)
+        gammas(policy.gamma)
+    revealed = columns.revealed[-1]
     summary = {
         "seed": seed,
         "final_cum_regret": cum_regret,
-        "revealed": rows[-1][4],
-        "pending": rows[-1][5],
+        "revealed": revealed,
+        "pending": cfg.horizon - revealed,
         "max_scaled_grad_norm": policy.max_scaled_grad_norm,
         "wall_time_s": time.perf_counter() - started,
     }
-    return RunResult(seed, rows, summary)
+    return RunResult(seed, columns, summary)
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[RunResult]:
@@ -117,7 +178,7 @@ def aggregate(results: list[RunResult]):
     """Pointwise mean plus min/max envelope of the cumulative-regret curves."""
     if not results:
         raise ValueError("no results to aggregate")
-    horizons = {len(r.rows) for r in results}
+    horizons = {len(r.columns.cum_regret) for r in results}
     if len(horizons) > 1:
         raise ValueError(f"results have mismatched horizons {sorted(horizons)}")
     curves = np.stack([r.cum_regret for r in results])
@@ -158,20 +219,23 @@ def emit(results: list[RunResult], out_dir, cfg: ExperimentConfig,
         shutil.rmtree(staging)
 
 
+def _write_lines(path: Path, header: str, lines) -> None:
+    """Write header and then each line as it is made, one newline after each."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
 def _write_outputs(results, out: Path, cfg: ExperimentConfig, analysis) -> None:
     for result in results:
-        lines = [CSV_HEADER]
-        for t, arm, regret, cum, revealed, pending, gamma in result.rows:
-            lines.append(f"{t},{arm},{_fmt(regret)},{_fmt(cum)},"
-                         f"{revealed},{pending},{_fmt(gamma)}")
-        (out / f"run_{result.seed}.csv").write_text("\n".join(lines) + "\n",
-                                                    encoding="utf-8", newline="\n")
+        _write_lines(out / f"run_{result.seed}.csv", CSV_HEADER, (
+            f"{t},{arm},{_fmt(regret)},{_fmt(cum)},{revealed},{pending},{_fmt(gamma)}"
+            for t, arm, regret, cum, revealed, pending, gamma in result.rows))
     mean, lo, hi = aggregate(results)
-    lines = ["round,mean_cum_regret,min_cum_regret,max_cum_regret"]
-    for t in range(len(mean)):
-        lines.append(f"{t + 1},{_fmt(mean[t])},{_fmt(lo[t])},{_fmt(hi[t])}")
-    (out / "mean.csv").write_text("\n".join(lines) + "\n",
-                                  encoding="utf-8", newline="\n")
+    _write_lines(out / "mean.csv", "round,mean_cum_regret,min_cum_regret,max_cum_regret", (
+        f"{t},{_fmt(m)},{_fmt(low)},{_fmt(high)}"
+        for t, m, low, high in zip(count(1), mean, lo, hi)))
     summary = {
         "config": resolved_summary(cfg),
         "runs": [r.summary for r in results],

@@ -177,7 +177,8 @@ class NeuralBandit(Bandit):
     def _score(self, contexts: np.ndarray):
         sqrt_m = math.sqrt(self.shape.width)
         grads, means = gradient_many(self.theta, self.shape, contexts)
-        gnorm = np.max(np.linalg.norm(grads, axis=1)) / sqrt_m
+        # np.linalg.norm(grads, axis=1) computes this for real input, plus a conj() copy
+        gnorm = np.max(np.sqrt(np.add.reduce(grads * grads, axis=1))) / sqrt_m
         self.max_scaled_grad_norm = max(self.max_scaled_grad_norm, float(gnorm))
         grads /= sqrt_m
         quad = self.design.quad_form(grads)

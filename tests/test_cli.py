@@ -9,12 +9,16 @@ from typing import Literal, get_origin
 import numpy as np
 import pytest
 
+from delaybandit import analysis as analysis_mod
 from delaybandit import config as config_mod
 from delaybandit.analysis import analyze_config
 from delaybandit.cli import main
 from delaybandit.config import ExperimentConfig, config_from_dict, resolved_summary
+from delaybandit.data import assumption3_embed
 from delaybandit.design import DesignMatrix
 from delaybandit.errors import DesignUpdateError
+from delaybandit.harness import build_environment
+from delaybandit.ntk import effective_dimension, ntk_gram
 
 from test_data import write_idx_images, write_idx_labels
 
@@ -267,6 +271,18 @@ class TestCli:
         assert main(["validate", "--config", path]) == 0
         assert json.loads(capsys.readouterr().out)["train"]["eta"] == 1000.0
 
+    def test_float_field_holds_an_integer_as_a_float(self, tmp_path, capsys):
+        path = self._config(tmp_path, "delayed-neural-ucb", policy={"alpha": 1},
+                            environment={"delay": "constant", "expected_delay": 30})
+        assert main(["validate", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert '"expected_delay": 30.0,' in out and '"alpha": 1.0,' in out
+        assert json.loads(out)["delay_distribution"] == "Constant(30.0)"
+        # an integer past the float range is out of range as .inf is
+        path = self._config(tmp_path, "delayed-neural-ucb", train={"eta": "1" + "0" * 400})
+        assert main(["validate", "--config", path]) == 1
+        assert capsys.readouterr().err == "error: train.eta: must be finite, got inf\n"
+
     @pytest.mark.parametrize("value", ["fast", "true", "[1.0]"])
     def test_non_numeric_float_field_exits_1_with_one_line(self, tmp_path, capsys, value):
         path = self._config(tmp_path, "delayed-neural-ucb", train={"eta": value})
@@ -475,3 +491,31 @@ class TestAnalysis:
         ignored, zero = report(30), report(0)
         for key in ("D_plus", "D_tau", "psi_tau", "bound_curve"):
             assert ignored[key] == zero[key], key
+
+    @pytest.mark.parametrize("embed", [True, False], ids=["embedded", "plain"])
+    def test_contexts_are_embedded_once(self, mushroom_csv, monkeypatch, embed):
+        # the criterion-8 mushroom config, with and without embedding in the environment
+        cfg = config_from_dict({
+            "experiment": {"horizon": 2000, "arms": 2, "seeds": [1]},
+            "policy": {"algorithm": "delayed-neural-ucb", "lambda": 0.1},
+            "network": {"width": 64},
+            "environment": {"source": "mushroom", "dataset_path": str(mushroom_csv),
+                            "embed_assumption3": embed,
+                            "delay": "uniform", "expected_delay": 30},
+        })
+        seen = []
+
+        def spy(contexts, depth):
+            seen.append(contexts)
+            return ntk_gram(contexts, depth)
+
+        monkeypatch.setattr(analysis_mod, "ntk_gram", spy)
+        report = analyze_config(cfg)
+        contexts, = seen
+        context_dim = build_environment(cfg, 1).context_dim
+        assert contexts.shape == (40, context_dim if embed else 2 * context_dim)
+        # embedding an embedded context again keeps every inner product
+        twice = np.stack([assumption3_embed(x) for x in contexts]) if embed else contexts
+        embedded_twice = effective_dimension(ntk_gram(twice, cfg.network.depth),
+                                             cfg.policy.lam, cfg.horizon * cfg.arms)
+        assert report["d_tilde"] == pytest.approx(embedded_twice, rel=1e-12, abs=0)

@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -258,6 +260,50 @@ def json_roundtrip_raw(cfg):
         "environment": {"source": "synthetic", "synthetic_h": "linear",
                         "synthetic_dim": 4, "delay": "none"},
     }
+
+
+class TestRunColumns:
+    def test_rows_view_yields_python_tuples(self):
+        cfg = synthetic_config(
+            experiment={"horizon": 30},
+            policy={"algorithm": "delayed-neural-ucb"},
+            network={"width": 4},
+            train={"steps": 1, "steps_schedule": "fixed", "batch_size": None},
+            environment={"delay": "uniform", "expected_delay": 3})
+        result = run_single(cfg, seed=2)
+        rows = result.rows
+        assert len(rows) == 30 and rows[-1] == rows[29] == list(rows)[-1]
+        with pytest.raises(IndexError):
+            rows[30]
+        for row in rows:
+            assert list(map(type, row)) == [int, int, float, float, int, int, float]
+        assert rows == list(rows) and rows != list(rows)[:-1]
+        assert result.summary["revealed"] == rows[-1][4] > 0
+        assert result.summary["pending"] == rows[-1][5]
+        cum = result.cum_regret
+        assert cum.tolist() == [row[3] for row in rows] and not cum.flags.writeable
+
+    def test_run_and_emit_memory_per_round(self, tmp_path):
+        # the columns keep 40 bytes a round; emit streams rows rather than
+        # holding each CSV as lines and one joined string
+        horizon = 5000
+        cfg = synthetic_config(experiment={"horizon": horizon})
+        emit([run_single(cfg, 1)], tmp_path / "warm", cfg)  # lazy imports and caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_single(cfg, 1)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            emit([result], tmp_path / "out", cfg)
+            emit_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= 64 * horizon
+        assert emit_peak <= 100 * horizon
 
 
 def undelayed_policy(cfg):
