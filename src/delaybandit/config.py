@@ -21,11 +21,13 @@ from typing import ClassVar, Literal, get_args, get_origin
 
 from .data import MUSHROOM_ATTRIBUTES, Source, SyntheticH
 from .delay import DelayDistribution, DelayKind
-from .design import DesignMode
+from .design import DesignMode, full_design_bytes
 from .errors import ConfigurationError
+from .network import NetworkShape
 from .policies import Algorithm, GammaMode, RetrainTrigger, SqrtLambdaS, StepsSchedule
 
 DATA_ROOT_ENV = "DELAYED_BANDIT_DATA"
+DESIGN_MEMORY_CAP = 4 * 2**30  # bytes a full design may hold at most (README)
 
 # range checks: (test, the rule it enforces); None values are not tested,
 # and a float field must be finite before its range is tested
@@ -249,6 +251,11 @@ def validate(cfg: ExperimentConfig, errors: list[str]) -> None:
         if dim is not None and dim % 2:
             errors.append(f"environment: the context dimension {dim} must be even for "
                           "neural algorithms; set embed_assumption3: true")
+        elif dim is not None:
+            try:
+                check_design_memory(cfg, dim)
+            except ConfigurationError as exc:
+                errors.append(str(exc))
     if not cfg.policy.algorithm.startswith("delayed-") and \
             cfg.delay_distribution().kind != "none":
         errors.append(f"environment.delay: must be 'none' for {cfg.policy.algorithm}, "
@@ -258,6 +265,22 @@ def validate(cfg: ExperimentConfig, errors: list[str]) -> None:
         errors.append("environment.dataset_path: required for dataset sources")
     if cfg.environment.source == "mnist" and cfg.environment.labels_path is None:
         errors.append("environment.labels_path: required for mnist")
+
+
+def check_design_memory(cfg: ExperimentConfig, context_dim: int) -> None:
+    """Raise ConfigurationError if a neural algorithm's full design could hold more
+    than DESIGN_MEMORY_CAP bytes over the horizon. ``validate`` checks this where
+    the context dimension is known without the data; a run checks it once it is."""
+    if cfg.policy.design_mode != "full":
+        return
+    p = NetworkShape(cfg.network.depth, cfg.network.width, context_dim).param_count
+    held = full_design_bytes(p, cfg.horizon)
+    if held > DESIGN_MEMORY_CAP:
+        raise ConfigurationError(
+            f"policy.design_mode: a full design at p = {p} may hold {held} bytes "
+            f"({held / 2**30:.1f} GiB) over {cfg.horizon} rounds, above the cap of "
+            f"{DESIGN_MEMORY_CAP} bytes ({DESIGN_MEMORY_CAP / 2**30:.0f} GiB); "
+            "use design_mode: diag or a shorter horizon")
 
 
 def _context_dim(cfg: ExperimentConfig) -> int | None:

@@ -1,10 +1,14 @@
 """Dataset ingestion and the classification-to-bandit context transforms.
 
-A loaded dataset is one ``Dataset``: an (n, d) float64 feature matrix and an
-(n,) int64 label vector, row i of each describing sample i. Both loaders raise
-``FormatError`` for a file with no data rows (a mushroom CSV of blank lines,
-an IDX pair of 0 images); ``environment.DatasetSource`` raises
-``ConfigurationError`` for a label that is not an arm.
+A loaded dataset is one ``Dataset``: the file's one-byte codes (a pixel or a
+categorical letter) as an (n, d) uint8 matrix, a (d, 256) float64 table of the
+value each code stands for in each column, and an (n,) int64 label vector.
+Feature j of sample i is ``levels[j, codes[i, j]]``, so a sample costs d bytes
+and 8 for its label, and no n x d float matrix is built: ``Dataset.features``
+decodes the rows asked for. Both loaders raise ``FormatError`` for a file with
+no data rows (a mushroom CSV of blank lines, an IDX pair of 0 images);
+``environment.DatasetSource`` raises ``ConfigurationError`` for a label that
+is not an arm.
 
 The mushroom CSV holds 23 single-character ASCII fields per line, separated
 by commas, with no header. Blank lines are skipped; a line of any other shape
@@ -34,10 +38,17 @@ SyntheticH = Literal["linear", "quadratic-clipped", "cosine-clipped"]
 
 @dataclass(frozen=True)
 class Dataset:
-    """n labeled samples: ``features`` (n, d) float64, ``labels`` (n,) int64."""
+    """n labeled samples as byte codes: ``codes`` (n, d) uint8, ``levels``
+    (d, 256) float64, where feature j of a sample with code c is levels[j, c],
+    and ``labels`` (n,) int64."""
 
-    features: np.ndarray
+    codes: np.ndarray
+    levels: np.ndarray
     labels: np.ndarray
+
+    def features(self, rows) -> np.ndarray:
+        """The float64 features of ``rows`` (an index, a slice or an index array)."""
+        return self.levels[np.arange(self.codes.shape[1]), self.codes[rows]]
 
 
 def _read_idx(path, expected_magic: int, ndims: int):
@@ -60,9 +71,10 @@ def _read_idx(path, expected_magic: int, ndims: int):
 
 
 def load_idx_images(path) -> np.ndarray:
-    """Parse an IDX image file into an (n, rows*cols) float array in [0, 1]."""
+    """Parse an IDX image file into its (n, rows*cols) uint8 pixels, a view of
+    the file's bytes."""
     (n, rows, cols), pixels = _read_idx(path, IDX_MAGIC_IMAGES, 3)
-    return pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
+    return pixels.reshape(n, rows * cols)
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -71,7 +83,7 @@ def load_idx_labels(path) -> np.ndarray:
 
 
 def load_idx(images_path, labels_path) -> Dataset:
-    """Load an MNIST-style (images, labels) IDX pair."""
+    """Load an MNIST-style (images, labels) IDX pair; pixel byte k reads k / 255."""
     images = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
@@ -79,7 +91,9 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels")
     if images.shape[0] == 0:
         raise FormatError(f"{images_path}: no data rows")
-    return Dataset(images, labels)
+    # one row of levels serves every column, so the table is a view of 256 floats
+    levels = np.broadcast_to(np.arange(256) / 255.0, (images.shape[1], 256))
+    return Dataset(images, levels, labels)
 
 
 def _mushroom_line_error(line: bytes) -> str:
@@ -102,6 +116,8 @@ def load_mushroom_csv(path) -> Dataset:
     Field 1 is the class: 'e' -> 0, 'p' -> 1. Each of the 22 categorical
     attributes maps to its alphabetical index within the column's observed
     category set, scaled to [0, 1]; '?' participates like any other character.
+    The codes are the attribute letters' bytes, and levels row j maps each byte
+    to its scaled index in column j.
     """
     rows = []
     with open(path, "rb") as fh:
@@ -125,9 +141,8 @@ def load_mushroom_csv(path) -> Dataset:
     # a byte's rank among the bytes its column holds is its alphabetical index,
     # scaled by (categories - 1); a column of one category reads 0 / 1 = 0.0
     scaled = (np.cumsum(seen, axis=1) - 1) / np.maximum(seen.sum(axis=1, keepdims=True) - 1, 1)
-    features = scaled[columns, attrs]
     labels = (grid[:, 0] == ord("p")).astype(np.int64)
-    return Dataset(features, labels)
+    return Dataset(np.ascontiguousarray(attrs), scaled, labels)
 
 
 def disjoint_transform(features: np.ndarray, K: int) -> np.ndarray:

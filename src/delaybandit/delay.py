@@ -82,7 +82,12 @@ def reveal_round(s: int, tau: float) -> int:
 
 @dataclass
 class RevealQueue:
-    """Buckets of pending records keyed by reveal round, drained in order."""
+    """Buckets of pending records keyed by reveal round, drained in order.
+
+    ``pop_revealed(t)`` returns every record due in a round <= t, ordered by the
+    round it was scheduled in, so a caller may skip rounds. A record due in a
+    round already popped could never be returned, so ``schedule`` refuses it.
+    """
 
     buckets: dict = field(default_factory=dict)
     inserted: int = 0
@@ -96,15 +101,27 @@ class RevealQueue:
     def schedule(self, s: int, tau: float, record) -> None:
         if s < 1:
             raise ValueError(f"round must be >= 1, got {s}")
-        self.buckets.setdefault(reveal_round(s, tau), []).append((s, record))
+        t = reveal_round(s, tau)
+        if t <= self.last_popped_round:
+            raise ProtocolViolationError(
+                f"record of round {s} is due in round {t}, "
+                f"but round {self.last_popped_round} has been popped")
+        self.buckets.setdefault(t, []).append((s, record))
         self.inserted += 1
 
     def pop_revealed(self, t: int) -> list:
-        if t <= self.last_popped_round:
-            raise ProtocolViolationError(
-                f"pop_revealed({t}) after round {self.last_popped_round}")
+        last = self.last_popped_round
+        if t <= last:
+            raise ProtocolViolationError(f"pop_revealed({t}) after round {last}")
         self.last_popped_round = t
-        items = self.buckets.pop(t, ())
+        items = self.buckets.pop(t, [])
+        if t - last > 1:
+            # the rounds skipped since the last pop, or, after a long skip, the
+            # bucket keys before t, whichever is fewer to visit
+            skipped = range(last + 1, t) if t - last <= len(self.buckets) else \
+                [r for r in self.buckets if r < t]
+            for r in skipped:
+                items += self.buckets.pop(r, ())
         if len(items) > 1:
             items.sort(key=itemgetter(0))  # records may be scheduled in any order
         self.popped += len(items)

@@ -47,6 +47,17 @@ _BLOCK_ROWS = 256     # rows of Z^{-1} per step of the in-place primal update
 DesignMode = Literal["full", "diag"]
 
 
+def full_design_bytes(p: int, updates: int) -> int:
+    """The bytes a full design of dimension p holds after ``updates`` updates:
+    min(updates, p) dual rows of p floats and, once p vectors switch it to the
+    primal form, Z and Z^{-1} (p x p each), the REFRESH_PERIOD x p buffer and
+    the block scratch."""
+    held = min(updates, p) * p * 8
+    if updates >= p:
+        held += 2 * p * p * 8 + (REFRESH_PERIOD + _BLOCK_ROWS) * p * 8
+    return held
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.flags.writeable = False

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ExperimentConfig, resolved_summary
+from .config import ExperimentConfig, check_design_memory, resolved_summary
 from .data import load_idx, load_mushroom_csv
 from .delay import RevealQueue
 from .environment import DatasetSource, Environment, SyntheticSource
@@ -125,6 +125,7 @@ def build_policy(cfg: ExperimentConfig, context_dim: int, seed: int):
     rng = _stream(seed, 4)
     if cfg.policy.algorithm.startswith("lin-"):
         return LinearBandit(cfg.policy, context_dim, rng)
+    check_design_memory(cfg, context_dim)  # an mnist run learns its context_dim only here
     shape = NetworkShape(cfg.network.depth, cfg.network.width, context_dim)
     return NeuralBandit(cfg.policy, cfg.train, shape, rng)
 

@@ -8,11 +8,12 @@ Weight layout used throughout: ``w1`` of shape (m, d), ``wh`` of shape
 parameter vectors concatenate ``vec(w1)``, ``vec(w2)``, ..., ``vec(w_{L-1})``
 (row-major) followed by ``wl``. The ReLU subgradient at 0 is 0.
 
-Differentiation is one backward pass, ``_Passes.backward``, which writes
-v @ J for the (n, p) Jacobian J of a batch's outputs. Training backpropagates
-its residual, ``vjp`` any v, and ``grad_batch`` builds J as the rows e_i @ J,
-only where each row is a feature vector: the arms being scored and the
-revealed records entering the design matrix. ``train_nn`` runs its steps as
+Differentiation is one delta recursion, ``_Passes.backprop``.
+``_Passes.backward`` sums its per-row products into v @ J for the (n, p)
+Jacobian J of a batch's outputs: training backpropagates its residual, ``vjp``
+any v. ``grad_batch`` backpropagates v = 1 and keeps the rows apart, building
+J itself, only where each row is a feature vector: the arms being scored and
+the revealed records entering the design matrix. ``train_nn`` runs its steps as
 one loop: it draws every mini-batch index vector at once and writes
 activations, residuals, deltas and the gradient into buffers allocated once
 per call, so a step allocates nothing.
@@ -129,7 +130,7 @@ class _Passes:
         self.sqrt_m = np.sqrt(m)
         self.acts = np.empty((shape.depth - 1, rows, m))
         self.mask = np.empty((rows, m), dtype=bool)
-        self.delta = np.empty((rows, m))
+        self.deltas = [np.empty((rows, m)) for _ in range(shape.depth - 1)]
         self.spare = np.empty((rows, m))
         self.scaled = np.empty(rows)
 
@@ -145,24 +146,34 @@ class _Passes:
         out *= self.sqrt_m
         return out
 
+    def backprop(self, wh, wl, v):
+        """Backpropagate v from the last forward's outputs into ``deltas``:
+        deltas[k] is the (rows, m) delta at h_{k+1}, so the gradient of W_1 is
+        deltas[0]^T x and that of hidden layer wh[k] is deltas[k+1]^T h_{k+1}.
+        Row i of each delta depends on v_i alone."""
+        acts, mask, deltas, spare = self.acts, self.mask, self.deltas, self.spare
+        # delta = (mask * w_L) * (sqrt(m) * v); the product with the 0/1 mask is exact
+        np.multiply(v, self.sqrt_m, out=self.scaled)
+        np.greater(acts[-1], 0.0, out=mask)
+        top = deltas[-1]
+        np.multiply(mask, wl, out=top)
+        top *= self.scaled[:, None]
+        for layer in range(wh.shape[0] - 1, -1, -1):
+            np.matmul(deltas[layer + 1], wh[layer], out=spare)
+            np.greater(acts[layer], 0.0, out=mask)
+            np.multiply(spare, mask, out=deltas[layer])
+
     def backward(self, wh, wl, xs, v, grad_views):
         """Write v @ J, J the (n, p) Jacobian of the last forward's outputs, into
         the (w1, wh, wl) views of a flat gradient."""
         g1, gh, gl = grad_views
-        acts, mask, delta, spare = self.acts, self.mask, self.delta, self.spare
+        acts, deltas = self.acts, self.deltas
+        self.backprop(wh, wl, v)
         np.matmul(v, acts[-1], out=gl)
         gl *= self.sqrt_m
-        # delta = (mask * w_L) * (sqrt(m) * v); the product with the 0/1 mask is exact
-        np.multiply(v, self.sqrt_m, out=self.scaled)
-        np.greater(acts[-1], 0.0, out=mask)
-        np.multiply(mask, wl, out=delta)
-        delta *= self.scaled[:, None]
-        for layer in range(wh.shape[0] - 1, -1, -1):
-            np.matmul(delta.T, acts[layer], out=gh[layer])
-            np.matmul(delta, wh[layer], out=spare)
-            np.greater(acts[layer], 0.0, out=mask)
-            np.multiply(spare, mask, out=delta)
-        np.matmul(delta.T, xs, out=g1)
+        for layer in range(wh.shape[0]):
+            np.matmul(deltas[layer + 1].T, acts[layer], out=gh[layer])
+        np.matmul(deltas[0].T, xs, out=g1)
 
 
 def forward_many(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray) -> np.ndarray:
@@ -184,19 +195,26 @@ def gradient_many(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray):
 
 def grad_batch(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray):
     """The (n, p) Jacobian J and the outputs (n,) at the rows of xs, from one
-    forward pass. Row i is e_i @ J, which the backward pass writes straight
-    into its row. That is n backward passes over n rows, so n must stay small:
-    the K arms, or one round's reveals."""
+    forward and one backward pass. Each row's deltas depend on that row alone,
+    so backpropagating v = 1 gives every row's at once, and row i of a layer's
+    gradient is the outer product of row i of its delta and of its input,
+    written straight into row i of J. n is kept small: the K arms, or one
+    round's reveals."""
     w1, wh, wl = unflatten(theta, shape)
     n = xs.shape[0]
+    m, d = shape.width, shape.input_dim
     passes = _Passes(shape, n)
     outputs = passes.forward(w1, wh, wl, xs, np.empty(n))
+    passes.backprop(wh, wl, np.ones(n))
+    acts, deltas = passes.acts, passes.deltas
     grads = np.empty((n, shape.param_count))
-    unit = np.zeros(n)
-    for i in range(n):
-        unit[i] = 1.0
-        passes.backward(wh, wl, xs, unit, unflatten(grads[i], shape))
-        unit[i] = 0.0
+    # each row of J is laid out as a flat parameter vector: w1, the hidden layers, wl
+    np.multiply(deltas[0][:, :, None], xs[:, None, :], out=grads[:, :m * d].reshape(n, m, d))
+    for layer in range(shape.n_hidden):
+        start = m * d + layer * m * m
+        np.multiply(deltas[layer + 1][:, :, None], acts[layer][:, None, :],
+                    out=grads[:, start:start + m * m].reshape(n, m, m))
+    np.multiply(acts[-1], passes.sqrt_m, out=grads[:, -m:])
     return grads, outputs
 
 

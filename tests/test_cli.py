@@ -198,21 +198,29 @@ class TestCli:
         assert sorted(f.name for f in tmp_path.iterdir()) == [config_file.name, "out"]
 
     def test_jobs_2_writes_the_bytes_of_jobs_1(self, tmp_path):
-        path = self._config(tmp_path, "delayed-neural-ts",
-                            experiment={"horizon": 30, "seeds": [1, 2, 3]},
-                            environment={"delay": "uniform", "expected_delay": 3})
-        for jobs in ("1", "2"):
-            assert main(["run", "--config", path, "--out", str(tmp_path / jobs),
-                         "--jobs", jobs]) == 0
-        names = ["mean.csv"] + [f"run_{seed}.csv" for seed in (1, 2, 3)]
-        for name in names:
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
-        summaries = [json.loads((tmp_path / jobs / "summary.json").read_text())
-                     for jobs in ("1", "2")]
-        for summary in summaries:
-            for run in summary["runs"]:
-                assert run.pop("wall_time_s") > 0
-        assert summaries[0] == summaries[1]
+        # a synthetic run, and an IDX one whose Dataset the workers receive pickled
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        rng = np.random.default_rng(3)
+        write_idx_images(images, rng.integers(0, 256, size=(20, 4, 4)))
+        write_idx_labels(labels, list(rng.integers(0, 2, size=20)))
+        mnist = {"source": "mnist", "dataset_path": images, "labels_path": labels,
+                 "embed_assumption3": "true"}
+        for source, environment in (("synthetic", {}), ("mnist", mnist)):
+            path = self._config(tmp_path, "delayed-neural-ts",
+                                experiment={"horizon": 30, "seeds": [1, 2, 3]},
+                                environment={"delay": "uniform", "expected_delay": 3,
+                                             **environment})
+            outs = [tmp_path / source / jobs for jobs in ("1", "2")]
+            for jobs, out in zip(("1", "2"), outs):
+                assert main(["run", "--config", path, "--out", str(out), "--jobs", jobs]) == 0
+            names = ["mean.csv"] + [f"run_{seed}.csv" for seed in (1, 2, 3)]
+            for name in names:
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+            summaries = [json.loads((out / "summary.json").read_text()) for out in outs]
+            for summary in summaries:
+                for run in summary["runs"]:
+                    assert run.pop("wall_time_s") > 0
+            assert summaries[0] == summaries[1]
 
     def test_diverged_training_exits_2_with_one_line(self, tmp_path, capsys):
         path = tmp_path / "diverge.yaml"
@@ -303,6 +311,48 @@ class TestCli:
         assert err.startswith("error: ") and field in err and err.count("\n") == 1
         # the linear baselines build no network
         assert main(["validate", "--config", self._config(tmp_path, "lin-ucb", **sections)]) == 0
+
+    # MNIST's size: 784 pixels, 10 arms, embedded, width 128, so p = 2 007 168
+    MNIST_SIZE = {"experiment": {"horizon": 2000, "arms": 10}, "network": {"width": 128}}
+    MNIST_P = 128 * 784 * 10 * 2 + 128
+
+    def test_full_design_over_the_memory_cap_exits_1(self, tmp_path, capsys):
+        # 2000 dual rows of p floats are 32 GB: refused before the first round
+        path = self._config(tmp_path, "delayed-neural-ucb", **self.MNIST_SIZE,
+                            environment={"synthetic_dim": 7840, "embed_assumption3": "true"})
+        held = 2000 * self.MNIST_P * 8
+        assert main(["validate", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: policy.design_mode: a full design at p = {self.MNIST_P} may "
+                       f"hold {held} bytes (29.9 GiB) over 2000 rounds, above the cap of "
+                       f"{4 * 2**30} bytes (4 GiB); use design_mode: diag or a shorter "
+                       "horizon\n")
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "out").exists()
+        # the diagonal design holds p floats, and a short horizon stays below the cap
+        for sections in ({"policy": {"design_mode": "diag"}},
+                         {"experiment": {"horizon": 30, "arms": 10}}):
+            path = self._config(tmp_path, "delayed-neural-ucb", **{
+                **self.MNIST_SIZE, **sections,
+                "environment": {"synthetic_dim": 7840, "embed_assumption3": "true"}})
+            assert main(["validate", "--config", path]) == 0
+
+    def test_mnist_full_design_over_the_memory_cap_exits_1_at_run(self, tmp_path, capsys):
+        # p depends on the image size, which only the run reads
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx_images(images, np.ones((10, 28, 28)))
+        write_idx_labels(labels, list(range(10)))
+        path = self._config(tmp_path, "delayed-neural-ucb", **self.MNIST_SIZE, environment={
+            "source": "mnist", "dataset_path": images, "labels_path": labels,
+            "embed_assumption3": "true"})
+        assert main(["validate", "--config", path]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: policy.design_mode: a full design at p = {self.MNIST_P} ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sections,message", [
         ({"network": {"width": '"8"'}}, "network.width: expected an integer, got '8'"),

@@ -1,6 +1,7 @@
 import gc
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -69,17 +70,59 @@ class TestIdx:
         write_idx_labels(lab, [3])
         ds = load_idx(img, lab)
         assert len(ds.labels) == 1
-        assert ds.features[0].shape == (784,)
-        assert np.all(ds.features[0] == 0.0)
+        assert ds.features(0).shape == (784,)
+        assert np.all(ds.features(0) == 0.0)
         assert ds.labels[0] == 3
 
     def test_pixel_scaling(self, tmp_path):
         img = tmp_path / "imgs"
+        lab = tmp_path / "labs"
         images = np.zeros((2, 2, 2), dtype=np.uint8)
         images[0] = 255
         write_idx_images(img, images)
-        loaded = load_idx_images(img)
-        assert set(np.unique(loaded)) == {0.0, 1.0}
+        write_idx_labels(lab, [0, 1])
+        assert set(np.unique(load_idx_images(img))) == {0, 255}
+        assert set(np.unique(load_idx(img, lab).features(np.arange(2)))) == {0.0, 1.0}
+
+    def test_decoded_rows_equal_the_scaled_pixels(self, tmp_path):
+        img = tmp_path / "imgs"
+        lab = tmp_path / "labs"
+        rng = np.random.default_rng(7)
+        images = rng.integers(0, 256, size=(30, 28, 28)).astype(np.uint8)
+        images[0, :4] = 255  # both ends of the byte range
+        images[1, :4] = 0
+        labels = list(rng.integers(0, 10, size=30))
+        write_idx_images(img, images)
+        write_idx_labels(lab, labels)
+        ds = load_idx(img, lab)
+        expected = images.reshape(30, 784).astype(np.float64) / 255.0
+        assert ds.codes.dtype == np.uint8 and ds.codes.shape == (30, 784)
+        assert ds.features(np.arange(30)).tobytes() == expected.tobytes()
+        for i in range(30):
+            assert ds.features(i).tobytes() == expected[i].tobytes()
+        # DatasetSource decodes one row per round from the same table
+        source = DatasetSource(ds, 10, np.random.default_rng(0))
+        for t in range(1, 31):
+            contexts, _ = source.round_data(t)
+            row = expected[source.order[t - 1]]
+            assert contexts.tobytes() == disjoint_transform(row, 10).tobytes()
+
+    def test_load_allocates_little_beyond_the_file(self, tmp_path):
+        # the pixels stay the file's bytes: no float copy of the images
+        img = tmp_path / "imgs"
+        lab = tmp_path / "labs"
+        n = 2000
+        write_idx_images(img, np.zeros((n, 28, 28)))
+        write_idx_labels(lab, [0] * n)
+        pixels = n * 784
+        tracemalloc.start()
+        try:
+            ds = load_idx(img, lab)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - img.stat().st_size) / pixels <= 1.1
+        assert len(ds.labels) == n
 
     def test_wrong_magic(self, tmp_path):
         lab = tmp_path / "labs"
@@ -135,7 +178,9 @@ class TestIdx:
         write_idx_labels(lab, list(rng.integers(0, 10, size=5)))
         a = load_idx(img, lab)
         b = load_idx(img, lab)
-        assert np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.codes, b.codes) and np.array_equal(a.levels, b.levels)
+        assert np.array_equal(a.features(np.arange(5)), b.features(np.arange(5)))
+        assert np.array_equal(a.labels, b.labels)
 
     def test_no_images(self, tmp_path):
         img = tmp_path / "imgs"
@@ -164,7 +209,7 @@ class TestMushroom:
         lines = ["e," + "a," * 21 + x for x in "abc"]
         path.write_text("\n".join(lines) + "\n")
         ds = load_mushroom_csv(path)
-        last = list(ds.features[:, 21])
+        last = list(ds.features(np.arange(3))[:, 21])
         assert last == pytest.approx([0.0, 0.5, 1.0])
 
     def test_class_labels(self, tmp_path):
@@ -173,7 +218,7 @@ class TestMushroom:
                         "p," + ",".join(["a"] * 22) + "\n")
         ds = load_mushroom_csv(path)
         assert list(ds.labels) == [0, 1]
-        assert ds.features[0].shape == (22,)
+        assert ds.features(0).shape == (22,)
 
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -186,14 +231,18 @@ class TestMushroom:
         assert len(ds.labels) > 100
         labels = set(ds.labels)
         assert labels == {0, 1}
-        feats = ds.features
+        feats = ds.features(np.arange(len(ds.labels)))
         assert feats.min() >= 0.0 and feats.max() <= 1.0
 
     def test_surrogate_matches_reference(self, mushroom_csv):
         ds = load_mushroom_csv(mushroom_csv)
         features, labels = reference_mushroom(mushroom_csv)
-        assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
-        assert np.array_equal(ds.features, features)
+        assert ds.codes.dtype == np.uint8 and ds.labels.dtype == np.int64
+        decoded = ds.features(np.arange(len(labels)))
+        assert decoded.dtype == np.float64
+        assert decoded.tobytes() == features.tobytes()
+        assert all(ds.features(i).tobytes() == features[i].tobytes()
+                   for i in range(len(labels)))
         assert np.array_equal(ds.labels, labels)
 
     def test_odd_but_valid_file_matches_reference(self, tmp_path):
@@ -211,9 +260,12 @@ class TestMushroom:
         path.write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode("ascii"))
         ds = load_mushroom_csv(path)
         features, labels = reference_mushroom(path)
-        assert np.array_equal(ds.features, features)
+        decoded = ds.features(np.arange(len(labels)))
+        assert decoded.tobytes() == features.tobytes()
+        assert all(ds.features(i).tobytes() == features[i].tobytes()
+                   for i in range(len(labels)))
         assert np.array_equal(ds.labels, labels)
-        assert np.all(ds.features[:, 7] == 0.0)
+        assert np.all(decoded[:, 7] == 0.0)
 
     ROW = "e," + ",".join(["a"] * 22)
 
@@ -322,7 +374,7 @@ class TestDatasetSourceContexts:
         source = DatasetSource(ds, arms, np.random.default_rng(0), embed=True)
         for t in range(1, len(ds.labels) + 1):
             contexts, _ = source.round_data(t)
-            features = ds.features[source.order[t - 1]]
+            features = ds.features(source.order[t - 1])
             assert np.array_equal(contexts, reference_embedded_disjoint(features, arms))
             expected = np.stack([assumption3_embed(x)
                                  for x in disjoint_transform(features, arms)])
@@ -357,7 +409,7 @@ class TestDatasetSourceContexts:
         assert env.context_dim == MUSHROOM_ATTRIBUTES * 3
         ds = env.source
         for t in range(1, 6):
-            features = ds.features[ds.order[t - 1]]
+            features = ds.dataset.features(ds.order[t - 1])
             assert np.array_equal(env.round_contexts(t), disjoint_transform(features, 3))
 
     def test_wrong_class_reward(self, mushroom_csv):
@@ -379,14 +431,14 @@ class TestDatasetSourceContexts:
             assert env.step(t, label + 1).regret == 0.0
 
     def test_zero_features_rejected(self):
-        ds = Dataset(np.zeros((1, 3)), np.array([0]))
+        ds = Dataset(np.zeros((1, 3), np.uint8), np.zeros((3, 256)), np.array([0]))
         source = DatasetSource(ds, 2, np.random.default_rng(0), embed=True)
         with pytest.raises(DegenerateContextError):
             source.round_data(1)
         with pytest.raises(DegenerateContextError):
-            reference_embedded_disjoint(ds.features[0], 2)
+            reference_embedded_disjoint(ds.features(0), 2)
 
     def test_label_without_an_arm_rejected(self):
-        ds = Dataset(np.ones((3, 2)), np.array([0, 2, 1]))
+        ds = Dataset(np.ones((3, 2), np.uint8), np.ones((2, 256)), np.array([0, 2, 1]))
         with pytest.raises(ConfigurationError, match="dataset label 2 has no arm"):
             DatasetSource(ds, 2, np.random.default_rng(0))

@@ -40,6 +40,31 @@ class TestQueue:
         with pytest.raises(ProtocolViolationError):
             q.pop_revealed(3)
 
+    def test_pop_returns_what_came_due_in_skipped_rounds(self):
+        q = RevealQueue()
+        q.schedule(1, 1.0, "r")  # due in round 2
+        assert q.pop_revealed(1) == []
+        assert q.pop_revealed(3) == ["r"]
+        assert q.pending_count == 0
+        # several rounds' buckets come out ordered by schedule round
+        q.schedule(4, 4.5, "a")  # due in round 9
+        q.schedule(6, 1.0, "c")  # due in round 7
+        q.schedule(5, 1.5, "b")  # due in round 7
+        q.schedule(5, 10.0, "later")
+        assert q.pop_revealed(9) == ["a", "b", "c"]
+        assert q.pending_count == 1
+
+    def test_schedule_rejects_a_record_due_in_a_popped_round(self):
+        q = RevealQueue()
+        q.pop_revealed(1)
+        with pytest.raises(ProtocolViolationError,
+                           match="^record of round 1 is due in round 1, "
+                                 "but round 1 has been popped$"):
+            q.schedule(1, 0.0, "r")
+        assert q.pending_count == 0
+        q.schedule(1, 0.5, "r")  # due in round 2, not yet popped
+        assert q.pop_revealed(2) == ["r"]
+
     def test_schedule_rejects_round_0(self):
         q = RevealQueue()
         with pytest.raises(ValueError, match="^round must be >= 1, got 0$"):

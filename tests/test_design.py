@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from delaybandit import DesignMatrix, assumption3_embed, disjoint_transform
-from delaybandit.design import REFRESH_PERIOD
+from delaybandit.design import REFRESH_PERIOD, full_design_bytes
 from delaybandit.errors import ConfigurationError, DesignUpdateError
 
 
@@ -28,6 +28,14 @@ class TestConstruction:
     def test_zero_dimension_rejected(self):
         with pytest.raises(ConfigurationError, match="^dimension must be >= 1, got 0$"):
             DesignMatrix(0, 1.0)
+
+
+    def test_full_design_bytes(self):
+        # dual rows until p updates, then Z, Z^-1, the refresh buffer and the scratch
+        assert full_design_bytes(10, 4) == 4 * 10 * 8
+        assert full_design_bytes(10, 9) == 9 * 10 * 8
+        primal = 10 * 10 * 8 + 2 * 10 * 10 * 8 + (REFRESH_PERIOD + 256) * 10 * 8
+        assert full_design_bytes(10, 10) == full_design_bytes(10, 10**6) == primal
 
 
 class TestUpdates:
