@@ -70,8 +70,8 @@ else:
     for name, dataset, arms in (("d22", load_mushroom_csv(csv), 2),
                                 ("d784", load_idx(images, labels), 10)):
         source = DatasetSource(dataset, arms, np.random.default_rng(0), embed=True)
-        # a decoding source has a features(i) method, an older one a float matrix
-        row = source.features if callable(source.features) else source.features.__getitem__
+        # a decoding dataset has a features(rows) method, an older one a float matrix
+        row = dataset.features if callable(dataset.features) else dataset.features.__getitem__
         rows = source.order[:1000].tolist()
         calls = [lambda: [row(i) for i in rows],
                  lambda: [source.round_data(t) for t in range(1, 1001)]]

@@ -47,8 +47,10 @@ class Dataset:
     labels: np.ndarray
 
     def features(self, rows) -> np.ndarray:
-        """The float64 features of ``rows`` (an index, a slice or an index array)."""
-        return self.levels[np.arange(self.codes.shape[1]), self.codes[rows]]
+        """The float64 features of ``rows`` (an index, a slice or an index array),
+        one gather from the flattened table: feature j of code c is entry 256 j + c."""
+        offsets = np.arange(0, 256 * self.codes.shape[1], 256)
+        return self.levels.ravel().take(offsets + self.codes[rows])
 
 
 def _read_idx(path, expected_magic: int, ndims: int):
@@ -91,8 +93,7 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels")
     if images.shape[0] == 0:
         raise FormatError(f"{images_path}: no data rows")
-    # one row of levels serves every column, so the table is a view of 256 floats
-    levels = np.broadcast_to(np.arange(256) / 255.0, (images.shape[1], 256))
+    levels = np.tile(np.arange(256) / 255.0, (images.shape[1], 1))
     return Dataset(images, levels, labels)
 
 

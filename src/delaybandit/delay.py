@@ -115,13 +115,9 @@ class RevealQueue:
             raise ProtocolViolationError(f"pop_revealed({t}) after round {last}")
         self.last_popped_round = t
         items = self.buckets.pop(t, [])
-        if t - last > 1:
-            # the rounds skipped since the last pop, or, after a long skip, the
-            # bucket keys before t, whichever is fewer to visit
-            skipped = range(last + 1, t) if t - last <= len(self.buckets) else \
-                [r for r in self.buckets if r < t]
-            for r in skipped:
-                items += self.buckets.pop(r, ())
+        if t - last > 1:  # the buckets of the rounds skipped since the last pop
+            for r in [r for r in self.buckets if r < t]:
+                items += self.buckets.pop(r)
         if len(items) > 1:
             items.sort(key=itemgetter(0))  # records may be scheduled in any order
         self.popped += len(items)

@@ -48,14 +48,23 @@ DesignMode = Literal["full", "diag"]
 
 
 def full_design_bytes(p: int, updates: int) -> int:
-    """The bytes a full design of dimension p holds after ``updates`` updates:
-    min(updates, p) dual rows of p floats and, once p vectors switch it to the
-    primal form, Z and Z^{-1} (p x p each), the REFRESH_PERIOD x p buffer and
-    the block scratch."""
-    held = min(updates, p) * p * 8
+    """The most bytes a full design of dimension p holds at once over its first
+    ``updates`` updates, the copies its steps make included.
+
+    In the dual form the rows G (c x p) and the factor W (c x c) grow by
+    doubling their capacity c from _INITIAL_ROWS up to p, and while ``_grow``
+    copies them the old and the new buffers are both alive. Once p vectors are
+    in, the switch to the primal form holds G and W (p rows each), Z, the Z^{-1}
+    being built and np.linalg.inv's two p x p work buffers: six p x p arrays,
+    which also bound a refresh's five (Z, the old and the new Z^{-1} and inv's
+    two) beside the REFRESH_PERIOD x p buffer and the block scratch.
+    """
     if updates >= p:
-        held += 2 * p * p * 8 + (REFRESH_PERIOD + _BLOCK_ROWS) * p * 8
-    return held
+        return 8 * (6 * p * p + (REFRESH_PERIOD + min(p, _BLOCK_ROWS)) * p)
+    old, rows = 0, min(p, _INITIAL_ROWS)
+    while rows < updates:
+        old, rows = rows, min(2 * rows, p)
+    return 8 * ((old + rows) * p + old * old + rows * rows)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -34,24 +34,15 @@ class DatasetSource:
         self.embed = embed
         self.wrong_class_reward = wrong_class_reward
         self.order = rng.permutation(len(self.labels))
-        # row i decodes as one gather from the flat table: feature j of code c
-        # is entry 256 j + c (ravel copies a broadcast table once, here)
-        d = dataset.codes.shape[1]
-        self._flat_levels = dataset.levels.ravel()
-        self._offsets = np.arange(0, 256 * d, 256)
 
     @property
     def context_dim(self) -> int:
         d = self.dataset.codes.shape[1] * self.arms
         return 2 * d if self.embed else d
 
-    def features(self, i: int) -> np.ndarray:
-        """The float64 features of sample i, decoded from its codes."""
-        return self._flat_levels.take(self._offsets + self.dataset.codes[i])
-
     def round_data(self, t: int):
         i = self.order[(t - 1) % len(self.labels)]
-        features = self.features(i)
+        features = self.dataset.features(i)
         if self.embed:  # row a: (x_a, x_a) / (sqrt(2) ||x||), x_a the disjoint row a
             features = assumption3_embed(features).reshape(2, -1)
         contexts = disjoint_transform(features, self.arms)

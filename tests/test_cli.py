@@ -317,26 +317,30 @@ class TestCli:
     MNIST_P = 128 * 784 * 10 * 2 + 128
 
     def test_full_design_over_the_memory_cap_exits_1(self, tmp_path, capsys):
-        # 2000 dual rows of p floats are 32 GB: refused before the first round
+        # 2000 dual rows fill a capacity of 2048, grown from 1024 with both alive:
+        # 46 GB, refused before the first round
         path = self._config(tmp_path, "delayed-neural-ucb", **self.MNIST_SIZE,
                             environment={"synthetic_dim": 7840, "embed_assumption3": "true"})
-        held = 2000 * self.MNIST_P * 8
+        held = 8 * ((1024 + 2048) * self.MNIST_P + 1024**2 + 2048**2)
         assert main(["validate", "--config", path]) == 1
         err = capsys.readouterr().err
         assert err == (f"error: policy.design_mode: a full design at p = {self.MNIST_P} may "
-                       f"hold {held} bytes (29.9 GiB) over 2000 rounds, above the cap of "
+                       f"hold {held} bytes (46.0 GiB) over 2000 rounds, above the cap of "
                        f"{4 * 2**30} bytes (4 GiB); use design_mode: diag or a shorter "
                        "horizon\n")
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == err
         assert not (tmp_path / "out").exists()
-        # the diagonal design holds p floats, and a short horizon stays below the cap
-        for sections in ({"policy": {"design_mode": "diag"}},
-                         {"experiment": {"horizon": 30, "arms": 10}}):
+        # the diagonal design holds p floats, and a horizon of up to 128 rounds, whose
+        # last growth copies 64 rows into 128, stays below the cap; 129 rounds grow
+        # 128 rows into 256, 6.2 GB
+        for sections, code in (({"policy": {"design_mode": "diag"}}, 0),
+                               ({"experiment": {"horizon": 128, "arms": 10}}, 0),
+                               ({"experiment": {"horizon": 129, "arms": 10}}, 1)):
             path = self._config(tmp_path, "delayed-neural-ucb", **{
                 **self.MNIST_SIZE, **sections,
                 "environment": {"synthetic_dim": 7840, "embed_assumption3": "true"}})
-            assert main(["validate", "--config", path]) == 0
+            assert main(["validate", "--config", path]) == code
 
     def test_mnist_full_design_over_the_memory_cap_exits_1_at_run(self, tmp_path, capsys):
         # p depends on the image size, which only the run reads

@@ -31,11 +31,33 @@ class TestConstruction:
 
 
     def test_full_design_bytes(self):
-        # dual rows until p updates, then Z, Z^-1, the refresh buffer and the scratch
-        assert full_design_bytes(10, 4) == 4 * 10 * 8
-        assert full_design_bytes(10, 9) == 9 * 10 * 8
-        primal = 10 * 10 * 8 + 2 * 10 * 10 * 8 + (REFRESH_PERIOD + 256) * 10 * 8
+        # G and W while _grow copies them: the old capacity and the new, both alive
+        assert full_design_bytes(300, 1) == full_design_bytes(300, 64) == 8 * (64 * 300 + 64**2)
+        assert full_design_bytes(300, 65) == 8 * ((64 + 128) * 300 + 64**2 + 128**2)
+        assert full_design_bytes(300, 299) == 8 * ((256 + 300) * 300 + 256**2 + 300**2)
+        # from the switch on: six p x p arrays, the refresh buffer and the scratch
+        primal = 8 * (6 * 10 * 10 + (REFRESH_PERIOD + 10) * 10)
         assert full_design_bytes(10, 10) == full_design_bytes(10, 10**6) == primal
+
+    @pytest.mark.parametrize("updates", [64, 65, 128, 129, 299, 300, 300 + REFRESH_PERIOD])
+    def test_full_design_bytes_bounds_the_traced_peak(self, updates):
+        # on either side of each growth of the dual buffers the estimate is what
+        # the design allocates, up to a few vectors of temporaries; tracemalloc
+        # does not see np.linalg.inv's work buffers, so past the switch it bounds
+        p = 300
+        vectors = np.random.default_rng(updates).standard_normal((updates, p))
+        tracemalloc.start()
+        try:
+            dm = DesignMatrix(p, 1.0)
+            for u in vectors:
+                dm.rank1_update(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        estimate = full_design_bytes(p, updates)
+        assert peak <= estimate + 4 * p * 8
+        if updates < p:
+            assert estimate <= peak
 
 
 class TestUpdates:
