@@ -68,7 +68,7 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             print(json.dumps(analyze_config(cfg), indent=2))
             return 0
-        if args.seeds:  # checked as the config file's seeds are
+        if args.seeds is not None:  # checked as the config file's seeds are
             cfg = replace(cfg, seeds=_seeds(args.seeds))
         if args.jobs < 1:
             raise ConfigurationError(f"--jobs: must be >= 1, got {args.jobs}")

@@ -242,20 +242,21 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def validate(cfg: ExperimentConfig, errors: list[str]) -> None:
     """The checks that span fields; each field checks itself when its block is built."""
+    dim = _context_dim(cfg)
     if not cfg.policy.algorithm.startswith("lin-"):
         # only the neural algorithms build a network, and its symmetric
         # initialization splits both the width and the context in halves
         if cfg.network.width % 2:
             errors.append(f"network.width: must be even, got {cfg.network.width}")
-        dim = _context_dim(cfg)
         if dim is not None and dim % 2:
             errors.append(f"environment: the context dimension {dim} must be even for "
                           "neural algorithms; set embed_assumption3: true")
-        elif dim is not None:
-            try:
-                check_design_memory(cfg, dim)
-            except ConfigurationError as exc:
-                errors.append(str(exc))
+            dim = None
+    if dim is not None:
+        try:
+            check_design_memory(cfg, dim)
+        except ConfigurationError as exc:
+            errors.append(str(exc))
     if not cfg.policy.algorithm.startswith("delayed-") and \
             cfg.delay_distribution().kind != "none":
         errors.append(f"environment.delay: must be 'none' for {cfg.policy.algorithm}, "
@@ -268,19 +269,29 @@ def validate(cfg: ExperimentConfig, errors: list[str]) -> None:
 
 
 def check_design_memory(cfg: ExperimentConfig, context_dim: int) -> None:
-    """Raise ConfigurationError if a neural algorithm's full design could hold more
-    than DESIGN_MEMORY_CAP bytes over the horizon. ``validate`` checks this where
-    the context dimension is known without the data; a run checks it once it is."""
-    if cfg.policy.design_mode != "full":
+    """Raise ConfigurationError if the policy's full design could hold more than
+    DESIGN_MEMORY_CAP bytes over the horizon. ``validate`` checks this where the
+    context dimension is known without the data; a run checks it once it is.
+
+    A linear baseline's design is always full, at p = context_dim, and lin-ts
+    also holds Z^{-1} and its Cholesky factor, two p x p arrays, each round.
+    """
+    policy = cfg.policy
+    if policy.algorithm.startswith("lin-"):
+        where, p, advice = "policy.algorithm", context_dim, "use a shorter horizon"
+    elif policy.design_mode == "full":
+        where, advice = "policy.design_mode", "use design_mode: diag or a shorter horizon"
+        p = NetworkShape(cfg.network.depth, cfg.network.width, context_dim).param_count
+    else:
         return
-    p = NetworkShape(cfg.network.depth, cfg.network.width, context_dim).param_count
     held = full_design_bytes(p, cfg.horizon)
+    if policy.algorithm == "lin-ts":
+        held += 2 * p * p * 8
     if held > DESIGN_MEMORY_CAP:
         raise ConfigurationError(
-            f"policy.design_mode: a full design at p = {p} may hold {held} bytes "
+            f"{where}: a full design at p = {p} may hold {held} bytes "
             f"({held / 2**30:.1f} GiB) over {cfg.horizon} rounds, above the cap of "
-            f"{DESIGN_MEMORY_CAP} bytes ({DESIGN_MEMORY_CAP / 2**30:.0f} GiB); "
-            "use design_mode: diag or a shorter horizon")
+            f"{DESIGN_MEMORY_CAP} bytes ({DESIGN_MEMORY_CAP / 2**30:.0f} GiB); {advice}")
 
 
 def _context_dim(cfg: ExperimentConfig) -> int | None:

@@ -218,6 +218,17 @@ class DesignMatrix:
         np.maximum(vals, 0.0, out=vals)
         return float(vals[0]) if u.ndim == 1 else vals
 
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """Z^{-1} v for a (p,) vector, with no p x p temporary in any form."""
+        v = self._check_dim(v)
+        if self.mode == "diag":
+            return v / self._diag
+        if self._zinv is None:
+            n = self.update_count
+            g, w = self._g[:n], self._w[:n, :n]
+            return (v - g.T @ (w.T @ (w @ (g @ v)))) / self.lam
+        return self._zinv @ v
+
     def inverse(self) -> np.ndarray:
         """Z^{-1} as a read-only p x p array; the dual and diag forms build it per call."""
         if self.mode == "diag":

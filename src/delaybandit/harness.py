@@ -8,7 +8,6 @@ import shutil
 import tempfile
 import time
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count, repeat
 from pathlib import Path
@@ -41,34 +40,11 @@ class RunColumns(NamedTuple):
         return cls(array("q"), array("d"), array("d"), array("q"), array("d"))
 
 
-class Rows(Sequence):
-    """Read-only view of RunColumns as (round, arm, regret, cum_regret, revealed,
-    pending, gamma) tuples of Python ints and floats, built as they are read."""
-
-    __slots__ = ("_columns",)
-    __hash__ = None
-
-    def __init__(self, columns: RunColumns):
-        self._columns = columns
-
-    def __len__(self) -> int:
-        return len(self._columns.arm)
-
-    def __getitem__(self, index: int) -> tuple:
-        i = range(len(self))[index]  # IndexError out of range; counts back from -1
-        arm, regret, cum, revealed, gamma = (column[i] for column in self._columns)
-        return i + 1, arm, regret, cum, revealed, i + 1 - revealed, gamma
-
-    def __iter__(self):
-        for t, arm, regret, cum, revealed, gamma in zip(count(1), *self._columns):
-            yield t, arm, regret, cum, revealed, t - revealed, gamma
-
-    def __eq__(self, other):
-        if isinstance(other, Rows):
-            return self._columns == other._columns
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
+def _rows(columns: RunColumns):
+    """Yield the (round, arm, regret, cum_regret, revealed, pending, gamma) tuple of
+    each round, as Python ints and floats, from the columns as they are read."""
+    for t, arm, regret, cum, revealed, gamma in zip(count(1), *columns):
+        yield t, arm, regret, cum, revealed, t - revealed, gamma
 
 
 @dataclass
@@ -78,8 +54,9 @@ class RunResult:
     summary: dict
 
     @property
-    def rows(self) -> Rows:
-        return Rows(self.columns)
+    def rows(self) -> list[tuple]:
+        """The round tuples that run_<seed>.csv holds, as a new list on each access."""
+        return list(_rows(self.columns))
 
     @property
     def cum_regret(self) -> np.ndarray:
@@ -123,9 +100,9 @@ def build_environment(cfg: ExperimentConfig, seed: int, dataset=None) -> Environ
 
 def build_policy(cfg: ExperimentConfig, context_dim: int, seed: int):
     rng = _stream(seed, 4)
+    check_design_memory(cfg, context_dim)  # an mnist run learns its context_dim only here
     if cfg.policy.algorithm.startswith("lin-"):
         return LinearBandit(cfg.policy, context_dim, rng)
-    check_design_memory(cfg, context_dim)  # an mnist run learns its context_dim only here
     shape = NetworkShape(cfg.network.depth, cfg.network.width, context_dim)
     return NeuralBandit(cfg.policy, cfg.train, shape, rng)
 
@@ -232,7 +209,7 @@ def _write_outputs(results, out: Path, cfg: ExperimentConfig, analysis) -> None:
     for result in results:
         _write_lines(out / f"run_{result.seed}.csv", CSV_HEADER, (
             f"{t},{arm},{_fmt(regret)},{_fmt(cum)},{revealed},{pending},{_fmt(gamma)}"
-            for t, arm, regret, cum, revealed, pending, gamma in result.rows))
+            for t, arm, regret, cum, revealed, pending, gamma in _rows(result.columns)))
     mean, lo, hi = aggregate(results)
     _write_lines(out / "mean.csv", "round,mean_cum_regret,min_cum_regret,max_cum_regret", (
         f"{t},{_fmt(m)},{_fmt(low)},{_fmt(high)}"

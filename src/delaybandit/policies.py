@@ -240,7 +240,7 @@ class LinearBandit(Bandit):
         self.gamma = cfg.alpha
 
     def _score(self, contexts: np.ndarray):
-        theta_hat = self.design.inverse() @ self.b
+        theta_hat = self.design.solve(self.b)
         means = contexts @ theta_hat
         if self.exploration == "ucb":
             bonuses = self.cfg.alpha * np.sqrt(self.design.quad_form(contexts))

@@ -341,6 +341,25 @@ class TestCli:
                 **self.MNIST_SIZE, **sections,
                 "environment": {"synthetic_dim": 7840, "embed_assumption3": "true"}})
             assert main(["validate", "--config", path]) == code
+        capsys.readouterr()
+        # a linear baseline's design is always full, at p = the context dimension:
+        # 30 000 rounds go primal at p = 15 680, 11.1 GiB; 8 192 rounds stay dual,
+        # 2.1 GiB, unless lin-ts adds its p x p Z^{-1} and Cholesky factor
+        p = 15680
+        held = 8 * (6 * p * p + (512 + 256) * p)
+        for algorithm, horizon, code in (("lin-ucb", 30000, 1), ("lin-ucb", 8192, 0),
+                                         ("lin-ts", 8192, 1)):
+            path = self._config(tmp_path, algorithm, experiment={"horizon": horizon},
+                                environment={"synthetic_dim": p})
+            assert main(["validate", "--config", path]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == (f"error: policy.algorithm: a full design at p = {p} may hold "
+                          f"{held} bytes (11.1 GiB) over 30000 rounds, above the cap of "
+                          f"{4 * 2**30} bytes (4 GiB); use a shorter horizon")
+        assert len(err) == 2 and err[1].startswith(
+            f"error: policy.algorithm: a full design at p = {p} may hold ")
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_mnist_full_design_over_the_memory_cap_exits_1_at_run(self, tmp_path, capsys):
         # p depends on the image size, which only the run reads
@@ -386,12 +405,13 @@ class TestCli:
         (RUN + ["--seeds", "x"], "error: --seeds: expected comma-separated integers, got 'x'"),
         (RUN + ["--seeds", "1,,2"], "error: --seeds: expected comma-separated integers"),
         (RUN + ["--seeds", "-1"], "error: experiment.seeds: must be nonempty and >= 0"),
+        (RUN + ["--seeds", ""], "error: --seeds: expected comma-separated integers, got ''"),
         (RUN + ["--jobs", "0"], "error: --jobs: must be >= 1, got 0"),
         (RUN + ["--jobs", "-2"], "error: --jobs: must be >= 1, got -2"),
         (RUN + ["--jobs", "abc"], "error: argument --jobs: invalid int value: 'abc'"),
         (["bogus", "--config", "{config}"], "error: argument command: invalid choice: 'bogus'"),
         (["run", "--out", "{out}"], "error: the following arguments are required: --config"),
-    ], ids=["seeds-letter", "seeds-empty-item", "seeds-negative", "jobs-zero",
+    ], ids=["seeds-letter", "seeds-empty-item", "seeds-negative", "seeds-empty", "jobs-zero",
             "jobs-negative", "jobs-letters", "unknown-command", "no-config"])
     def test_bad_run_option_exits_1_with_one_line(self, config_file, tmp_path, capsys,
                                                   argv, message):

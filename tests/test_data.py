@@ -18,7 +18,9 @@ from delaybandit.harness import build_environment
 
 
 def reference_embedded_disjoint(features, arms):
-    """The 4-D block build that DatasetSource._embedded_disjoint replaced."""
+    """The embedded disjoint contexts built directly, as a (K, 2, K, d0) block array:
+    the oracle for DatasetSource.round_data and for disjoint_transform of an
+    embedded row."""
     norm = np.linalg.norm(features)
     if norm == 0.0:
         raise DegenerateContextError("cannot embed a zero context")

@@ -154,6 +154,23 @@ class TestOracle:
         assert dm.logdet_ratio() == pytest.approx(direct_logdet - p * np.log(lam),
                                                   rel=1e-8)
 
+    @pytest.mark.parametrize("mode,n", [("diag", 40), ("full", 40), ("full", 100)],
+                             ids=["diag", "dual", "primal"])
+    def test_solve_matches_the_inverse(self, mode, n):
+        p = 88
+        rng = np.random.default_rng(5)
+        dm = DesignMatrix(p, 0.3, mode)
+        for _ in range(n):
+            dm.rank1_update(rng.standard_normal(p) * rng.uniform(0.1, 3.0))
+        v = rng.standard_normal(p)
+        expected = dm.inverse() @ v
+        if n > p:  # the primal form multiplies by the Z^{-1} that inverse() returns
+            assert np.array_equal(dm.solve(v), expected)
+        else:
+            assert np.max(np.abs(dm.solve(v) - expected)) <= 1e-12 * np.max(np.abs(expected))
+        with pytest.raises(ValueError):
+            dm.solve(np.ones(p + 1))
+
     def test_inverse_is_read_only(self):
         dm = DesignMatrix(3, 1.0)
         for _ in range(2):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -346,6 +347,22 @@ class TestLinearBaseline:
         action, diag = ucb_free.select_action(np.stack([e1, e2]))
         assert action == 1
         assert diag.scores == pytest.approx(diag.means)
+
+    def test_ucb_round_in_the_dual_form_builds_no_p_by_p_array(self):
+        p = 2000
+        policy = linear_bandit(p)
+        rng = np.random.default_rng(3)
+        for t in range(1, 101):  # 100 reveals keep the design in its dual form
+            policy.select_action(rng.standard_normal((10, p)))
+            policy.ingest_revealed([BanditRecord(t, float(rng.standard_normal()))])
+        contexts = rng.standard_normal((10, p))
+        tracemalloc.start()
+        try:
+            policy.select_action(contexts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p * p * 8 / 8
 
     def test_dimension_mismatch(self):
         policy = linear_bandit(3)
