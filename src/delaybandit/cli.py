@@ -1,8 +1,5 @@
-"""Command-line entry point: run / analyze / validate.
-
-Exit codes: 0 success, 1 configuration, validation or command-line failure,
-2 runtime failure.
-"""
+"""Command-line entry point: run / analyze / validate. It exits 0 on success,
+else with the ``exit_code`` of the package error raised (see ``errors``)."""
 
 import argparse
 import json
@@ -11,8 +8,7 @@ from dataclasses import replace
 
 from .analysis import analyze_config
 from .config import load_config, resolved_summary
-from .errors import (ConfigurationError, DegenerateContextError, DesignUpdateError,
-                     DivergedTrainingError, FormatError, ProtocolViolationError)
+from .errors import ConfigurationError, DelayBanditError
 from .harness import emit, run_experiment
 
 
@@ -25,23 +21,20 @@ def _parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="delaybandit",
                      description="Delayed-feedback neural bandit simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="execute the configured experiment")
-    run.add_argument("--config", required=True)
+    commands = {name: sub.add_parser(name, help=text) for name, text in (
+        ("run", "execute the configured experiment"),
+        ("analyze", "NTK and regret-bound calculators only"),
+        ("validate", "check a config and echo it resolved"))}
+    for command in commands.values():
+        command.add_argument("--config", required=True)
+    run = commands["run"]
     run.add_argument("--seeds", help="comma-separated seed override")
     run.add_argument("--out", help="output directory override")
     run.add_argument("--force", action="store_true",
                      help="overwrite an existing output directory")
-    run.add_argument("--jobs", type=int, default=1,
-                     help="parallel replicate processes")
+    run.add_argument("--jobs", type=int, default=1, help="parallel replicate processes")
     run.add_argument("--analyze", action="store_true",
                      help="include NTK/bound analysis in summary.json")
-
-    analyze = sub.add_parser("analyze", help="NTK and regret-bound calculators only")
-    analyze.add_argument("--config", required=True)
-
-    validate = sub.add_parser("validate", help="check a config and echo it resolved")
-    validate.add_argument("--config", required=True)
     return parser
 
 
@@ -54,14 +47,10 @@ def _seeds(text: str) -> tuple[int, ...]:
 
 
 def main(argv=None) -> int:
+    cfg = None
     try:
         args = _parser().parse_args(argv)
         cfg = load_config(args.config)
-    except (ConfigurationError, OSError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         if args.command == "validate":
             print(json.dumps(resolved_summary(cfg), indent=2))
             return 0
@@ -82,13 +71,12 @@ def main(argv=None) -> int:
                   f"({result.summary['wall_time_s']:.1f}s)")
         print(f"wrote {out_dir}")
         return 0
-    except ConfigurationError as exc:  # bad options, and checks only a run can make
+    except DelayBanditError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FormatError, OSError, DivergedTrainingError, ProtocolViolationError,
-            DegenerateContextError, DesignUpdateError) as exc:
+        return exc.exit_code
+    except OSError as exc:  # 1 while the config file is read, 2 after
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if cfg is None else 2
 
 
 if __name__ == "__main__":

@@ -80,11 +80,11 @@ class PolicyBlock(_Checked):
     lam: float = _field(1.0, _POSITIVE, key="lambda")
     nu: float = _field(1.0, _NON_NEGATIVE)
     delta: float = _field(0.05, _PROBABILITY)
-    norm_s: float = _field(1e-4, key="S")
+    norm_s: float = _field(1e-4, _NON_NEGATIVE, key="S")
     alpha: float = 1.0  # linear-baseline UCB bonus scale
-    c1: float = _field(1.0, key="C1")
-    c2: float = _field(1.0, key="C2")
-    c3: float = _field(1.0, key="C3")
+    c1: float = _field(1.0, _NON_NEGATIVE, key="C1")
+    c2: float = _field(1.0, _NON_NEGATIVE, key="C2")
+    c3: float = _field(1.0, _NON_NEGATIVE, key="C3")
     gamma_mode: GammaMode = "simple"
     gamma_const: float = 1.0
     design_mode: DesignMode = "full"
@@ -132,7 +132,7 @@ class AnalysisBlock(_Checked):
     n_contexts: int = _field(40, _at_least(1))
     alpha: float = _field(0.0, _NON_NEGATIVE)
     b: float = _field(0.0, _NON_NEGATIVE)
-    c4: float = _field(1.0, key="C4")
+    c4: float = _field(1.0, _NON_NEGATIVE, key="C4")
 
 
 _BLOCKS = {cls.section: cls for cls in
@@ -173,7 +173,7 @@ def _coerce(ftype, value):
 
     YAML 1.1 reads exponents without a sign, such as 1.0e3, as strings, so a
     float field takes a string that parses as a float. A float field holds an
-    integer as a float. bool is not a number.
+    integer as a float, and -0.0 as 0.0. bool is not a number.
     A Literal field takes a string, which the block then checks.
     """
     if get_origin(ftype) is tuple:
@@ -187,14 +187,14 @@ def _coerce(ftype, value):
     kind = kinds[0]
     if kind is float and isinstance(value, str):
         try:
-            return float(value)
+            value = float(value)
         except ValueError:
             pass
     accepted = (int, float) if kind is float else kind
     if isinstance(value, accepted) and (kind is bool or not isinstance(value, bool)):
         if kind is float:
             try:
-                return float(value)
+                return float(value) + 0.0  # -0.0 as 0.0, which numpy refuses as a scale
             except OverflowError:  # an integer beyond every float, so as .inf
                 return math.inf if value > 0 else -math.inf
         return value

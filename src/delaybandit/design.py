@@ -30,7 +30,9 @@ its experiments.
 An update whose vector is not finite (or whose squared norm overflows), or whose
 pivot is not finite and positive, raises DesignUpdateError and leaves the
 design unchanged. check_update makes the first of these checks without
-updating, so a caller can check a whole batch before its first update.
+updating, so a caller can check a whole batch before its first update. A
+switch or refresh whose Z is not finite or is singular to working precision
+also raises DesignUpdateError, after the update that led to it.
 """
 
 import math
@@ -183,9 +185,10 @@ class DesignMatrix:
 
     def _to_primal(self):
         g = self._g[:self.update_count]
-        self._z = g.T @ g
+        with np.errstate(over="ignore", invalid="ignore"):  # _inverse checks Z
+            self._z = g.T @ g
         self._z.flat[::self.p + 1] += self.lam
-        self._zinv = np.linalg.inv(self._z)
+        self._zinv = self._inverse()
         self._g = self._w = None
         self._since_refresh = np.empty((REFRESH_PERIOD, self.p))
         self._scratch = np.empty((min(self.p, _BLOCK_ROWS), self.p))
@@ -195,10 +198,23 @@ class DesignMatrix:
         # since the last refresh, or since the switch, fill the last rows
         count = min(REFRESH_PERIOD, self.update_count - self.p)
         added = self._since_refresh[REFRESH_PERIOD - count:]
-        self._z += added.T @ added
-        self._zinv = np.linalg.inv(self._z)
+        with np.errstate(over="ignore", invalid="ignore"):  # _inverse checks Z
+            self._z += added.T @ added
+        self._zinv = self._inverse()
         _, logdet = np.linalg.slogdet(self._z)
         self._logdet_ratio = logdet - self.p * math.log(self.lam)
+
+    def _inverse(self) -> np.ndarray:
+        """inv(Z); DesignUpdateError where Z is not finite or is singular to
+        working precision, as vectors blown up far past lam can make it."""
+        if not np.isfinite(self._z).all():
+            raise DesignUpdateError(f"design matrix Z is not finite after "
+                                    f"{self.update_count} updates")
+        try:
+            return np.linalg.inv(self._z)
+        except np.linalg.LinAlgError:
+            raise DesignUpdateError(f"design matrix Z is singular to working precision "
+                                    f"after {self.update_count} updates") from None
 
     def quad_form(self, u: np.ndarray):
         """u^T Z^{-1} u, clipped at 0 against roundoff.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateContextError
+from .errors import ConfigurationError, DegenerateContextError, NotPositiveSemidefiniteError
 
 PSD_TOLERANCE = 1e-8
 
@@ -47,7 +47,7 @@ def effective_dimension(H: np.ndarray, lam: float, n: int) -> float:
         return 0.0
     eigmin = float(np.linalg.eigvalsh(H)[0])
     if eigmin < -PSD_TOLERANCE * max(np.trace(H) / size, 1.0):
-        raise ArithmeticError(f"Gram matrix is not PSD (min eigenvalue {eigmin})")
+        raise NotPositiveSemidefiniteError(f"Gram matrix is not PSD (min eigenvalue {eigmin})")
     sign, logdet = np.linalg.slogdet(np.eye(size) + H / lam)
     return logdet / math.log(1.0 + n / lam)
 

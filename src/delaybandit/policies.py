@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Literal
 import numpy as np
 
 from .design import DesignMatrix
-from .errors import DesignUpdateError, ProtocolViolationError
+from .errors import DesignUpdateError, NonFiniteScoreError, ProtocolViolationError
 from .network import NetworkShape, gradient_many, init_symmetric, train_nn
 
 if TYPE_CHECKING:
@@ -47,10 +47,24 @@ def gamma_value(cfg: "PolicyBlock", train: "TrainBlock", shape: NetworkShape,
 
     ``theoretical`` evaluates the full expression with width/depth correction
     terms; ``simple`` keeps only nu*sqrt(logdet - 2 log delta) + sqrt(lam)*S;
-    ``constant`` returns a fixed value.
+    ``constant`` returns a fixed value. A gamma that is not finite, such as a
+    product of large constants or a negative power of a tiny lambda, raises
+    NonFiniteScoreError.
     """
     if cfg.gamma_mode == "constant":
         return cfg.gamma_const
+    try:
+        gamma = _radius(cfg, train, shape, revealed_count, logdet, steps)
+    except OverflowError:  # ** raises where * rounds to inf
+        gamma = math.inf
+    if not math.isfinite(gamma):
+        raise NonFiniteScoreError(f"the {cfg.gamma_mode} confidence radius gamma is {gamma} "
+                                  f"with {revealed_count} rewards revealed")
+    return gamma
+
+
+def _radius(cfg, train, shape, revealed_count, logdet, steps):
+    """gamma_value in the simple and theoretical modes, as computed."""
     if cfg.sqrt_lambda_s == "joint":
         sqrt_lam_s = math.sqrt(cfg.lam * cfg.norm_s)
     else:
@@ -122,7 +136,17 @@ class Bandit:
         contexts = np.asarray(contexts, dtype=np.float64)
         if contexts.ndim != 2 or contexts.shape[1] != self.dim:
             raise ValueError(f"contexts have shape {contexts.shape}, expected (K, {self.dim})")
-        scores, means, bonuses = self._score(contexts)
+        # a blown-up model overflows while scoring; the K scores are checked
+        # below, so the overflow is not warned
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores, means, bonuses = self._score(contexts)
+        # a score is not finite where its mean or bonus is not; at small K this
+        # check costs a fifth of np.isfinite(scores).all()
+        if not all(map(math.isfinite, scores.tolist())):
+            arm = int(np.isfinite(scores).argmin())
+            raise NonFiniteScoreError(
+                f"round {self.t + 1}, arm {arm + 1}: the score {float(scores[arm])} (mean "
+                f"{float(means[arm])}, bonus {float(bonuses[arm])}) is not finite")
         # argmax takes the lowest index among equal computed scores; scores that
         # tie in exact arithmetic may differ by rounding, which then decides
         action = int(scores.argmax()) + 1
@@ -179,6 +203,9 @@ class NeuralBandit(Bandit):
         grads, means = gradient_many(self.theta, self.shape, contexts)
         # np.linalg.norm(grads, axis=1) computes this for real input, plus a conj() copy
         gnorm = np.max(np.sqrt(np.add.reduce(grads * grads, axis=1))) / sqrt_m
+        if not math.isfinite(gnorm):  # summary.json would print it
+            raise NonFiniteScoreError(f"round {self.t + 1}: the gradient norm of an arm "
+                                      f"is {float(gnorm)}, not finite")
         self.max_scaled_grad_norm = max(self.max_scaled_grad_norm, float(gnorm))
         grads /= sqrt_m
         quad = self.design.quad_form(grads)

@@ -6,8 +6,12 @@ criteria (8-10) share module-scoped fixtures so the expensive runs happen
 once.
 """
 
+import hashlib
+import importlib.util
+import json
 import math
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -22,6 +26,7 @@ from delaybandit.network import (NetworkShape, forward, gradient,
 from delaybandit.ntk import DelayBoundParams, d_plus, ntk_gram
 
 SEEDS = [1, 2, 3, 4, 5]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -357,3 +362,71 @@ class TestCriterion10Determinism:
             first = (tmp_path / "first" / f"run_{seed}.csv").read_bytes()
             second = (tmp_path / "second" / f"run_{seed}.csv").read_bytes()
             assert first == second
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs: the sha256 of every run_<seed>.csv and mean.csv of the
+# criterion-8 runs and of the perfbench workloads at seeds 1-3, so a change
+# that moves no output shows it. The bytes depend on numpy and OpenBLAS, so
+# the digests hold only for the versions they were recorded with. A change that
+# moves outputs on purpose records the new table from desk_scale_digests and
+# perfbench_digests in the same commit.
+# ---------------------------------------------------------------------------
+
+GOLDEN = json.loads((ROOT / "tests" / "golden_outputs.json").read_text())
+
+
+def _platform() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "openblas": blas["version"]}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _output_digests(results, out: Path, cfg) -> dict:
+    """The digest of each CSV that emit writes for results."""
+    emit(results, out, cfg)
+    return {path.name: _sha256(path) for path in sorted(out.glob("*.csv"))}
+
+
+def desk_scale_digests(configs, results, tmp_path) -> dict:
+    return {name: _output_digests(results[name], tmp_path / name, cfg)
+            for name, cfg in configs.items()}
+
+
+def perfbench_digests(tmp_path) -> dict:
+    """The perfbench workloads at seeds 1-3, each on its own generated CSV, as
+    perfbench/run.py builds them."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    digests = {}
+    for name, workload in workloads.WORKLOADS.items():
+        for seed in (1, 2, 3):
+            work = tmp_path / f"{name}-{seed}"
+            work.mkdir()
+            csv = workloads.write_mushroom_csv(work / "agaricus-lepiota.data", seed)
+            cfg = config_from_dict(workloads.config_dict(workload, csv, seed))
+            digests[f"{name}/{seed}"] = _output_digests(run_experiment(cfg), work / "out", cfg)
+    return digests
+
+
+requires_golden_platform = pytest.mark.skipif(
+    _platform() != GOLDEN["platform"],
+    reason=f"the golden digests were recorded with {GOLDEN['platform']}, not {_platform()}")
+
+
+@requires_golden_platform
+class TestGoldenOutputs:
+    def test_desk_scale_outputs_match_their_digests(self, mushroom_csv, desk_scale_runs,
+                                                    tmp_path):
+        if _sha256(mushroom_csv) != GOLDEN["mushroom_csv"]:
+            pytest.skip("the digests were recorded on the generated mushroom CSV")
+        configs, results, _ = desk_scale_runs
+        assert desk_scale_digests(configs, results, tmp_path) == GOLDEN["desk_scale"]
+
+    def test_perfbench_outputs_match_their_digests(self, tmp_path):
+        assert perfbench_digests(tmp_path) == GOLDEN["perfbench"]

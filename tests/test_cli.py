@@ -88,10 +88,20 @@ class TestCli:
         ({"environment": {"source": "mushroom"}}, "environment.dataset_path"),
         ({"environment": {"source": "mnist", "dataset_path": "images.idx"}},
          "environment.labels_path"),
+        # run used to take the square root of a negative and die with a traceback
+        ({"experiment": {"horizon": 40},
+          "policy": {"C1": -1.0e6, "gamma_mode": "theoretical"}}, "policy.C1: must be >= 0"),
+        ({"experiment": {"horizon": 40},
+          "policy": {"C2": -1, "gamma_mode": "theoretical"}}, "policy.C2: must be >= 0"),
+        ({"experiment": {"horizon": 40},
+          "policy": {"C3": -1, "gamma_mode": "theoretical"}}, "policy.C3: must be >= 0"),
+        ({"experiment": {"horizon": 40}, "analysis": {"C4": -1}}, "analysis.C4: must be >= 0"),
+        ({"experiment": {"horizon": 40},
+          "policy": {"S": -1, "sqrt_lambda_s": "joint"}}, "policy.S: must be >= 0"),
     ], ids=["horizon", "batch_size", "nu", "n_contexts-zero", "n_contexts-negative",
             "analysis-alpha", "synthetic_dim", "delay_seed", "seeds-negative",
             "neural-ucb-delayed", "lin-ucb-delayed", "infinite-expected-delay",
-            "no-dataset-path", "no-labels-path"])
+            "no-dataset-path", "no-labels-path", "C1", "C2", "C3", "C4", "S"])
     def test_validate_bad_config(self, tmp_path, capsys, sections, field):
         # validate rejects what run and analyze would reject, and they exit as validate does
         path = self._config(tmp_path, "delayed-neural-ucb", **sections)
@@ -244,6 +254,35 @@ class TestCli:
                               "positive definite at round ")
         assert err.endswith(" (policy.lambda = 1e-08)\n") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_scores_exit_2_with_one_line_and_no_warning(self, tmp_path, capsys):
+        # warm-started training at eta = 0.1 on rewards of variance 1e12 leaves theta
+        # finite (max |theta| about 1e209 at round 5), but the forward pass of
+        # scoring overflows; it used to warn three times before the run failed
+        path = self._config(
+            tmp_path, "delayed-neural-ts", experiment={"horizon": 8, "seeds": "[1]"},
+            policy={"lambda": 1.4e5, "nu": 0, "warm_start": "true"},
+            train={"eta": 0.1, "steps": 1, "steps_schedule": "fixed"},
+            environment={"noise_variance": "1.0e12"})
+        assert main(["validate", "--config", path]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: round 6: the gradient norm of an arm is inf, not finite\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_singular_design_at_the_primal_switch_exits_2_with_one_line(self, tmp_path,
+                                                                         capsys):
+        # found by the config fuzzer: at eta = 1 the gradient features of the p = 6
+        # parameters blow up until Z = lam I + G^T G is singular to working
+        # precision, and np.linalg.inv's LinAlgError used to escape with a traceback
+        path = self._config(tmp_path, "delayed-neural-ucb",
+                            experiment={"horizon": 6, "seeds": "[3]"}, network={"width": 2},
+                            environment={"synthetic_dim": 2}, train={"eta": 1.0})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("error: design matrix Z is singular to working "
+                                           "precision after 6 updates\n")
 
     def test_design_update_error_exits_2_with_one_line(self, config_file, tmp_path,
                                                        capsys, monkeypatch):

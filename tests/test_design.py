@@ -314,6 +314,13 @@ class TestNumericalTrouble:
             z += np.outer(u, u)
         assert np.max(np.abs(z @ dm.inverse() - np.eye(4))) <= 1e-8
 
+    def test_switch_to_a_z_that_is_not_finite(self):
+        # each vector's squared norm is finite, but Z[0, 0] = 1 + 1e308 + 1e308 is not
+        dm = DesignMatrix(2, 1.0)
+        dm.rank1_update(np.array([1e154, 0.0]))
+        with pytest.raises(DesignUpdateError, match="^design matrix Z is not finite after 2 "):
+            dm.rank1_update(np.array([1e154, 8e153]))
+
     def test_non_positive_pivot(self):
         # at lam = 1e-300 the first pivot is sqrt(3), and l = 3 / sqrt(3) rounds
         # up, so repeating u gives lam + u.u - l.l < 0

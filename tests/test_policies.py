@@ -9,7 +9,8 @@ from delaybandit import (BanditRecord, DelayDistribution, LinearBandit,
                          NetworkShape, NeuralBandit, RevealQueue, gamma_value, train_nn)
 from delaybandit.config import PolicyBlock, TrainBlock
 from delaybandit.environment import Environment, SyntheticSource
-from delaybandit.errors import ConfigurationError, DesignUpdateError, ProtocolViolationError
+from delaybandit.errors import (ConfigurationError, DesignUpdateError, NonFiniteScoreError,
+                               ProtocolViolationError)
 from delaybandit import policies as policies_mod
 
 # (second record's round, whether round 2 played a NaN context, the error)
@@ -63,6 +64,14 @@ class TestGamma:
     def test_invalid_delta_rejected(self):
         with pytest.raises(ConfigurationError):
             make_cfg(delta=1.0)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(gamma_mode="theoretical", lam=1e-300),  # lam ** (-7/6) overflows
+        dict(gamma_mode="simple", lam=1e300, norm_s=1e300),  # sqrt(lam) * S rounds to inf
+    ], ids=["power", "product"])
+    def test_gamma_that_is_not_finite_raises(self, overrides):
+        with pytest.raises(NonFiniteScoreError, match="confidence radius gamma is inf"):
+            gamma_value(*make_cfg(**overrides), 3, 0.5)
 
 
 class TestSelection:
@@ -261,6 +270,22 @@ class TestIngest:
                             policy.train.batch_size, anchor=policy.theta0)
         assert np.array_equal(policy.theta, expected)
 
+    def test_score_that_is_not_finite_raises_before_the_round_is_played(self, monkeypatch):
+        policy = self.make_policy()
+        with pytest.raises(NonFiniteScoreError, match="^round 1: the gradient norm of an arm "
+                                                      "is nan, not finite$"):
+            policy.select_action(np.full((2, 4), np.nan))
+        # a finite gradient beside a mean that overflows
+        monkeypatch.setattr(policies_mod, "gradient_many",
+                            lambda theta, shape, xs: (np.ones((2, 20)), np.array([0.0, 1.7e308])))
+        monkeypatch.setattr(policy, "gamma", 1e307)  # a bonus of sqrt(5) * 1e307
+        with pytest.raises(NonFiniteScoreError, match=r"^round 1, arm 2: the score inf \(mean "
+                                                      r"1\.7e\+308, bonus 2\.236\d*e\+307\) "
+                                                      r"is not finite$"):
+            policy.select_action(np.zeros((2, 4)))
+        assert policy.t == 0 and not policy.pending
+        assert policy.max_scaled_grad_norm == pytest.approx(math.sqrt(5))
+
     def test_round_revealed_twice_rejected(self):
         policy = self.make_policy()
         self._play_round(policy, np.random.default_rng(2))
@@ -272,10 +297,9 @@ class TestIngest:
         policy = self.make_policy()
         rng = np.random.default_rng(2)
         self._play_round(policy, rng)
-        if nan_context:  # round 2 plays a NaN context, whose gradient is NaN
-            policy.select_action(np.full((2, 4), np.nan))
-        else:
-            self._play_round(policy, rng)
+        self._play_round(policy, rng)
+        if nan_context:  # scoring refuses a NaN context, so round 2's is made NaN once played
+            policy.pending[2][:] = np.nan
         theta = policy.theta.copy()
         batch = [BanditRecord(1, 1.0), BanditRecord(second_round, 1.0)]
         with pytest.raises(error):
@@ -373,8 +397,9 @@ class TestLinearBaseline:
     def test_rejected_batch_changes_nothing(self, second_round, nan_context, error):
         policy = linear_bandit(3)
         policy.select_action(np.eye(3)[:2])
-        # round 2 plays a NaN context in the nan-context case
-        policy.select_action(np.full((2, 3), np.nan) if nan_context else np.eye(3)[:2])
+        policy.select_action(np.eye(3)[:2])
+        if nan_context:  # scoring refuses a NaN context, so round 2's is made NaN once played
+            policy.pending[2][:] = np.nan
         b = policy.b.copy()
         batch = [BanditRecord(1, 1.0), BanditRecord(second_round, 1.0)]
         with pytest.raises(error):
