@@ -377,8 +377,12 @@ GOLDEN = json.loads((ROOT / "tests" / "golden_outputs.json").read_text())
 
 
 def _platform() -> dict:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "openblas": blas["version"]}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.25 does not report its BLAS
+        blas = None
+    return {"numpy": np.__version__, "blas": blas}
 
 
 def _sha256(path: Path) -> str:
