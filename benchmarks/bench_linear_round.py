@@ -1,18 +1,21 @@
-"""Memory and time of one LinUCB round in the dual form, for two commits.
+"""Memory and time of one LinUCB and one LinTS round, for two commits.
 
 Usage: python3 benchmarks/bench_linear_round.py --parent REV [--repeat N] [--out PATH]
 
 For this checkout and for git revision REV (exported with ``git archive`` into
-a temporary directory), and at each p in P_VALUES, a fresh process builds a
-``lin-ucb`` ``LinearBandit`` on p-dimensional contexts, reveals REVEALS
-seeded rewards through ``ingest_revealed`` (fewer than p, so the design stays
-in its dual form) and then measures one ``select_action`` on K = ARMS seeded
-contexts:
+a temporary directory), and for each case in CASES, a fresh process builds a
+``LinearBandit`` of the case's algorithm on p-dimensional contexts, reveals
+the case's number of seeded rewards through ``ingest_revealed`` and then
+measures one ``select_action`` on K = ARMS seeded contexts and one
+``DesignMatrix.solve`` of the reward vector b:
 
-- ``peak_bytes``: the peak that ``tracemalloc`` traces during the call;
-- ``select_us``: microseconds per call, the least of N timed calls.
+- ``peak_bytes``: the peak that ``tracemalloc`` traces during select_action;
+- ``select_us``: microseconds per select_action, the least of N timed calls;
+- ``solve_us``: microseconds per solve, the least of N timed calls.
 
-The result goes to ``BENCH_linear_round.json`` at the repository root.
+REVEALS rewards keep the design in its dual form; p + REVEALS take it past the
+switch to the primal form. The result goes to ``BENCH_linear_round.json`` at
+the repository root.
 """
 
 import argparse
@@ -27,21 +30,27 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-P_VALUES = (2000, 8000)
 ARMS = 10
 REVEALS = 100
+# (algorithm, p, reveals). LinTS and the primal form run at p = 2000 only: the
+# parent's LinTS factors a p x p Z^{-1} every round, and the switch at p = 8000
+# holds six p x p arrays, 3 GB, either of which is too much for a small machine.
+CASES = (("lin-ucb", 2000, REVEALS), ("lin-ucb", 8000, REVEALS),
+         ("lin-ucb", 2000, 2000 + REVEALS), ("lin-ts", 2000, REVEALS),
+         ("lin-ts", 2000, 2000 + REVEALS))
 
 # runs in a fresh interpreter with the package under test first on sys.path;
-# argv: p, arms, reveals, repeat
+# argv: algorithm, p, arms, reveals, repeat
 PROBE = r"""
 import json, sys, timeit, tracemalloc
 import numpy as np
 from delaybandit.config import PolicyBlock
 from delaybandit.policies import BanditRecord, LinearBandit
 
-p, arms, reveals, repeat = map(int, sys.argv[1:5])
+algorithm = sys.argv[1]
+p, arms, reveals, repeat = map(int, sys.argv[2:6])
 rng = np.random.default_rng(p)
-policy = LinearBandit(PolicyBlock(algorithm="lin-ucb"), p, rng)
+policy = LinearBandit(PolicyBlock(algorithm=algorithm), p, rng)
 # play each revealed context as its round, without scoring K arms for it
 for t in range(1, reveals + 1):
     policy.t = t
@@ -53,19 +62,24 @@ tracemalloc.start()
 policy.select_action(contexts)
 _, peak = tracemalloc.get_traced_memory()
 tracemalloc.stop()
-seconds = min(timeit.repeat(lambda: policy.select_action(contexts), number=1, repeat=repeat))
-print(json.dumps({"peak_bytes": peak, "select_us": seconds * 1e6}))
+select = min(timeit.repeat(lambda: policy.select_action(contexts), number=1, repeat=repeat))
+solve = min(timeit.repeat(lambda: policy.design.solve(policy.b), number=1, repeat=repeat))
+print(json.dumps({"peak_bytes": peak, "select_us": select * 1e6, "solve_us": solve * 1e6}))
 """
+
+
+def case_name(algorithm: str, p: int, reveals: int) -> str:
+    return f"{algorithm}/p{p}/{'primal' if reveals >= p else 'dual'}"
 
 
 def measure(src: Path, repeat: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     result = {}
-    for p in P_VALUES:
-        out = subprocess.run([sys.executable, "-c", PROBE, str(p), str(ARMS), str(REVEALS),
-                              str(repeat)],
+    for algorithm, p, reveals in CASES:
+        out = subprocess.run([sys.executable, "-c", PROBE, algorithm, str(p), str(ARMS),
+                              str(reveals), str(repeat)],
                              env=env, check=True, capture_output=True, text=True).stdout
-        result[f"p{p}"] = json.loads(out)
+        result[case_name(algorithm, p, reveals)] = json.loads(out)
     return result
 
 
@@ -101,15 +115,17 @@ def main(argv=None) -> int:
                     "cpus": os.cpu_count(), "platform": platform.platform()},
         **sides,
         "change_over_parent": {
-            f"p{p}": {key: sides["change"][f"p{p}"][key] / sides["parent"][f"p{p}"][key]
-                      for key in ("peak_bytes", "select_us")}
-            for p in P_VALUES},
+            name: {key: sides["change"][name][key] / sides["parent"][name][key]
+                   for key in ("peak_bytes", "select_us", "solve_us")}
+            for name in (case_name(*case) for case in CASES)},
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
-    for p in P_VALUES:
-        before, after = sides["parent"][f"p{p}"], sides["change"][f"p{p}"]
-        print(f"p = {p}: peak_bytes {before['peak_bytes']} -> {after['peak_bytes']}, "
-              f"select_us {before['select_us']:.1f} -> {after['select_us']:.1f}")
+    for case in CASES:
+        name = case_name(*case)
+        before, after = sides["parent"][name], sides["change"][name]
+        print(f"{name}: peak_bytes {before['peak_bytes']} -> {after['peak_bytes']}, "
+              f"select_us {before['select_us']:.1f} -> {after['select_us']:.1f}, "
+              f"solve_us {before['solve_us']:.1f} -> {after['solve_us']:.1f}")
     print(f"wrote {args.out}")
     return 0
 

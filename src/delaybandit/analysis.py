@@ -5,7 +5,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import assumption3_embed
 from .environment import DatasetSource
-from .errors import DegenerateContextError
+from .errors import DegenerateContextError, NonFiniteScoreError
 from .harness import build_environment
 from .ntk import DelayBoundParams, d_plus, effective_dimension, ntk_gram, regret_bound
 
@@ -51,6 +51,10 @@ def analyze_config(cfg: ExperimentConfig) -> dict:
             cfg.network.width, steps, cfg.network.depth, cfg.analysis.c4)]
         for t in grid
     ]
+    # JSON has no number for inf or nan, and each is past what the bound can say
+    if not np.isfinite([d_tilde, dp] + [bound for _, bound in curve]).all():
+        raise NonFiniteScoreError(f"analysis: d_tilde {d_tilde}, D_plus {dp} or a point "
+                                  "of the regret-bound curve is not finite")
     return {
         "n_contexts": int(contexts.shape[0]),
         "d_tilde": d_tilde,

@@ -273,8 +273,7 @@ def check_design_memory(cfg: ExperimentConfig, context_dim: int) -> None:
     DESIGN_MEMORY_CAP bytes over the horizon. ``validate`` checks this where the
     context dimension is known without the data; a run checks it once it is.
 
-    A linear baseline's design is always full, at p = context_dim, and lin-ts
-    also holds Z^{-1} and its Cholesky factor, two p x p arrays, each round.
+    A linear baseline's design is always full, at p = context_dim.
     """
     policy = cfg.policy
     if policy.algorithm.startswith("lin-"):
@@ -285,8 +284,6 @@ def check_design_memory(cfg: ExperimentConfig, context_dim: int) -> None:
     else:
         return
     held = full_design_bytes(p, cfg.horizon)
-    if policy.algorithm == "lin-ts":
-        held += 2 * p * p * 8
     if held > DESIGN_MEMORY_CAP:
         raise ConfigurationError(
             f"{where}: a full design at p = {p} may hold {held} bytes "

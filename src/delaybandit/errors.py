@@ -25,7 +25,7 @@ class DivergedTrainingError(DelayBanditError, RuntimeError):
 
 
 class NonFiniteScoreError(DelayBanditError, RuntimeError):
-    """A policy's mean or exploration bonus for an arm, or its gamma, is not finite."""
+    """A policy's mean, bonus or gamma, or a value that analyze reports, is not finite."""
 
 
 class DesignUpdateError(DelayBanditError, RuntimeError):

@@ -230,13 +230,6 @@ def vjp(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray, v: np.ndarray) -
     return grad
 
 
-def loss_value(theta, shape, xs, rs, lam, anchor):
-    """Sum of squared-error halves plus the m*lam/2 proximal regularizer."""
-    resid = forward_many(theta, shape, xs) - rs
-    diff = theta - anchor
-    return 0.5 * float(resid @ resid) + 0.5 * shape.width * lam * float(diff @ diff)
-
-
 def train_nn(theta_start: np.ndarray,
              shape: NetworkShape,
              xs: np.ndarray,

@@ -49,7 +49,10 @@ def effective_dimension(H: np.ndarray, lam: float, n: int) -> float:
     if eigmin < -PSD_TOLERANCE * max(np.trace(H) / size, 1.0):
         raise NotPositiveSemidefiniteError(f"Gram matrix is not PSD (min eigenvalue {eigmin})")
     sign, logdet = np.linalg.slogdet(np.eye(size) + H / lam)
-    return logdet / math.log(1.0 + n / lam)
+    growth = math.log(1.0 + n / lam)
+    if growth == 0.0:  # 1 + n/lam rounds to 1 at a lam that dwarfs n
+        growth = math.log1p(n / lam)
+    return float(logdet) / growth
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,10 @@ def d_plus(params: DelayBoundParams) -> tuple[float, float, float]:
     alpha branch instead of the degenerate 0.
     """
     log_term = math.log(3.0 * params.horizon / (2.0 * params.delta))
-    alpha_branch = math.sqrt(2.0 * params.alpha ** 2 * log_term)
+    try:
+        alpha_branch = math.sqrt(2.0 * params.alpha ** 2 * log_term)
+    except OverflowError:  # alpha ** 2 is past the float range, the branch need not be
+        alpha_branch = params.alpha * math.sqrt(2.0 * log_term)
     if params.b == 0.0:
         d_tau = alpha_branch
     else:

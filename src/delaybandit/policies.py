@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Literal
 import numpy as np
 
 from .design import DesignMatrix
-from .errors import DesignUpdateError, NonFiniteScoreError, ProtocolViolationError
+from .errors import NonFiniteScoreError, ProtocolViolationError
 from .network import NetworkShape, gradient_many, init_symmetric, train_nn
 
 if TYPE_CHECKING:
@@ -272,16 +272,7 @@ class LinearBandit(Bandit):
         if self.exploration == "ucb":
             bonuses = self.cfg.alpha * np.sqrt(self.design.quad_form(contexts))
             return means + bonuses, means, bonuses
-        if self.cfg.nu == 0.0:
-            draw = theta_hat
-        else:
-            try:
-                chol = np.linalg.cholesky(self.design.inverse())
-            except np.linalg.LinAlgError:  # Z^-1 inverted from an ill-conditioned Z
-                raise DesignUpdateError(
-                    f"lin-ts posterior covariance nu^2 Z^-1 is not positive definite "
-                    f"at round {self.t + 1} (policy.lambda = {self.cfg.lam!r})") from None
-            draw = theta_hat + self.cfg.nu * (chol @ self.rng.standard_normal(self.dim))
+        draw = theta_hat + self.cfg.nu * self.design.sample(self.rng)
         scores = contexts @ draw
         return scores, means, scores - means
 

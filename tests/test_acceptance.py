@@ -11,6 +11,7 @@ import importlib.util
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -366,11 +367,12 @@ class TestCriterion10Determinism:
 
 # ---------------------------------------------------------------------------
 # pinned outputs: the sha256 of every run_<seed>.csv and mean.csv of the
-# criterion-8 runs and of the perfbench workloads at seeds 1-3, so a change
+# criterion-8 runs, of the perfbench workloads at seeds 1-3 and of the
+# criterion-8 synthetic config under lin-ts at seeds 1-3, so a change
 # that moves no output shows it. The bytes depend on numpy and OpenBLAS, so
 # the digests hold only for the versions they were recorded with. A change that
-# moves outputs on purpose records the new table from desk_scale_digests and
-# perfbench_digests in the same commit.
+# moves outputs on purpose records the new table from desk_scale_digests,
+# perfbench_digests and lin_ts_digests in the same commit.
 # ---------------------------------------------------------------------------
 
 GOLDEN = json.loads((ROOT / "tests" / "golden_outputs.json").read_text())
@@ -418,6 +420,13 @@ def perfbench_digests(tmp_path) -> dict:
     return digests
 
 
+def lin_ts_digests(tmp_path) -> dict:
+    """The criterion-8 synthetic config under lin-ts at seeds 1-3, whose draws no
+    other pinned run covers."""
+    cfg = replace(_synthetic_config("lin-ts"), seeds=(1, 2, 3))
+    return _output_digests(run_experiment(cfg), tmp_path / "lin-ts", cfg)
+
+
 requires_golden_platform = pytest.mark.skipif(
     _platform() != GOLDEN["platform"],
     reason=f"the golden digests were recorded with {GOLDEN['platform']}, not {_platform()}")
@@ -434,3 +443,6 @@ class TestGoldenOutputs:
 
     def test_perfbench_outputs_match_their_digests(self, tmp_path):
         assert perfbench_digests(tmp_path) == GOLDEN["perfbench"]
+
+    def test_lin_ts_outputs_match_their_digests(self, tmp_path):
+        assert lin_ts_digests(tmp_path) == GOLDEN["lin_ts"]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -240,20 +241,16 @@ class TestCli:
         assert err.startswith("error: training loss became non-finite at step")
         assert err.count("\n") == 1
 
-    def test_lin_ts_posterior_not_positive_definite_exits_2_with_one_line(self, tmp_path,
-                                                                          capsys):
+    def test_lin_ts_at_a_tiny_lambda_on_embedded_contexts_exits_0(self, tmp_path, capsys):
         # embedded contexts have equal halves, so Z = lam I + G^T G is
-        # ill-conditioned at a tiny lambda and its computed inverse is not
-        # positive definite; LinTS cannot draw from it
+        # ill-conditioned at a tiny lambda; LinTS draws from the square root
+        # W^T W = Z^{-1}, which is positive semidefinite however Z is conditioned
         path = self._config(tmp_path, "lin-ts", experiment={"horizon": 100},
                             policy={"lambda": 1.0e-8},
                             environment={"embed_assumption3": "true"})
-        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: lin-ts posterior covariance nu^2 Z^-1 is not "
-                              "positive definite at round ")
-        assert err.endswith(" (policy.lambda = 1e-08)\n") and err.count("\n") == 1
-        assert not (tmp_path / "out").exists()
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        assert len((tmp_path / "out" / "run_1.csv").read_text().splitlines()) == 101
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_scores_exit_2_with_one_line_and_no_warning(self, tmp_path, capsys):
@@ -276,13 +273,13 @@ class TestCli:
                                                                          capsys):
         # found by the config fuzzer: at eta = 1 the gradient features of the p = 6
         # parameters blow up until Z = lam I + G^T G is singular to working
-        # precision, and np.linalg.inv's LinAlgError used to escape with a traceback
+        # precision, and the LinAlgError used to escape with a traceback
         path = self._config(tmp_path, "delayed-neural-ucb",
                             experiment={"horizon": 6, "seeds": "[3]"}, network={"width": 2},
                             environment={"synthetic_dim": 2}, train={"eta": 1.0})
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == ("error: design matrix Z is singular to working "
-                                           "precision after 6 updates\n")
+        assert capsys.readouterr().err == ("error: design matrix Z is not positive definite "
+                                           "to working precision after 6 updates\n")
 
     def test_design_update_error_exits_2_with_one_line(self, config_file, tmp_path,
                                                        capsys, monkeypatch):
@@ -383,20 +380,18 @@ class TestCli:
         capsys.readouterr()
         # a linear baseline's design is always full, at p = the context dimension:
         # 30 000 rounds go primal at p = 15 680, 11.1 GiB; 8 192 rounds stay dual,
-        # 2.1 GiB, unless lin-ts adds its p x p Z^{-1} and Cholesky factor
+        # 2.1 GiB, and LinTS draws from the design without a p x p array
         p = 15680
         held = 8 * (6 * p * p + (512 + 256) * p)
-        for algorithm, horizon, code in (("lin-ucb", 30000, 1), ("lin-ucb", 8192, 0),
-                                         ("lin-ts", 8192, 1)):
+        for algorithm, horizon, code in (("lin-ucb", 8192, 0), ("lin-ts", 8192, 0),
+                                         ("lin-ucb", 30000, 1)):
             path = self._config(tmp_path, algorithm, experiment={"horizon": horizon},
                                 environment={"synthetic_dim": p})
             assert main(["validate", "--config", path]) == code
-        err = capsys.readouterr().err.splitlines()
-        assert err[0] == (f"error: policy.algorithm: a full design at p = {p} may hold "
-                          f"{held} bytes (11.1 GiB) over 30000 rounds, above the cap of "
-                          f"{4 * 2**30} bytes (4 GiB); use a shorter horizon")
-        assert len(err) == 2 and err[1].startswith(
-            f"error: policy.algorithm: a full design at p = {p} may hold ")
+        err = capsys.readouterr().err
+        assert err == (f"error: policy.algorithm: a full design at p = {p} may hold "
+                       f"{held} bytes (11.1 GiB) over 30000 rounds, above the cap of "
+                       f"{4 * 2**30} bytes (4 GiB); use a shorter horizon\n")
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "out").exists()
 
@@ -562,6 +557,36 @@ class TestCli:
         assert "analysis" not in json.loads((plain / "summary.json").read_text())
         for name in ("run_1.csv", "run_2.csv", "mean.csv"):
             assert (analyzed / name).read_bytes() == (plain / name).read_bytes()
+
+    @pytest.mark.parametrize("sections", [
+        {"policy": {"lambda": "1.0e300"}},  # log(1 + n/lam) rounded to 0
+        {"analysis": {"alpha": "1.0e300"}},  # alpha ** 2 overflowed
+    ], ids=["lambda", "alpha"])
+    def test_analyze_at_an_extreme_constant_prints_finite_numbers(self, tmp_path, capsys,
+                                                                  sections):
+        path = self._config(tmp_path, "delayed-neural-ucb",
+                            experiment={"horizon": 12}, **sections)
+        assert main(["analyze", "--config", path]) == 0
+        printed = capsys.readouterr()
+        assert printed.err == ""
+
+        def refuse(constant):
+            raise AssertionError(f"analyze printed {constant}")
+
+        report = json.loads(printed.out, parse_constant=refuse)
+        if "analysis" in sections:  # sqrt(2 alpha^2 log(3T / 2 delta)), as alpha sqrt(...)
+            assert report["D_tau"] == pytest.approx(1e300 * math.sqrt(2 * math.log(360)))
+
+    def test_analyze_with_a_bound_past_the_float_range_exits_2_with_one_line(self, tmp_path,
+                                                                              capsys):
+        path = self._config(tmp_path, "delayed-neural-ucb", experiment={"horizon": 12},
+                            policy={"S": "1.0e300"}, analysis={"alpha": "1.0e300"})
+        for command in (["analyze"], ["run", "--analyze", "--out", str(tmp_path / "out")]):
+            assert main([*command, "--config", path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: analysis: d_tilde ") and err.endswith(
+                " or a point of the regret-bound curve is not finite\n")
+        assert not (tmp_path / "out").exists()
 
     def test_analyze(self, config_file, capsys):
         assert main(["analyze", "--config", str(config_file)]) == 0

@@ -1,17 +1,20 @@
-"""Config-space fuzz test: ``validate`` and ``run`` held to one contract.
+"""Config-space fuzz test: ``validate``, ``analyze`` and ``run`` held to one contract.
 
 Hypothesis draws config files from the fields of the config blocks: every
 option of a Literal field, the edges of the range checks, non-finite values,
 integers in float fields, and any algorithm with any delay. Each file goes
-through ``cli.main`` in this process, ``validate`` and then ``run``:
+through ``cli.main`` in this process, ``validate``, ``analyze`` and then
+``run``, with ``--analyze`` or without as drawn:
 
-- ``validate`` exits 0 exactly when ``run`` does not exit 1;
+- ``validate`` exits 0 exactly when ``analyze`` and ``run`` do not exit 1;
+- ``run --analyze`` fails as ``analyze`` does, if it does;
 - every nonzero exit prints exactly one ``error:`` line on stderr, and exit 0
   prints nothing there;
 - nothing leaves ``main``: it catches the package's errors and ``OSError``, so
   any exception out of it is a bug, and pytest's ``error::RuntimeWarning``
   makes a ``RuntimeWarning`` one;
-- a run that exits 0 writes no nan or inf.
+- an ``analyze`` that exits 0 prints no NaN or Infinity, and a run that exits 0
+  writes no nan or inf.
 
 The runs are kept tiny (horizon <= 12, width <= 8). A dataset source reads
 small mushroom CSV and IDX files written here, whose labels are 0 and 1; a
@@ -123,39 +126,48 @@ def data_files(tmp_path_factory):
             "missing": str(root / "missing.csv")}
 
 
+def _refuse(constant):
+    raise AssertionError(f"the output holds {constant}")
+
+
 def _finite_outputs(out: Path) -> None:
     """Every number in the CSV files and summary.json of a run is finite."""
     for csv in out.glob("*.csv"):
         for line in csv.read_text().splitlines()[1:]:
             assert all(math.isfinite(float(x)) for x in line.split(",")), (csv.name, line)
-
-    def refuse(constant):
-        raise AssertionError(f"summary.json holds {constant}")
-
-    json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+    json.loads((out / "summary.json").read_text(), parse_constant=_refuse)
 
 
-def test_validate_and_run_keep_one_contract(data_files, capsys):
+def test_validate_analyze_and_run_keep_one_contract(data_files, capsys):
     @settings(max_examples=300, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(config_files(data_files))
-    def check(raw):
+    @given(config_files(data_files), st.booleans())
+    def check(raw, run_analyzes):
         work = Path(tempfile.mkdtemp(prefix="fuzz-", dir=Path(data_files["csv"]).parent))
         try:
             path, out = work / "cfg.yaml", work / "out"
             path.write_text(yaml.safe_dump(raw))
             capsys.readouterr()
-            validated = main(["validate", "--config", str(path)])
-            checked = capsys.readouterr().err
-            ran = main(["run", "--config", str(path), "--out", str(out)])
-            err = capsys.readouterr().err
-            for code, text in ((validated, checked), (ran, err)):
-                if code:
-                    assert text.startswith("error: ") and text.count("\n") == 1, text
+            codes, errs = {}, {}
+            for command in ("validate", "analyze", "run"):
+                argv = [command, "--config", str(path)]
+                if command == "run":
+                    argv += ["--out", str(out)] + ["--analyze"] * run_analyzes
+                codes[command] = main(argv)
+                printed = capsys.readouterr()
+                errs[command] = printed.err
+                if codes[command]:
+                    assert printed.err.startswith("error: ") and \
+                        printed.err.count("\n") == 1, printed.err
                 else:
-                    assert text == ""
-            assert (validated == 0) == (ran != 1), (validated, ran, checked, err)
-            if ran == 0:
+                    assert printed.err == ""
+                if command == "analyze" and codes[command] == 0:
+                    json.loads(printed.out, parse_constant=_refuse)
+            for command in ("analyze", "run"):
+                assert (codes["validate"] == 0) == (codes[command] != 1), (codes, errs)
+            if run_analyzes and codes["analyze"]:
+                assert (codes["run"], errs["run"]) == (codes["analyze"], errs["analyze"])
+            if codes["run"] == 0:
                 _finite_outputs(out)
         finally:
             shutil.rmtree(work)

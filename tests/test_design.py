@@ -164,12 +164,38 @@ class TestOracle:
             dm.rank1_update(rng.standard_normal(p) * rng.uniform(0.1, 3.0))
         v = rng.standard_normal(p)
         expected = dm.inverse() @ v
-        if n > p:  # the primal form multiplies by the Z^{-1} that inverse() returns
-            assert np.array_equal(dm.solve(v), expected)
-        else:
-            assert np.max(np.abs(dm.solve(v) - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(dm.solve(v) - expected)) <= 1e-12 * np.max(np.abs(expected))
         with pytest.raises(ValueError):
             dm.solve(np.ones(p + 1))
+
+    # p = 6: 4 updates stay in the dual form, 20 cross into the primal form
+    @pytest.mark.parametrize("n", [4, 20], ids=["dual", "primal"])
+    def test_samples_have_the_inverse_as_covariance(self, n):
+        p, draws = 6, 200_000
+        rng = np.random.default_rng(16)
+        dm = DesignMatrix(p, 0.5)
+        for _ in range(n):
+            dm.rank1_update(rng.standard_normal(p) * rng.uniform(0.3, 2.0))
+        xs = np.stack([dm.sample(rng) for _ in range(draws)])
+        cov = dm.inverse()
+        scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+        # entry-wise Monte-Carlo error is about sqrt(2 / draws) = 0.3 % of scale
+        assert np.max(np.abs(xs.T @ xs / draws - cov) / scale) <= 0.015
+        assert np.max(np.abs(xs.mean(axis=0)) / np.sqrt(np.diag(cov))) <= 0.015
+
+    def test_inverse_is_symmetric_and_psd_at_a_tiny_lambda(self):
+        # embedded disjoint contexts span half of p, so Z = lam I + G^T G is
+        # ill-conditioned at lam = 1e-8: np.linalg.inv(Z) is then not exactly
+        # symmetric, and eigvalsh of its lower triangle reads below 0
+        p, lam = 16, 1e-8
+        rng = np.random.default_rng(17)
+        dm = DesignMatrix(p, lam)
+        for _ in range(3 * p):
+            u = assumption3_embed(disjoint_transform(rng.standard_normal(4), 2)[rng.integers(2)])
+            dm.rank1_update(u)
+            inv = dm.inverse()
+            assert np.array_equal(inv, inv.T)
+            assert np.linalg.eigvalsh(inv)[0] >= 0.0
 
     def test_inverse_is_read_only(self):
         dm = DesignMatrix(3, 1.0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from delaybandit import (NetworkShape, forward, forward_many,
                          gradient, gradient_many, init_symmetric, train_nn)
 from delaybandit.errors import ConfigurationError, DivergedTrainingError
-from delaybandit.network import flatten, loss_value, unflatten, vjp
+from delaybandit.network import flatten, unflatten, vjp
 
 
 class TrainSpec(NamedTuple):
@@ -20,6 +20,14 @@ class TrainSpec(NamedTuple):
     eta: float
     steps: int
     batch_size: int | None = None
+
+
+def loss_value(theta, shape, xs, rs, lam, anchor):
+    """Sum of squared-error halves plus the m*lam/2 proximal regularizer: the
+    objective that train_nn descends."""
+    resid = forward_many(theta, shape, xs) - rs
+    diff = theta - anchor
+    return 0.5 * float(resid @ resid) + 0.5 * shape.width * lam * float(diff @ diff)
 
 
 def sym_context(rng, d):

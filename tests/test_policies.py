@@ -372,21 +372,28 @@ class TestLinearBaseline:
         assert action == 1
         assert diag.scores == pytest.approx(diag.means)
 
-    def test_ucb_round_in_the_dual_form_builds_no_p_by_p_array(self):
-        p = 2000
-        policy = linear_bandit(p)
+    @staticmethod
+    def _dual_form_round_peak(algorithm, p):
+        """The traced peak of one select_action after 100 reveals, in the dual form."""
+        policy = linear_bandit(p, algorithm=algorithm)
         rng = np.random.default_rng(3)
-        for t in range(1, 101):  # 100 reveals keep the design in its dual form
+        for t in range(1, 101):
             policy.select_action(rng.standard_normal((10, p)))
             policy.ingest_revealed([BanditRecord(t, float(rng.standard_normal()))])
         contexts = rng.standard_normal((10, p))
         tracemalloc.start()
         try:
             policy.select_action(contexts)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < p * p * 8 / 8
+
+    def test_ucb_round_in_the_dual_form_builds_no_p_by_p_array(self):
+        assert self._dual_form_round_peak("lin-ucb", 2000) < 2000 * 2000
+
+    def test_ts_round_in_the_dual_form_builds_no_p_by_p_array(self):
+        # the draw perturbs and solves, with no factor of Z^{-1}
+        assert self._dual_form_round_peak("lin-ts", 2000) < 2000 * 2000
 
     def test_dimension_mismatch(self):
         policy = linear_bandit(3)
