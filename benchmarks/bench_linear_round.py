@@ -3,7 +3,8 @@
 Usage: python3 benchmarks/bench_linear_round.py --parent REV [--repeat N] [--out PATH]
 
 For this checkout and for git revision REV (exported with ``git archive`` into
-a temporary directory), and for each case in CASES, a fresh process builds a
+a temporary directory), one after the other with the first alternating from
+case to case, and for each case in CASES, a fresh process builds a
 ``LinearBandit`` of the case's algorithm on p-dimensional contexts, reveals
 the case's number of seeded rewards through ``ingest_revealed`` and then
 measures one ``select_action`` on K = ARMS seeded contexts and one
@@ -72,15 +73,13 @@ def case_name(algorithm: str, p: int, reveals: int) -> str:
     return f"{algorithm}/p{p}/{'primal' if reveals >= p else 'dual'}"
 
 
-def measure(src: Path, repeat: int) -> dict:
+def measure(src: Path, case: tuple, repeat: int) -> dict:
+    algorithm, p, reveals = case
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    result = {}
-    for algorithm, p, reveals in CASES:
-        out = subprocess.run([sys.executable, "-c", PROBE, algorithm, str(p), str(ARMS),
-                              str(reveals), str(repeat)],
-                             env=env, check=True, capture_output=True, text=True).stdout
-        result[case_name(algorithm, p, reveals)] = json.loads(out)
-    return result
+    out = subprocess.run([sys.executable, "-c", PROBE, algorithm, str(p), str(ARMS),
+                          str(reveals), str(repeat)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
 
 
 def git(*args, cwd=ROOT) -> str:
@@ -100,8 +99,13 @@ def main(argv=None) -> int:
         archive = subprocess.run(["git", "archive", parent_rev, "src"], cwd=ROOT, check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent_dir)], input=archive, check=True)
-        sides = {"parent": measure(parent_dir / "src", args.repeat),
-                 "change": measure(ROOT / "src", args.repeat)}
+        srcs = {"parent": parent_dir / "src", "change": ROOT / "src"}
+        sides = {"parent": {}, "change": {}}
+        # both sides run each case back to back, the first side alternating, so
+        # that a drift in the machine's load falls on both
+        for i, case in enumerate(CASES):
+            for side in ("parent", "change")[::1 if i % 2 == 0 else -1]:
+                sides[side][case_name(*case)] = measure(srcs[side], case, args.repeat)
     sides["parent"]["rev"] = parent_rev
     # the change is this checkout's src/: HEAD, plus any uncommitted edits to it
     sides["change"]["head"] = git("rev-parse", "HEAD")
