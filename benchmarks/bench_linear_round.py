@@ -90,7 +90,7 @@ def git(*args, cwd=ROOT) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare with")
-    parser.add_argument("--repeat", type=int, default=5, help="timed calls per p")
+    parser.add_argument("--repeat", type=int, default=30, help="timed calls per case")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_linear_round.json")
     args = parser.parse_args(argv)
     parent_rev = git("rev-parse", args.parent)
