@@ -252,7 +252,7 @@ class DesignMatrix:
         return self.solve(math.sqrt(self.lam) * xi + rng.standard_normal(n) @ self._g[:n])
 
     def inverse(self) -> np.ndarray:
-        """Z^{-1} as a new read-only p x p array, exactly symmetric in the full modes."""
+        """Z^{-1} as a new read-only p x p array, exactly symmetric (a^T a is one syrk)."""
         if self.mode == "diag":
             inv = np.diag(1.0 / self._diag)
         elif self._g is None:
