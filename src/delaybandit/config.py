@@ -24,7 +24,7 @@ from .delay import DelayDistribution, DelayKind
 from .design import DesignMode, full_design_bytes
 from .errors import ConfigurationError
 from .network import NetworkShape
-from .policies import Algorithm, GammaMode, RetrainTrigger, SqrtLambdaS, StepsSchedule
+from .policies import Algorithm, GammaMode, StepsSchedule
 
 DATA_ROOT_ENV = "DELAYED_BANDIT_DATA"
 DESIGN_MEMORY_CAP = 4 * 2**30  # bytes a full design may hold at most (README)
@@ -34,7 +34,8 @@ DESIGN_MEMORY_CAP = 4 * 2**30  # bytes a full design may hold at most (README)
 _POSITIVE = (lambda v: v > 0, "must be > 0")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _PROBABILITY = (lambda v: 0.0 < v < 1.0, "must lie in (0,1)")
-_SEEDS = (lambda seeds: len(seeds) > 0 and min(seeds) >= 0, "must be nonempty and >= 0")
+_SEEDS = (lambda seeds: len(seeds) > 0 and min(seeds) >= 0 and len(set(seeds)) == len(seeds),
+          "must be nonempty and >= 0, with no seed repeated")
 
 
 def _at_least(low):
@@ -88,9 +89,7 @@ class PolicyBlock(_Checked):
     gamma_mode: GammaMode = "simple"
     gamma_const: float = 1.0
     design_mode: DesignMode = "full"
-    retrain_trigger: RetrainTrigger = "every-round"
     warm_start: bool = False
-    sqrt_lambda_s: SqrtLambdaS = "product"
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,6 @@ class EnvironmentBlock(_Checked):
     synthetic_dim: int = _field(20, _at_least(1))
     noise_variance: float = _field(0.001, _NON_NEGATIVE)
     embed_assumption3: bool = False
-    wrong_class_reward: float = 0.0
     delay: DelayKind = "none"
     expected_delay: float = _field(0.0, _NON_NEGATIVE)
     delay_lomax: bool = False

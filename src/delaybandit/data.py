@@ -18,6 +18,7 @@ raises ``FormatError`` naming ``path:lineno``.
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Literal
 
@@ -46,11 +47,17 @@ class Dataset:
     levels: np.ndarray
     labels: np.ndarray
 
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        """256 j for each column j: where column j starts in the flattened table.
+        Built at the first decode, so a Dataset pickled before it, as ``run
+        --jobs`` sends one, does not carry it."""
+        return np.arange(0, 256 * self.codes.shape[1], 256)
+
     def features(self, rows) -> np.ndarray:
         """The float64 features of ``rows`` (an index, a slice or an index array),
         one gather from the flattened table: feature j of code c is entry 256 j + c."""
-        offsets = np.arange(0, 256 * self.codes.shape[1], 256)
-        return self.levels.ravel().take(offsets + self.codes[rows])
+        return self.levels.ravel().take(self._offsets + self.codes[rows])
 
 
 def _read_idx(path, expected_magic: int, ndims: int):

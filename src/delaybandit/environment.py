@@ -15,14 +15,13 @@ from .errors import ConfigurationError
 
 class DatasetSource:
     """Cycles a labeled dataset in a seeded shuffle order; reward 1 for the
-    correct class (configurable value for wrong classes).
+    correct class and 0 for the others.
 
     Label c is the class of arm c + 1, so every label must lie in [0, arms).
     """
 
     def __init__(self, dataset: Dataset, arms: int,
-                 rng: np.random.Generator, embed: bool = False,
-                 wrong_class_reward: float = 0.0):
+                 rng: np.random.Generator, embed: bool = False):
         outside = dataset.labels[(dataset.labels < 0) | (dataset.labels >= arms)]
         if outside.size:
             raise ConfigurationError(
@@ -32,7 +31,6 @@ class DatasetSource:
         self.labels = dataset.labels
         self.arms = arms
         self.embed = embed
-        self.wrong_class_reward = wrong_class_reward
         self.order = rng.permutation(len(self.labels))
 
     @property
@@ -46,7 +44,7 @@ class DatasetSource:
         if self.embed:  # row a: (x_a, x_a) / (sqrt(2) ||x||), x_a the disjoint row a
             features = assumption3_embed(features).reshape(2, -1)
         contexts = disjoint_transform(features, self.arms)
-        h = np.full(self.arms, self.wrong_class_reward)
+        h = np.zeros(self.arms)
         h[self.labels[i]] = 1.0
         return contexts, h
 

@@ -92,8 +92,7 @@ def build_environment(cfg: ExperimentConfig, seed: int, dataset=None) -> Environ
         if dataset is None:
             dataset = _load_dataset(cfg)
         source = DatasetSource(dataset, cfg.arms, context_rng,
-                               embed=env.embed_assumption3,
-                               wrong_class_reward=env.wrong_class_reward)
+                               embed=env.embed_assumption3)
     return Environment(source, cfg.delay_distribution(),
                        math.sqrt(env.noise_variance), noise_rng, delay_rng)
 

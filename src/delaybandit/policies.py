@@ -28,9 +28,7 @@ if TYPE_CHECKING:
 Algorithm = Literal["delayed-neural-ucb", "delayed-neural-ts",
                     "neural-ucb", "neural-ts", "lin-ucb", "lin-ts"]
 GammaMode = Literal["theoretical", "simple", "constant"]
-RetrainTrigger = Literal["every-round", "on-reveal"]
 StepsSchedule = Literal["fixed", "round"]  # round: J = t steps at round t
-SqrtLambdaS = Literal["product", "joint"]  # product: sqrt(lam)*S; joint: sqrt(lam*S)
 
 
 @dataclass(frozen=True)
@@ -65,10 +63,7 @@ def gamma_value(cfg: "PolicyBlock", train: "TrainBlock", shape: NetworkShape,
 
 def _radius(cfg, train, shape, revealed_count, logdet, steps):
     """gamma_value in the simple and theoretical modes, as computed."""
-    if cfg.sqrt_lambda_s == "joint":
-        sqrt_lam_s = math.sqrt(cfg.lam * cfg.norm_s)
-    else:
-        sqrt_lam_s = math.sqrt(cfg.lam) * cfg.norm_s
+    sqrt_lam_s = math.sqrt(cfg.lam) * cfg.norm_s
     if cfg.gamma_mode == "simple":
         return cfg.nu * math.sqrt(logdet - 2.0 * math.log(cfg.delta)) + sqrt_lam_s
     n = float(revealed_count)
@@ -237,10 +232,8 @@ class NeuralBandit(Bandit):
                 self._xs, self._rs = grown_x, grown_r
             self._xs[n:n + k] = contexts
             self._rs[n:n + k] = [record.reward for record in records]
-        retrain = bool(records) if self.cfg.retrain_trigger == "on-reveal" \
-            else self.revealed_count > 0
         steps = self._steps_at(self.t)
-        if retrain and steps > 0:
+        if self.revealed_count > 0 and steps > 0:
             start = self.theta if self.cfg.warm_start else self.theta0
             self.theta = train_nn(start, self.shape,
                                   self._xs[:self.revealed_count],

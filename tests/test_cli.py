@@ -97,12 +97,20 @@ class TestCli:
         ({"experiment": {"horizon": 40},
           "policy": {"C3": -1, "gamma_mode": "theoretical"}}, "policy.C3: must be >= 0"),
         ({"experiment": {"horizon": 40}, "analysis": {"C4": -1}}, "analysis.C4: must be >= 0"),
-        ({"experiment": {"horizon": 40},
-          "policy": {"S": -1, "sqrt_lambda_s": "joint"}}, "policy.S: must be >= 0"),
+        ({"experiment": {"horizon": 40}, "policy": {"S": -1}}, "policy.S: must be >= 0"),
+        # run used to play seed 3 twice and write one run_3.csv for both
+        ({"experiment": {"seeds": [3, 1, 3]}},
+         "experiment.seeds: must be nonempty and >= 0, with no seed repeated, got (3, 1, 3)"),
+        # removed settings: every run used their defaults, now the only behaviour
+        ({"policy": {"retrain_trigger": "on-reveal"}}, "policy.retrain_trigger: unknown field"),
+        ({"policy": {"sqrt_lambda_s": "joint"}}, "policy.sqrt_lambda_s: unknown field"),
+        ({"environment": {"wrong_class_reward": 0.25}},
+         "environment.wrong_class_reward: unknown field"),
     ], ids=["horizon", "batch_size", "nu", "n_contexts-zero", "n_contexts-negative",
             "analysis-alpha", "synthetic_dim", "delay_seed", "seeds-negative",
             "neural-ucb-delayed", "lin-ucb-delayed", "infinite-expected-delay",
-            "no-dataset-path", "no-labels-path", "C1", "C2", "C3", "C4", "S"])
+            "no-dataset-path", "no-labels-path", "C1", "C2", "C3", "C4", "S",
+            "seeds-repeated", "retrain_trigger", "sqrt_lambda_s", "wrong_class_reward"])
     def test_validate_bad_config(self, tmp_path, capsys, sections, field):
         # validate rejects what run and analyze would reject, and they exit as validate does
         path = self._config(tmp_path, "delayed-neural-ucb", **sections)
@@ -130,7 +138,7 @@ class TestCli:
         cases = [(cls.section, f.metadata.get("key") or f.name)
                  for cls in (ExperimentConfig, *blocks)
                  for f in fields(cls) if get_origin(f.type) is Literal]
-        assert len(cases) >= 9
+        assert len(cases) >= 7
         for section, key in cases:
             path = self._config(tmp_path, "delayed-neural-ucb", **{section: {key: "bogus"}})
             errs = []
@@ -148,7 +156,7 @@ class TestCli:
         cases = [(cls.section, f.metadata.get("key") or f.name)
                  for cls in (ExperimentConfig, *blocks)
                  for f in fields(cls) if f.type is float]
-        assert len(cases) >= 16
+        assert len(cases) >= 15
         for section, key in cases:
             for text, shown in [(".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf")]:
                 path = self._config(tmp_path, "delayed-neural-ucb", **{section: {key: text}})
@@ -440,13 +448,18 @@ class TestCli:
         (RUN + ["--seeds", "1,,2"], "error: --seeds: expected comma-separated integers"),
         (RUN + ["--seeds", "-1"], "error: experiment.seeds: must be nonempty and >= 0"),
         (RUN + ["--seeds", ""], "error: --seeds: expected comma-separated integers, got ''"),
+        (RUN + ["--seeds", "3,3"], "error: experiment.seeds: must be nonempty and >= 0, "
+                                   "with no seed repeated, got (3, 3)"),
+        (RUN + ["--seeds", "3,3", "--jobs", "2"], "error: experiment.seeds: must be "
+                                                  "nonempty and >= 0, with no seed repeated"),
         (RUN + ["--jobs", "0"], "error: --jobs: must be >= 1, got 0"),
         (RUN + ["--jobs", "-2"], "error: --jobs: must be >= 1, got -2"),
         (RUN + ["--jobs", "abc"], "error: argument --jobs: invalid int value: 'abc'"),
         (["bogus", "--config", "{config}"], "error: argument command: invalid choice: 'bogus'"),
         (["run", "--out", "{out}"], "error: the following arguments are required: --config"),
-    ], ids=["seeds-letter", "seeds-empty-item", "seeds-negative", "seeds-empty", "jobs-zero",
-            "jobs-negative", "jobs-letters", "unknown-command", "no-config"])
+    ], ids=["seeds-letter", "seeds-empty-item", "seeds-negative", "seeds-empty",
+            "seeds-repeated", "seeds-repeated-jobs-2", "jobs-zero", "jobs-negative",
+            "jobs-letters", "unknown-command", "no-config"])
     def test_bad_run_option_exits_1_with_one_line(self, config_file, tmp_path, capsys,
                                                   argv, message):
         out = tmp_path / "out"

@@ -16,6 +16,10 @@ through ``cli.main`` in this process, ``validate``, ``analyze`` and then
 - an ``analyze`` that exits 0 prints no NaN or Infinity, and a run that exits 0
   writes no nan or inf.
 
+A deterministic sweep beside it sets each float field in turn to 1e300,
+-1e300 and 1e-300, the float edges that random draws reach only rarely, and
+holds those configs to the same contract.
+
 The runs are kept tiny (horizon <= 12, width <= 8). A dataset source reads
 small mushroom CSV and IDX files written here, whose labels are 0 and 1; a
 label without an arm and an MNIST design over the memory cap are the checks
@@ -53,7 +57,8 @@ FLOATS = [0.0, -0.0, 1.0, -1.0, 1e-9, -1e-9, 1.0 - 1e-9, 1.0 + 1e-9, 1e-300,
 # the fields that set the size of a run: every file sets them to a tiny value,
 # which a file may then override as it may any other field
 SIZES = {("experiment", "horizon"): st.integers(1, 12),
-         ("experiment", "seeds"): st.lists(st.integers(0, 3), min_size=1, max_size=2),
+         ("experiment", "seeds"): st.lists(st.integers(0, 3), min_size=1, max_size=2,
+                                           unique=True),
          ("network", "width"): st.sampled_from([8, 4, 2]),
          ("environment", "synthetic_dim"): st.sampled_from([4, 2, 6])}
 
@@ -138,6 +143,35 @@ def _finite_outputs(out: Path) -> None:
     json.loads((out / "summary.json").read_text(), parse_constant=_refuse)
 
 
+def _keeps_the_contract(raw: dict, run_analyzes: bool, work: Path, capsys) -> None:
+    """Hold validate, analyze and run (with --analyze if run_analyzes) on the
+    config raw, written into the empty directory work, to the contract above."""
+    path, out = work / "cfg.yaml", work / "out"
+    path.write_text(yaml.safe_dump(raw))
+    capsys.readouterr()
+    codes, errs = {}, {}
+    for command in ("validate", "analyze", "run"):
+        argv = [command, "--config", str(path)]
+        if command == "run":
+            argv += ["--out", str(out)] + ["--analyze"] * run_analyzes
+        codes[command] = main(argv)
+        printed = capsys.readouterr()
+        errs[command] = printed.err
+        if codes[command]:
+            assert printed.err.startswith("error: ") and \
+                printed.err.count("\n") == 1, printed.err
+        else:
+            assert printed.err == ""
+        if command == "analyze" and codes[command] == 0:
+            json.loads(printed.out, parse_constant=_refuse)
+    for command in ("analyze", "run"):
+        assert (codes["validate"] == 0) == (codes[command] != 1), (codes, errs)
+    if run_analyzes and codes["analyze"]:
+        assert (codes["run"], errs["run"]) == (codes["analyze"], errs["analyze"])
+    if codes["run"] == 0:
+        _finite_outputs(out)
+
+
 def test_validate_analyze_and_run_keep_one_contract(data_files, capsys):
     @settings(max_examples=300, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -145,31 +179,25 @@ def test_validate_analyze_and_run_keep_one_contract(data_files, capsys):
     def check(raw, run_analyzes):
         work = Path(tempfile.mkdtemp(prefix="fuzz-", dir=Path(data_files["csv"]).parent))
         try:
-            path, out = work / "cfg.yaml", work / "out"
-            path.write_text(yaml.safe_dump(raw))
-            capsys.readouterr()
-            codes, errs = {}, {}
-            for command in ("validate", "analyze", "run"):
-                argv = [command, "--config", str(path)]
-                if command == "run":
-                    argv += ["--out", str(out)] + ["--analyze"] * run_analyzes
-                codes[command] = main(argv)
-                printed = capsys.readouterr()
-                errs[command] = printed.err
-                if codes[command]:
-                    assert printed.err.startswith("error: ") and \
-                        printed.err.count("\n") == 1, printed.err
-                else:
-                    assert printed.err == ""
-                if command == "analyze" and codes[command] == 0:
-                    json.loads(printed.out, parse_constant=_refuse)
-            for command in ("analyze", "run"):
-                assert (codes["validate"] == 0) == (codes[command] != 1), (codes, errs)
-            if run_analyzes and codes["analyze"]:
-                assert (codes["run"], errs["run"]) == (codes["analyze"], errs["analyze"])
-            if codes["run"] == 0:
-                _finite_outputs(out)
+            _keeps_the_contract(raw, run_analyzes, work, capsys)
         finally:
             shutil.rmtree(work)
 
     check()
+
+
+@pytest.mark.parametrize("value", [1e300, -1e300, 1e-300])
+def test_every_float_field_at_a_float_edge_keeps_the_contract(tmp_path, capsys, value):
+    # the draws above reached policy.lambda: 1e300 and analysis.alpha: 1e300 with
+    # analyze only at about 1 500 examples; here each float field takes each edge
+    # in a config of the smallest run sizes, with run --analyze as well as run
+    cases = [(section, f) for section, f in FIELDS if f.type is float]
+    assert len(cases) >= 15
+    for i, (section, f) in enumerate(cases):
+        raw = {"experiment": {"horizon": 3, "seeds": [1]}, "network": {"width": 8},
+               "environment": {"synthetic_dim": 4}}
+        raw.setdefault(section, {})[_key(f)] = value
+        for run_analyzes in (False, True):
+            work = tmp_path / f"{i}-{run_analyzes}"
+            work.mkdir()
+            _keeps_the_contract(raw, run_analyzes, work, capsys)

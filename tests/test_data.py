@@ -419,16 +419,16 @@ class TestDatasetSourceContexts:
             "experiment": {"horizon": 5, "arms": 3, "seeds": [1]},
             "policy": {"algorithm": "lin-ucb"},
             "environment": {"source": "mushroom", "dataset_path": str(mushroom_csv),
-                            "noise_variance": 0.0, "wrong_class_reward": 0.25}})
+                            "noise_variance": 0.0}})
         env = build_environment(cfg, seed=1)
         for t in range(1, 6):
             label = env.source.labels[env.source.order[t - 1]]
             _, h = env.source.round_data(t)
-            assert h.tolist() == [1.0 if arm == label else 0.25 for arm in range(3)]
+            assert h.tolist() == [1.0 if arm == label else 0.0 for arm in range(3)]
             env.round_contexts(t)
             wrong = 1 + (label + 1) % 3
             outcome = env.step(t, wrong)
-            assert (outcome.reward, outcome.regret) == (0.25, 0.75)
+            assert (outcome.reward, outcome.regret) == (0.0, 1.0)
             env.round_contexts(t)
             assert env.step(t, label + 1).regret == 0.0
 

@@ -1,8 +1,10 @@
 import gc
 import json
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 import pytest
@@ -76,6 +78,27 @@ class TestConfig:
         cfg = config_from_dict(yaml.safe_load(example))
         assert cfg.delay_distribution() == DelayDistribution("uniform", 30)
         assert cfg.policy.algorithm == "delayed-neural-ucb"
+
+    def test_readme_enum_table_lists_every_literal_field(self):
+        # one row per Literal field of the config blocks, its values default first
+        # and then in Literal order; a value's gloss in parentheses and what
+        # follows a ';' are prose
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = readme.split("fixed set of values:\n\n", 1)[1].split("\n\n", 1)[0]
+        rows = {}
+        for line in table.splitlines()[2:]:
+            name, values = line.strip("|").split("|")
+            values = re.sub(r"\([^)]*\)", "", values).split(";")[0]
+            rows[name.strip().strip("`")] = re.findall(r"`([^`]+)`", values)
+        blocks = [f.type for f in fields(ExperimentConfig) if is_dataclass(f.type)]
+        expected = {}
+        for cls in (ExperimentConfig, *blocks):
+            for f in fields(cls):
+                if get_origin(f.type) is Literal:
+                    rest = [value for value in get_args(f.type) if value != f.default]
+                    expected[f"{cls.section}.{f.metadata.get('key') or f.name}"] = \
+                        [f.default, *rest]
+        assert rows == expected
 
     def test_readme_python_blocks_run(self, tmp_path, monkeypatch, mushroom_csv):
         # the documented library calls, in order and in one namespace: a

@@ -46,9 +46,7 @@ class TestGamma:
         assert gamma_value(*cfg, 0, 1.0) == pytest.approx(expected)
 
     def test_sqrt_lambda_s_flag(self):
-        joint = make_cfg(gamma_mode="simple", nu=0.0, lam=4.0, norm_s=0.25,
-                         sqrt_lambda_s="joint")
-        assert gamma_value(*joint, 0, 0.0) == pytest.approx(1.0)  # sqrt(4*0.25)
+        # the radius adds sqrt(lam) * S, as NeuralUCB does, not sqrt(lam * S) = 1
         product = make_cfg(gamma_mode="simple", nu=0.0, lam=4.0, norm_s=0.25)
         assert gamma_value(*product, 0, 0.0) == pytest.approx(0.5)  # 2*0.25
 
@@ -153,7 +151,7 @@ class TestIngest:
         return policy.select_action(x)
 
     def test_empty_batch_on_reveal_no_changes(self):
-        policy = self.make_policy(retrain_trigger="on-reveal")
+        policy = self.make_policy()
         rng = np.random.default_rng(2)
         self._play_round(policy, rng)
         theta_before = policy.theta.copy()
@@ -163,7 +161,7 @@ class TestIngest:
         assert policy.t == 1 and len(policy.pending) == 1
 
     def test_every_round_retrains_without_new_reveals(self):
-        policy = self.make_policy(retrain_trigger="every-round", warm_start=True)
+        policy = self.make_policy(warm_start=True)
         rng = np.random.default_rng(2)
         self._play_round(policy, rng)
         policy.ingest_revealed([BanditRecord(1, 1.0)])
