@@ -48,7 +48,7 @@ def analyze_config(cfg: ExperimentConfig) -> dict:
                                     cfg.analysis.alpha, cfg.analysis.b))[0],
             d_tilde, int(t), cfg.arms, cfg.policy.lam, cfg.policy.nu,
             cfg.policy.delta, cfg.policy.norm_s, cfg.train.eta,
-            cfg.network.width, steps, cfg.network.depth, cfg.analysis.c4)]
+            cfg.network.width, steps, cfg.network.depth)]
         for t in grid
     ]
     # JSON has no number for inf or nan, and each is past what the bound can say

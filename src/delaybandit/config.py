@@ -83,9 +83,6 @@ class PolicyBlock(_Checked):
     delta: float = _field(0.05, _PROBABILITY)
     norm_s: float = _field(1e-4, _NON_NEGATIVE, key="S")
     alpha: float = 1.0  # linear-baseline UCB bonus scale
-    c1: float = _field(1.0, _NON_NEGATIVE, key="C1")
-    c2: float = _field(1.0, _NON_NEGATIVE, key="C2")
-    c3: float = _field(1.0, _NON_NEGATIVE, key="C3")
     gamma_mode: GammaMode = "simple"
     gamma_const: float = 1.0
     design_mode: DesignMode = "full"
@@ -120,7 +117,6 @@ class EnvironmentBlock(_Checked):
     embed_assumption3: bool = False
     delay: DelayKind = "none"
     expected_delay: float = _field(0.0, _NON_NEGATIVE)
-    delay_lomax: bool = False
     delay_seed: int | None = _field(None, _NON_NEGATIVE)
 
 
@@ -130,7 +126,6 @@ class AnalysisBlock(_Checked):
     n_contexts: int = _field(40, _at_least(1))
     alpha: float = _field(0.0, _NON_NEGATIVE)
     b: float = _field(0.0, _NON_NEGATIVE)
-    c4: float = _field(1.0, _NON_NEGATIVE, key="C4")
 
 
 _BLOCKS = {cls.section: cls for cls in
@@ -152,7 +147,7 @@ class ExperimentConfig(_Checked):
 
     def delay_distribution(self) -> DelayDistribution:
         env = self.environment
-        return DelayDistribution(env.delay, env.expected_delay, env.delay_lomax)
+        return DelayDistribution(env.delay, env.expected_delay)
 
     def resolve_data_path(self, name: str) -> Path:
         path = Path(name)
@@ -342,5 +337,6 @@ def resolved_summary(cfg: ExperimentConfig) -> dict:
         "network": _echo(cfg.network),
         "train": _echo(cfg.train),
         "environment": _echo(cfg.environment),
+        "analysis": _echo(cfg.analysis),
         "delay_distribution": cfg.delay_distribution().describe(),
     }

@@ -37,11 +37,12 @@ Source = Literal["synthetic", "mushroom", "mnist"]
 SyntheticH = Literal["linear", "quadratic-clipped", "cosine-clipped"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """n labeled samples as byte codes: ``codes`` (n, d) uint8, ``levels``
     (d, 256) float64, where feature j of a sample with code c is levels[j, c],
-    and ``labels`` (n,) int64."""
+    and ``labels`` (n,) int64. A Dataset compares and hashes by identity: an
+    array comparison has no single truth value."""
 
     codes: np.ndarray
     levels: np.ndarray

@@ -19,19 +19,17 @@ DelayKind = Literal["none", "constant", "uniform", "exponential", "pareto"]
 
 @dataclass(frozen=True)
 class DelayDistribution:
-    """A delay distribution: its kind, E[tau] = expected_delay and the lomax shift.
+    """A delay distribution: its kind and E[tau] = expected_delay.
 
     Each kind derives its parameters from E[tau]: constant(E[tau]),
-    uniform(0, 2 E[tau]), exponential(rate 1/E[tau]) and pareto(a, x_m = 1)
-    with shape a = (1 + E[tau])/E[tau]. A classic Pareto of that shape has
-    mean a/(a-1) = 1 + E[tau]; ``lomax=True`` shifts it to start at 0, so its
-    mean is exactly E[tau]. Kind "none" and E[tau] = 0 are one distribution:
+    uniform(0, 2 E[tau]), exponential(rate 1/E[tau]) and the classic
+    pareto(a, x_m = 1) with shape a = (1 + E[tau])/E[tau], whose mean
+    a/(a-1) is 1 + E[tau]. Kind "none" and E[tau] = 0 are one distribution:
     building either gives kind "none" with expected_delay 0.
     """
 
     kind: DelayKind
     expected_delay: float = 0.0
-    lomax: bool = False
 
     def __post_init__(self):
         if self.kind not in get_args(DelayKind):
@@ -55,9 +53,8 @@ class DelayDistribution:
         u = rng.random()
         if self.kind == "exponential":
             return -math.log(1.0 - u) / (1.0 / mean)
-        # classic Pareto with x_m = 1 via inverse CDF; lomax shifts support to 0
-        tau = (1.0 - u) ** (-1.0 / ((1.0 + mean) / mean))
-        return tau - 1.0 if self.lomax else tau
+        # classic Pareto with x_m = 1 via inverse CDF
+        return (1.0 - u) ** (-1.0 / ((1.0 + mean) / mean))
 
     def describe(self) -> str:
         if self.kind == "none":
@@ -69,8 +66,7 @@ class DelayDistribution:
             return f"Uniform(0, {2.0 * mean!r})"
         if self.kind == "exponential":
             return f"Exponential(rate={1.0 / mean!r})"
-        name = "Lomax" if self.lomax else "Pareto"
-        return f"{name}(a={(1.0 + mean) / mean!r}, x_m=1.0)"
+        return f"Pareto(a={(1.0 + mean) / mean!r}, x_m=1.0)"
 
 
 def reveal_round(s: int, tau: float) -> int:

@@ -241,11 +241,14 @@ class DesignMatrix:
         return self._w.T @ (self._w @ v)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """A draw from N(0, Z^{-1}) in full mode, with no p x p temporary: W^T xi
-        in the primal form, and Z^{-1} (sqrt(lam) xi + G^T eta), eta ~ N(0, I_n)
-        drawn after xi, in the dual form, where perturb-then-solve (Papandreou &
-        Yuille, 2010) gives the covariance Z^{-1} (lam*I + G^T G) Z^{-1} = Z^{-1}."""
+        """A draw from N(0, Z^{-1}) with no p x p temporary: xi / sqrt(diag Z) in
+        diag mode, W^T xi in the primal form, and Z^{-1} (sqrt(lam) xi + G^T eta),
+        eta ~ N(0, I_n) drawn after xi, in the dual form, where perturb-then-solve
+        (Papandreou & Yuille, 2010) gives the covariance
+        Z^{-1} (lam*I + G^T G) Z^{-1} = Z^{-1}."""
         xi = rng.standard_normal(self.p)
+        if self.mode == "diag":
+            return xi / np.sqrt(self._diag)
         if self._g is None:
             return xi @ self._w
         n = self.update_count

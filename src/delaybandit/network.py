@@ -10,9 +10,9 @@ parameter vectors concatenate ``vec(w1)``, ``vec(w2)``, ..., ``vec(w_{L-1})``
 
 Differentiation is one delta recursion, ``_Passes.backprop``.
 ``_Passes.backward`` sums its per-row products into v @ J for the (n, p)
-Jacobian J of a batch's outputs: training backpropagates its residual, ``vjp``
-any v. ``grad_batch`` backpropagates v = 1 and keeps the rows apart, building
-J itself, only where each row is a feature vector: the arms being scored and
+Jacobian J of a batch's outputs; training backpropagates its residual as v.
+``grad_batch`` backpropagates v = 1 and keeps the rows apart, building J
+itself, only where each row is a feature vector: the arms being scored and
 the revealed records entering the design matrix. ``train_nn`` runs its steps as
 one loop: it draws every mini-batch index vector at once and writes
 activations, residuals, deltas and the gradient into buffers allocated once
@@ -216,18 +216,6 @@ def grad_batch(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray):
                     out=grads[:, start:start + m * m].reshape(n, m, m))
     np.multiply(acts[-1], passes.sqrt_m, out=grads[:, -m:])
     return grads, outputs
-
-
-def vjp(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """v @ gradient_many(theta, shape, xs)[0] without forming the n x p Jacobian,
-    by the backward pass that train_nn runs at every step."""
-    w1, wh, wl = unflatten(theta, shape)
-    xs = _check_contexts(xs, shape)
-    passes = _Passes(shape, xs.shape[0])
-    passes.forward(w1, wh, wl, xs, np.empty(xs.shape[0]))
-    grad = np.empty(shape.param_count)
-    passes.backward(wh, wl, xs, np.asarray(v, dtype=np.float64), unflatten(grad, shape))
-    return grad
 
 
 def train_nn(theta_start: np.ndarray,

@@ -92,8 +92,7 @@ def d_plus(params: DelayBoundParams) -> tuple[float, float, float]:
 
 def regret_bound(d_plus_value: float, d_tilde: float, horizon: int, arms: int,
                  lam: float, nu: float, delta: float, norm_s: float,
-                 eta: float, width: int, steps: int, depth: int,
-                 c4: float = 1.0) -> float:
+                 eta: float, width: int, steps: int, depth: int) -> float:
     """Closed-form high-probability regret bound for overlay on regret curves."""
     t, k = float(horizon), float(arms)
     log_grow = d_tilde * math.log(1.0 + t * k / lam)
@@ -102,5 +101,6 @@ def regret_bound(d_plus_value: float, d_tilde: float, horizon: int, arms: int,
     confidence = 2.0 * (nu * math.sqrt(log_grow + 2.0 - 2.0 * math.log(delta))
                         + 2.0 * math.sqrt(lam) * norm_s)
     base = max(0.0, 1.0 - eta * width * lam)
-    optimization = 2.0 * (lam + c4 * t * depth) * base ** (steps / 2.0) * math.sqrt(t / lam)
+    # the analysis's unnamed absolute constant is taken as 1
+    optimization = 2.0 * (lam + t * depth) * base ** (steps / 2.0) * math.sqrt(t / lam)
     return elliptical * (confidence + optimization) + 1.0

@@ -72,12 +72,13 @@ def _radius(cfg, train, shape, revealed_count, logdet, steps):
     lam, eta = cfg.lam, train.eta
     J = float(train.steps if steps is None else steps)
     w = m ** (-1.0 / 6.0) * math.sqrt(math.log(m))  # shared width-correction factor
-    scale = math.sqrt(1.0 + cfg.c1 * w * L ** 4 * n ** (7.0 / 6.0) * lam ** (-7.0 / 6.0))
-    inner = logdet + cfg.c2 * w * L ** 4 * n ** (5.0 / 3.0) * lam ** (-1.0 / 6.0) \
+    # the analysis's unnamed absolute constants are taken as 1
+    scale = math.sqrt(1.0 + w * L ** 4 * n ** (7.0 / 6.0) * lam ** (-7.0 / 6.0))
+    inner = logdet + w * L ** 4 * n ** (5.0 / 3.0) * lam ** (-1.0 / 6.0) \
         - 2.0 * math.log(cfg.delta)
     confidence = scale * (cfg.nu * math.sqrt(inner) + sqrt_lam_s)
     base = max(0.0, 1.0 - eta * m * lam)
-    optimization = (lam + cfg.c3 * n * L) * (
+    optimization = (lam + n * L) * (
         base ** (J / 2.0) * math.sqrt(n / lam)
         + w * L ** 3.5 * n ** (5.0 / 3.0) * lam ** (-5.0 / 3.0) * (1.0 + math.sqrt(n / lam)))
     return confidence + optimization

@@ -69,6 +69,7 @@ class TestCli:
         echo = json.loads(capsys.readouterr().out)
         assert echo["algorithm"] == "lin-ucb"
         assert echo["delay_distribution"] == "None"
+        assert echo["analysis"] == {"n_contexts": 40, "alpha": 0.0, "b": 0.0}
 
     @pytest.mark.parametrize("sections,field", [
         ({"experiment": {"horizon": -3}}, "experiment.horizon"),
@@ -90,13 +91,6 @@ class TestCli:
         ({"environment": {"source": "mnist", "dataset_path": "images.idx"}},
          "environment.labels_path"),
         # run used to take the square root of a negative and die with a traceback
-        ({"experiment": {"horizon": 40},
-          "policy": {"C1": -1.0e6, "gamma_mode": "theoretical"}}, "policy.C1: must be >= 0"),
-        ({"experiment": {"horizon": 40},
-          "policy": {"C2": -1, "gamma_mode": "theoretical"}}, "policy.C2: must be >= 0"),
-        ({"experiment": {"horizon": 40},
-          "policy": {"C3": -1, "gamma_mode": "theoretical"}}, "policy.C3: must be >= 0"),
-        ({"experiment": {"horizon": 40}, "analysis": {"C4": -1}}, "analysis.C4: must be >= 0"),
         ({"experiment": {"horizon": 40}, "policy": {"S": -1}}, "policy.S: must be >= 0"),
         # run used to play seed 3 twice and write one run_3.csv for both
         ({"experiment": {"seeds": [3, 1, 3]}},
@@ -106,11 +100,18 @@ class TestCli:
         ({"policy": {"sqrt_lambda_s": "joint"}}, "policy.sqrt_lambda_s: unknown field"),
         ({"environment": {"wrong_class_reward": 0.25}},
          "environment.wrong_class_reward: unknown field"),
+        # the analysis's constants are taken as 1, and a Pareto delay is the classic one
+        ({"policy": {"C1": 1.0}}, "policy.C1: unknown field"),
+        ({"policy": {"C2": 1.0}}, "policy.C2: unknown field"),
+        ({"policy": {"C3": 1.0}}, "policy.C3: unknown field"),
+        ({"analysis": {"C4": 1.0}}, "analysis.C4: unknown field"),
+        ({"environment": {"delay": "pareto", "expected_delay": 3, "delay_lomax": True}},
+         "environment.delay_lomax: unknown field"),
     ], ids=["horizon", "batch_size", "nu", "n_contexts-zero", "n_contexts-negative",
             "analysis-alpha", "synthetic_dim", "delay_seed", "seeds-negative",
             "neural-ucb-delayed", "lin-ucb-delayed", "infinite-expected-delay",
-            "no-dataset-path", "no-labels-path", "C1", "C2", "C3", "C4", "S",
-            "seeds-repeated", "retrain_trigger", "sqrt_lambda_s", "wrong_class_reward"])
+            "no-dataset-path", "no-labels-path", "S", "seeds-repeated", "retrain_trigger",
+            "sqrt_lambda_s", "wrong_class_reward", "C1", "C2", "C3", "C4", "delay_lomax"])
     def test_validate_bad_config(self, tmp_path, capsys, sections, field):
         # validate rejects what run and analyze would reject, and they exit as validate does
         path = self._config(tmp_path, "delayed-neural-ucb", **sections)
@@ -156,7 +157,7 @@ class TestCli:
         cases = [(cls.section, f.metadata.get("key") or f.name)
                  for cls in (ExperimentConfig, *blocks)
                  for f in fields(cls) if f.type is float]
-        assert len(cases) >= 15
+        assert len(cases) >= 11
         for section, key in cases:
             for text, shown in [(".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf")]:
                 path = self._config(tmp_path, "delayed-neural-ucb", **{section: {key: text}})

@@ -1,4 +1,5 @@
 import gc
+import pickle
 import re
 import struct
 import tracemalloc
@@ -221,6 +222,13 @@ class TestMushroom:
         ds = load_mushroom_csv(path)
         assert list(ds.labels) == [0, 1]
         assert ds.features(0).shape == (22,)
+
+    def test_compares_and_hashes_by_identity(self, mushroom_csv):
+        ds = load_mushroom_csv(mushroom_csv)
+        copy = pickle.loads(pickle.dumps(ds))
+        assert ds == ds and ds != copy
+        assert hash(ds) == hash(ds) and len({ds, copy}) == 2
+        assert np.array_equal(copy.codes, ds.codes)
 
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "bad.csv"

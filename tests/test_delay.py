@@ -100,15 +100,13 @@ class TestDistributions:
         # a twin generator gives the uniform u that sample() draws
         u = np.random.default_rng(4).random()
 
-        def draw(kind, lomax=False):
-            return DelayDistribution(kind, 30, lomax=lomax).sample(
-                np.random.default_rng(4))
+        def draw(kind):
+            return DelayDistribution(kind, 30).sample(np.random.default_rng(4))
 
         assert draw("constant") == 30.0
         assert draw("uniform") == 60.0 * u
         assert draw("exponential") == -math.log(1.0 - u) / (1 / 30)
         assert draw("pareto") == 1.0 * (1.0 - u) ** (-1.0 / (31 / 30))
-        assert draw("pareto", lomax=True) == (1.0 - u) ** (-1.0 / (31 / 30)) - 1.0
 
     def test_describe_strings(self):
         assert DelayDistribution("exponential", 30).describe() == \
@@ -116,8 +114,6 @@ class TestDistributions:
         assert DelayDistribution("uniform", 30).describe() == "Uniform(0, 60.0)"
         assert DelayDistribution("pareto", 30).describe() == \
             f"Pareto(a={31 / 30!r}, x_m=1.0)"
-        assert DelayDistribution("pareto", 30, lomax=True).describe() == \
-            f"Lomax(a={31 / 30!r}, x_m=1.0)"
         assert DelayDistribution("constant", 4.5).describe() == "Constant(4.5)"
 
     def test_none_always_zero(self):
@@ -147,16 +143,12 @@ class TestDistributions:
         assert draws.min() >= 0.0 and draws.max() <= 60.0
         assert abs(draws.mean() - 30.0) < 1.0
 
-    def test_pareto_support_and_lomax_mean(self):
+    def test_pareto_support_and_mean(self):
         rng = np.random.default_rng(2)
         classic = DelayDistribution("pareto", 0.5)  # a = 3, x_m = 1
         draws = np.array([classic.sample(rng) for _ in range(10_000)])
         assert draws.min() >= 1.0
         assert abs(draws.mean() - 1.5) < 0.1  # a x_m/(a-1)
-        lomax = DelayDistribution("pareto", 0.5, lomax=True)
-        draws = np.array([lomax.sample(rng) for _ in range(10_000)])
-        assert draws.min() >= 0.0
-        assert abs(draws.mean() - 0.5) < 0.1  # x_m/(a-1)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigurationError):

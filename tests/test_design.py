@@ -169,11 +169,12 @@ class TestOracle:
             dm.solve(np.ones(p + 1))
 
     # p = 6: 4 updates stay in the dual form, 20 cross into the primal form
-    @pytest.mark.parametrize("n", [4, 20], ids=["dual", "primal"])
-    def test_samples_have_the_inverse_as_covariance(self, n):
+    @pytest.mark.parametrize("mode,n", [("full", 4), ("full", 20), ("diag", 20)],
+                             ids=["dual", "primal", "diag"])
+    def test_samples_have_the_inverse_as_covariance(self, mode, n):
         p, draws = 6, 200_000
         rng = np.random.default_rng(16)
-        dm = DesignMatrix(p, 0.5)
+        dm = DesignMatrix(p, 0.5, mode)
         for _ in range(n):
             dm.rank1_update(rng.standard_normal(p) * rng.uniform(0.3, 2.0))
         xs = np.stack([dm.sample(rng) for _ in range(draws)])

@@ -100,6 +100,18 @@ class TestConfig:
                         [f.default, *rest]
         assert rows == expected
 
+    def test_readme_names_only_config_keys(self):
+        # a backticked `section.key` of a config section must name one of its
+        # keys, so a setting removed from the config leaves no stale mention
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = [f.type for f in fields(ExperimentConfig) if is_dataclass(f.type)]
+        keys = {cls.section: {f.metadata.get("key") or f.name for f in fields(cls)
+                              if not is_dataclass(f.type)}
+                for cls in (ExperimentConfig, *blocks)}
+        named = re.findall(rf"`({'|'.join(keys)})\.(\w+)`", readme)
+        assert len(named) >= 10
+        assert [f"{section}.{key}" for section, key in named if key not in keys[section]] == []
+
     def test_readme_python_blocks_run(self, tmp_path, monkeypatch, mushroom_csv):
         # the documented library calls, in order and in one namespace: a
         # one-seed experiment, then the loop that run_single runs

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from delaybandit import (NetworkShape, forward, forward_many,
                          gradient, gradient_many, init_symmetric, train_nn)
 from delaybandit.errors import ConfigurationError, DivergedTrainingError
-from delaybandit.network import flatten, unflatten, vjp
+from delaybandit.network import flatten, unflatten
 
 
 class TrainSpec(NamedTuple):
@@ -467,24 +467,6 @@ class TestJacobianMatchesPerRowRecursion:
                 assert np.array_equal(outputs, ref_outputs)
                 dead_units |= bool(np.any(grads[:, -width:] == 0.0))
         assert dead_units  # the masks of the backward pass were exercised
-
-
-class TestVectorJacobianProduct:
-    @pytest.mark.parametrize("depth", [2, 3, 4])
-    def test_matches_jacobian_contraction(self, depth):
-        rng = np.random.default_rng(40 + depth)
-        shape, theta, xs = instance_with_dead_units(depth, rng)
-        v = rng.standard_normal(xs.shape[0])
-        jac, _ = gradient_many(theta, shape, xs)
-        assert np.all(jac[2, :shape.width * shape.input_dim] == 0.0)
-        ref = v @ jac
-        assert np.max(np.abs(vjp(theta, shape, xs, v) - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    def test_single_neuron_hand_values(self):
-        # f = 0.5 * relu(2x); v = 3 at x = 1 gives 3 * (0.5, 2)
-        shape = NetworkShape(2, 1, 1)
-        out = vjp(np.array([2.0, 0.5]), shape, np.array([[1.0], [-1.0]]), np.array([3.0, 7.0]))
-        assert out == pytest.approx([1.5, 6.0])
 
 
 class TestTrainMatchesJacobianReference:

@@ -32,8 +32,9 @@ def make_cfg(shape=NetworkShape(2, 4, 4), steps=3, steps_schedule="fixed", **ove
 
 class TestGamma:
     def test_theoretical_hand_value(self):
-        cfg = make_cfg(gamma_mode="theoretical", c1=0.0, c2=0.0, c3=0.0,
-                       nu=1.0, lam=1.0, norm_s=1.0, delta=math.exp(-0.5))
+        # with no reward revealed every width and depth term is 0
+        cfg = make_cfg(gamma_mode="theoretical", nu=1.0, lam=1.0, norm_s=1.0,
+                       delta=math.exp(-0.5))
         assert gamma_value(*cfg, 0, 0.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_constant_mode(self):
