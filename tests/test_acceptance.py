@@ -367,12 +367,13 @@ class TestCriterion10Determinism:
 
 # ---------------------------------------------------------------------------
 # pinned outputs: the sha256 of every run_<seed>.csv and mean.csv of the
-# criterion-8 runs, of the perfbench workloads at seeds 1-3 and of the
-# criterion-8 synthetic config under lin-ts at seeds 1-3, so a change
-# that moves no output shows it. The bytes depend on numpy and OpenBLAS, so
-# the digests hold only for the versions they were recorded with. A change that
-# moves outputs on purpose records the new table from desk_scale_digests,
-# perfbench_digests and lin_ts_digests in the same commit.
+# criterion-8 runs, of the perfbench workloads at seeds 1-3, of the
+# criterion-8 synthetic config under lin-ts at seeds 1-3 and of the short
+# PATHS runs, so a change that moves no output shows it. The bytes depend on
+# numpy and OpenBLAS, so the digests hold only for the versions they were
+# recorded with. A change that moves outputs on purpose records the new table
+# from desk_scale_digests, perfbench_digests, lin_ts_digests and paths_digests
+# in the same commit.
 # ---------------------------------------------------------------------------
 
 GOLDEN = json.loads((ROOT / "tests" / "golden_outputs.json").read_text())
@@ -427,6 +428,41 @@ def lin_ts_digests(tmp_path) -> dict:
     return _output_digests(run_experiment(cfg), tmp_path / "lin-ts", cfg)
 
 
+# short runs of code paths that no other pinned run takes. Both use simple
+# gamma, whose column is written by repr every round, so it moves with log det
+PATHS = {
+    # J = t, and a full design past the dual-to-primal switch at p = 4*4 + 4 = 20
+    "ucb-simple-full-round-uniform": {
+        "experiment": {"horizon": 200, "arms": 4, "seeds": [1]},
+        "policy": {"algorithm": "delayed-neural-ucb", "gamma_mode": "simple",
+                   "nu": 0.1, "lambda": 0.1, "design_mode": "full"},
+        "network": {"width": 4},
+        "train": {"steps_schedule": "round", "batch_size": 16, "eta": 1e-3},
+        "environment": {"source": "synthetic", "synthetic_dim": 4,
+                        "embed_assumption3": False, "delay": "uniform",
+                        "expected_delay": 3},
+    },
+    "ts-simple-diag-fixed-exponential": {
+        "experiment": {"horizon": 200, "arms": 4, "seeds": [1]},
+        "policy": {"algorithm": "delayed-neural-ts", "gamma_mode": "simple",
+                   "nu": 0.1, "lambda": 0.1, "design_mode": "diag"},
+        "network": {"width": 8},
+        "train": {"steps": 5, "steps_schedule": "fixed", "batch_size": 16, "eta": 1e-3},
+        "environment": {"source": "synthetic", "synthetic_dim": 4,
+                        "embed_assumption3": True, "delay": "exponential",
+                        "expected_delay": 5},
+    },
+}
+
+
+def paths_digests(tmp_path) -> dict:
+    digests = {}
+    for name, raw in PATHS.items():
+        cfg = config_from_dict(raw)
+        digests[name] = _output_digests(run_experiment(cfg), tmp_path / name, cfg)
+    return digests
+
+
 requires_golden_platform = pytest.mark.skipif(
     _platform() != GOLDEN["platform"],
     reason=f"the golden digests were recorded with {GOLDEN['platform']}, not {_platform()}")
@@ -446,3 +482,6 @@ class TestGoldenOutputs:
 
     def test_lin_ts_outputs_match_their_digests(self, tmp_path):
         assert lin_ts_digests(tmp_path) == GOLDEN["lin_ts"]
+
+    def test_paths_outputs_match_their_digests(self, tmp_path):
+        assert paths_digests(tmp_path) == GOLDEN["paths"]
