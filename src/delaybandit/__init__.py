@@ -8,7 +8,7 @@ from .environment import DatasetSource, Environment, SyntheticSource
 from .network import (NetworkShape, forward, forward_many, gradient, gradient_many,
                       init_symmetric, train_nn)
 from .ntk import (DelayBoundParams, d_plus, effective_dimension, ntk_gram,
-                  regret_bound)
+                  regret_bound, theoretical_gamma)
 from .policies import BanditRecord, LinearBandit, NeuralBandit, gamma_value
 
 __all__ = [
@@ -19,7 +19,7 @@ __all__ = [
     "disjoint_transform", "effective_dimension", "forward", "forward_many",
     "gamma_value", "gradient", "gradient_many", "init_symmetric", "load_idx",
     "load_mushroom_csv", "ntk_gram", "regret_bound", "reveal_round",
-    "synthetic_h", "train_nn",
+    "synthetic_h", "theoretical_gamma", "train_nn",
 ]
 
 __version__ = "0.1.0"

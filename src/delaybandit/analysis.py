@@ -1,5 +1,7 @@
 """NTK / regret-bound analysis driven by an experiment configuration."""
 
+import math
+
 import numpy as np
 
 from .config import ExperimentConfig
@@ -7,16 +9,20 @@ from .data import assumption3_embed
 from .environment import DatasetSource
 from .errors import DegenerateContextError, NonFiniteScoreError
 from .harness import build_environment
-from .ntk import DelayBoundParams, d_plus, effective_dimension, ntk_gram, regret_bound
+from .ntk import (DelayBoundParams, d_plus, effective_dimension, ntk_gram, regret_bound,
+                  theoretical_gamma)
 
 
 def analyze_config(cfg: ExperimentConfig) -> dict:
-    """Desk-scale theory summary: d_tilde, D_+ and the bound curve.
+    """Desk-scale theory summary: d_tilde, D_+, gamma_T and the bound curve.
 
     Contexts are sampled from the configured environment (first rounds, all
     arms) and, unless the environment embeds them already, passed through the
     duplicate-and-normalize embedding so they satisfy the unit-norm /
     equal-halves conditions the theory assumes.
+
+    gamma_T is the theoretical radius at n = T rewards and log det at its bound
+    d_tilde * log(1 + TK/lam): it grows with n, so it bounds every round's.
     """
     env = build_environment(cfg, cfg.seeds[0])
     wanted = cfg.analysis.n_contexts
@@ -42,19 +48,23 @@ def analyze_config(cfg: ExperimentConfig) -> dict:
     dp, d_tau, psi_tau = d_plus(params)
     grid = np.unique(np.linspace(1, cfg.horizon, num=min(cfg.horizon, 50)).astype(int))
     steps = cfg.train.steps if cfg.train.steps_schedule == "fixed" else cfg.horizon
+    policy = cfg.policy
     curve = [
         [int(t), regret_bound(
-            d_plus(DelayBoundParams(int(t), cfg.policy.delta, mean_delay,
+            d_plus(DelayBoundParams(int(t), policy.delta, mean_delay,
                                     cfg.analysis.alpha, cfg.analysis.b))[0],
-            d_tilde, int(t), cfg.arms, cfg.policy.lam, cfg.policy.nu,
-            cfg.policy.delta, cfg.policy.norm_s, cfg.train.eta,
-            cfg.network.width, steps, cfg.network.depth)]
+            d_tilde, int(t), cfg.arms, policy.lam, policy.nu, policy.delta,
+            policy.norm_s, cfg.train.eta, cfg.network.width, steps, cfg.network.depth)]
         for t in grid
     ]
+    gamma_t = theoretical_gamma(
+        cfg.horizon, d_tilde * math.log(1.0 + cfg.horizon * cfg.arms / policy.lam),
+        policy.lam, policy.nu, policy.delta, policy.norm_s, cfg.train.eta,
+        cfg.network.width, steps, cfg.network.depth)
     # JSON has no number for inf or nan, and each is past what the bound can say
-    if not np.isfinite([d_tilde, dp] + [bound for _, bound in curve]).all():
-        raise NonFiniteScoreError(f"analysis: d_tilde {d_tilde}, D_plus {dp} or a point "
-                                  "of the regret-bound curve is not finite")
+    if not np.isfinite([d_tilde, dp, gamma_t] + [bound for _, bound in curve]).all():
+        raise NonFiniteScoreError(f"analysis: d_tilde {d_tilde}, D_plus {dp}, gamma_T {gamma_t}"
+                                  " or a point of the regret-bound curve is not finite")
     return {
         "n_contexts": int(contexts.shape[0]),
         "d_tilde": d_tilde,
@@ -62,5 +72,6 @@ def analyze_config(cfg: ExperimentConfig) -> dict:
         "D_plus": dp,
         "D_tau": d_tau,
         "psi_tau": psi_tau,
+        "gamma_T": gamma_t,
         "bound_curve": curve,
     }

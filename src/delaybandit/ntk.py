@@ -1,5 +1,5 @@
 """Theory calculators: NTK Gram matrix, effective dimension, delay constant
-D_+ and the closed-form regret-bound curve.
+D_+, the theoretical confidence radius and the closed-form regret-bound curve.
 
 The layer recursion's bivariate Gaussian expectations are evaluated in closed
 form via the arc-cosine kernels: with c = S_ij / sqrt(S_ii S_jj) and
@@ -88,6 +88,28 @@ def d_plus(params: DelayBoundParams) -> tuple[float, float, float]:
     psi_tau = (4.0 / 3.0) * log_term + 2.0 * math.sqrt(
         2.0 * params.expected_delay * log_term)
     return 1.0 + 2.0 * params.expected_delay + d_tau + psi_tau, d_tau, psi_tau
+
+
+def theoretical_gamma(n: float, logdet: float, lam: float, nu: float, delta: float,
+                      norm_s: float, eta: float, width: int, steps: int, depth: int) -> float:
+    """NeuralUCB's confidence radius (Zhou et al., 2020) after n rewards, with its
+    width/depth terms, at log det(Z)/det(lam I) = logdet and J = steps; inf past
+    the float range. It grows with n and with logdet."""
+    n, m, L, J = float(n), float(width), float(depth), float(steps)
+    try:
+        w = m ** (-1.0 / 6.0) * math.sqrt(math.log(m))  # shared width-correction factor
+        # the analysis's unnamed absolute constants are taken as 1
+        scale = math.sqrt(1.0 + w * L ** 4 * n ** (7.0 / 6.0) * lam ** (-7.0 / 6.0))
+        inner = logdet + w * L ** 4 * n ** (5.0 / 3.0) * lam ** (-1.0 / 6.0) \
+            - 2.0 * math.log(delta)
+        confidence = scale * (nu * math.sqrt(inner) + math.sqrt(lam) * norm_s)
+        base = max(0.0, 1.0 - eta * m * lam)
+        optimization = (lam + n * L) * (
+            base ** (J / 2.0) * math.sqrt(n / lam)
+            + w * L ** 3.5 * n ** (5.0 / 3.0) * lam ** (-5.0 / 3.0) * (1.0 + math.sqrt(n / lam)))
+    except OverflowError:  # ** raises where * rounds to inf
+        return math.inf
+    return confidence + optimization
 
 
 def regret_bound(d_plus_value: float, d_tilde: float, horizon: int, arms: int,

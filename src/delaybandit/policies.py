@@ -27,7 +27,7 @@ if TYPE_CHECKING:
 
 Algorithm = Literal["delayed-neural-ucb", "delayed-neural-ts",
                     "neural-ucb", "neural-ts", "lin-ucb", "lin-ts"]
-GammaMode = Literal["theoretical", "simple", "constant"]
+GammaMode = Literal["simple", "constant"]
 StepsSchedule = Literal["fixed", "round"]  # round: J = t steps at round t
 
 
@@ -39,49 +39,22 @@ class BanditRecord:
     reward: float
 
 
-def gamma_value(cfg: "PolicyBlock", train: "TrainBlock", shape: NetworkShape,
-                revealed_count: int, logdet: float, steps: int | None = None) -> float:
-    """Confidence-radius gamma as a function of |I_t| and log det(Z)/det(lam I).
+def gamma_value(cfg: "PolicyBlock", logdet: float) -> float:
+    """Confidence-radius gamma as a function of log det(Z)/det(lam I).
 
-    ``theoretical`` evaluates the full expression with width/depth correction
-    terms; ``simple`` keeps only nu*sqrt(logdet - 2 log delta) + sqrt(lam)*S;
-    ``constant`` returns a fixed value. A gamma that is not finite, such as a
-    product of large constants or a negative power of a tiny lambda, raises
-    NonFiniteScoreError.
+    ``simple`` is nu*sqrt(logdet - 2 log delta) + sqrt(lam)*S; ``constant``
+    returns a fixed value. A gamma that is not finite, such as a product of
+    large constants, raises NonFiniteScoreError. The paper's radius, with its
+    width/depth terms, is ``ntk.theoretical_gamma``, which ``analyze`` reports.
     """
     if cfg.gamma_mode == "constant":
         return cfg.gamma_const
-    try:
-        gamma = _radius(cfg, train, shape, revealed_count, logdet, steps)
-    except OverflowError:  # ** raises where * rounds to inf
-        gamma = math.inf
+    gamma = cfg.nu * math.sqrt(logdet - 2.0 * math.log(cfg.delta)) \
+        + math.sqrt(cfg.lam) * cfg.norm_s
     if not math.isfinite(gamma):
-        raise NonFiniteScoreError(f"the {cfg.gamma_mode} confidence radius gamma is {gamma} "
-                                  f"with {revealed_count} rewards revealed")
+        raise NonFiniteScoreError(f"the simple confidence radius gamma is {gamma} "
+                                  f"at a log det ratio of {logdet}")
     return gamma
-
-
-def _radius(cfg, train, shape, revealed_count, logdet, steps):
-    """gamma_value in the simple and theoretical modes, as computed."""
-    sqrt_lam_s = math.sqrt(cfg.lam) * cfg.norm_s
-    if cfg.gamma_mode == "simple":
-        return cfg.nu * math.sqrt(logdet - 2.0 * math.log(cfg.delta)) + sqrt_lam_s
-    n = float(revealed_count)
-    m = float(shape.width)
-    L = float(shape.depth)
-    lam, eta = cfg.lam, train.eta
-    J = float(train.steps if steps is None else steps)
-    w = m ** (-1.0 / 6.0) * math.sqrt(math.log(m))  # shared width-correction factor
-    # the analysis's unnamed absolute constants are taken as 1
-    scale = math.sqrt(1.0 + w * L ** 4 * n ** (7.0 / 6.0) * lam ** (-7.0 / 6.0))
-    inner = logdet + w * L ** 4 * n ** (5.0 / 3.0) * lam ** (-1.0 / 6.0) \
-        - 2.0 * math.log(cfg.delta)
-    confidence = scale * (cfg.nu * math.sqrt(inner) + sqrt_lam_s)
-    base = max(0.0, 1.0 - eta * m * lam)
-    optimization = (lam + n * L) * (
-        base ** (J / 2.0) * math.sqrt(n / lam)
-        + w * L ** 3.5 * n ** (5.0 / 3.0) * lam ** (-5.0 / 3.0) * (1.0 + math.sqrt(n / lam)))
-    return confidence + optimization
 
 
 @dataclass
@@ -187,12 +160,7 @@ class NeuralBandit(Bandit):
         # capacity doubles when full, so appending costs O(1) amortized
         self._xs = np.empty((64, shape.input_dim))
         self._rs = np.empty(64)
-        self.gamma = gamma_value(cfg, train, shape, 0, 0.0, self._steps_at(0))
-
-    def _steps_at(self, t: int) -> int:
-        if self.train.steps_schedule == "round":
-            return t
-        return self.train.steps
+        self.gamma = gamma_value(cfg, 0.0)
 
     def _score(self, contexts: np.ndarray):
         sqrt_m = math.sqrt(self.shape.width)
@@ -233,7 +201,7 @@ class NeuralBandit(Bandit):
                 self._xs, self._rs = grown_x, grown_r
             self._xs[n:n + k] = contexts
             self._rs[n:n + k] = [record.reward for record in records]
-        steps = self._steps_at(self.t)
+        steps = self.t if self.train.steps_schedule == "round" else self.train.steps
         if self.revealed_count > 0 and steps > 0:
             start = self.theta if self.cfg.warm_start else self.theta0
             self.theta = train_nn(start, self.shape,
@@ -243,8 +211,7 @@ class NeuralBandit(Bandit):
                                   self.rng, anchor=self.theta0)
         # constant gamma ignores log det, which costs O(p) in diag mode
         logdet = 0.0 if self.cfg.gamma_mode == "constant" else self.design.logdet_ratio()
-        self.gamma = gamma_value(self.cfg, self.train, self.shape, self.revealed_count,
-                                 logdet, steps)
+        self.gamma = gamma_value(self.cfg, logdet)
 
 
 class LinearBandit(Bandit):

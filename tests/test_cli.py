@@ -593,14 +593,16 @@ class TestCli:
 
     def test_analyze_with_a_bound_past_the_float_range_exits_2_with_one_line(self, tmp_path,
                                                                               capsys):
-        path = self._config(tmp_path, "delayed-neural-ucb", experiment={"horizon": 12},
-                            policy={"S": "1.0e300"}, analysis={"alpha": "1.0e300"})
-        for command in (["analyze"], ["run", "--analyze", "--out", str(tmp_path / "out")]):
-            assert main([*command, "--config", path]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: analysis: d_tilde ") and err.endswith(
-                " or a point of the regret-bound curve is not finite\n")
-        assert not (tmp_path / "out").exists()
+        for sections in ({"policy": {"S": "1.0e300"}, "analysis": {"alpha": "1.0e300"}},
+                         {"policy": {"lambda": "1.0e-300"}}):  # lambda ** (-7/6) in gamma_T
+            path = self._config(tmp_path, "delayed-neural-ucb", experiment={"horizon": 12},
+                                **sections)
+            for command in (["analyze"], ["run", "--analyze", "--out", str(tmp_path / "out")]):
+                assert main([*command, "--config", path]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: analysis: d_tilde ") and err.endswith(
+                    " or a point of the regret-bound curve is not finite\n")
+            assert not (tmp_path / "out").exists()
 
     def test_analyze(self, config_file, capsys):
         assert main(["analyze", "--config", str(config_file)]) == 0

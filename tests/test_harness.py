@@ -57,8 +57,7 @@ class TestConfig:
         with pytest.raises(ConfigurationError) as err:
             PolicyBlock(lam=0.0, gamma_mode="bogus")
         assert str(err.value) == ("policy.lambda: must be > 0, got 0.0; policy.gamma_mode: "
-                                  "expected one of 'theoretical', 'simple', 'constant', "
-                                  "got 'bogus'")
+                                  "expected one of 'simple', 'constant', got 'bogus'")
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown"):

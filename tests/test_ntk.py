@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from delaybandit import (DelayBoundParams, d_plus, effective_dimension,
-                         ntk_gram, regret_bound)
+                         ntk_gram, regret_bound, theoretical_gamma)
 from delaybandit.errors import ConfigurationError, DegenerateContextError
 
 
@@ -179,6 +179,57 @@ class TestDPlus:
         values[field] = -1
         with pytest.raises(ConfigurationError, match="must be >= 0$"):
             DelayBoundParams(**values)
+
+
+def gamma_reference(n, logdet, lam, nu, delta, norm_s, eta, width, steps, depth):
+    """theoretical_gamma term by term in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        n, logdet, lam, nu, delta, norm_s, eta, m, J, L = map(
+            mpmath.mpf, (n, logdet, lam, nu, delta, norm_s, eta, width, steps, depth))
+        w = m ** (-mpmath.mpf(1) / 6) * mpmath.sqrt(mpmath.log(m))
+        scale = mpmath.sqrt(1 + w * L ** 4 * n ** (mpmath.mpf(7) / 6) * lam ** (-mpmath.mpf(7) / 6))
+        inner = logdet + w * L ** 4 * n ** (mpmath.mpf(5) / 3) * lam ** (-mpmath.mpf(1) / 6) \
+            - 2 * mpmath.log(delta)
+        confidence = scale * (nu * mpmath.sqrt(inner) + mpmath.sqrt(lam) * norm_s)
+        base = max(mpmath.mpf(0), 1 - eta * m * lam)
+        optimization = (lam + n * L) * (
+            base ** (J / 2) * mpmath.sqrt(n / lam)
+            + w * L ** mpmath.mpf(3.5) * n ** (mpmath.mpf(5) / 3) * lam ** (-mpmath.mpf(5) / 3)
+            * (1 + mpmath.sqrt(n / lam)))
+        return confidence + optimization
+
+
+class TestTheoreticalGamma:
+    # (lam, nu, delta, S, eta, width, steps, depth) of the moved policy tests
+    DEFAULTS = dict(lam=1.0, nu=1.0, delta=0.05, norm_s=1e-4, eta=0.01, width=4, steps=3,
+                    depth=2)
+
+    def test_hand_value_with_no_reward_revealed(self):
+        # with no reward revealed every width and depth term is 0
+        args = dict(self.DEFAULTS, delta=math.exp(-0.5), norm_s=1.0)
+        assert theoretical_gamma(0, 0.0, **args) == pytest.approx(2.0, abs=1e-12)
+
+    def test_monotone_grid(self):
+        args = dict(self.DEFAULTS, width=16)
+        counts = [0, 1, 5, 20, 100]
+        logdets = [0.0, 0.5, 2.0, 10.0]
+        grid = np.array([[theoretical_gamma(n, ld, **args) for ld in logdets]
+                         for n in counts])
+        assert np.all(np.diff(grid, axis=0) >= 0)
+        assert np.all(np.diff(grid, axis=1) >= 0)
+
+    @pytest.mark.parametrize("args", [
+        (100, 2.5, 0.5, 1.0, 0.05, 1e-4, 0.01, 16, 10, 3),
+        (100, 7.0, 2.0, 0.1, 0.01, 0.5, 1e-3, 16, 200, 3),
+    ], ids=["lam-0.5", "lam-2"])
+    def test_high_precision_oracle(self, args):
+        # every width/depth term is live at n > 0
+        ref = gamma_reference(*args)
+        assert abs(theoretical_gamma(*args) - float(ref)) / float(ref) <= 1e-9
+
+    def test_past_the_float_range_is_inf(self):
+        # lam ** (-7/6) raises OverflowError where a product would round to inf
+        assert theoretical_gamma(3, 0.5, **dict(self.DEFAULTS, lam=1e-300)) == math.inf
 
 
 class TestRegretBound:

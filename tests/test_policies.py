@@ -23,7 +23,7 @@ REJECTED_BATCHES = pytest.mark.parametrize(
 
 
 def make_cfg(shape=NetworkShape(2, 4, 4), steps=3, steps_schedule="fixed", **overrides):
-    """The (policy block, train block, shape) that NeuralBandit and gamma_value take."""
+    """The (policy block, train block, shape) that NeuralBandit takes."""
     train = TrainBlock(eta=0.01, steps=steps, steps_schedule=steps_schedule, batch_size=None)
     base = dict(gamma_mode="constant", gamma_const=1.0)
     base.update(overrides)
@@ -31,46 +31,32 @@ def make_cfg(shape=NetworkShape(2, 4, 4), steps=3, steps_schedule="fixed", **ove
 
 
 class TestGamma:
-    def test_theoretical_hand_value(self):
-        # with no reward revealed every width and depth term is 0
-        cfg = make_cfg(gamma_mode="theoretical", nu=1.0, lam=1.0, norm_s=1.0,
-                       delta=math.exp(-0.5))
-        assert gamma_value(*cfg, 0, 0.0) == pytest.approx(2.0, abs=1e-12)
-
     def test_constant_mode(self):
-        cfg = make_cfg(gamma_mode="constant", gamma_const=1.5)
-        assert gamma_value(*cfg, 7, 3.2) == 1.5
+        cfg, _, _ = make_cfg(gamma_mode="constant", gamma_const=1.5)
+        assert gamma_value(cfg, 3.2) == 1.5
 
     def test_simple_mode(self):
-        cfg = make_cfg(gamma_mode="simple", nu=2.0, lam=4.0, norm_s=0.5, delta=0.1)
+        cfg, _, _ = make_cfg(gamma_mode="simple", nu=2.0, lam=4.0, norm_s=0.5, delta=0.1)
         expected = 2.0 * math.sqrt(1.0 - 2 * math.log(0.1)) + 2.0 * 0.5
-        assert gamma_value(*cfg, 0, 1.0) == pytest.approx(expected)
+        assert gamma_value(cfg, 1.0) == pytest.approx(expected)
 
-    def test_sqrt_lambda_s_flag(self):
+    def test_simple_mode_adds_sqrt_lambda_times_s(self):
         # the radius adds sqrt(lam) * S, as NeuralUCB does, not sqrt(lam * S) = 1
-        product = make_cfg(gamma_mode="simple", nu=0.0, lam=4.0, norm_s=0.25)
-        assert gamma_value(*product, 0, 0.0) == pytest.approx(0.5)  # 2*0.25
-
-    def test_theoretical_monotone_grid(self):
-        cfg = make_cfg(gamma_mode="theoretical", shape=NetworkShape(2, 16, 4))
-        counts = [0, 1, 5, 20, 100]
-        logdets = [0.0, 0.5, 2.0, 10.0]
-        grid = np.array([[gamma_value(*cfg, n, ld) for ld in logdets]
-                         for n in counts])
-        assert np.all(np.diff(grid, axis=0) >= 0)
-        assert np.all(np.diff(grid, axis=1) >= 0)
+        cfg, _, _ = make_cfg(gamma_mode="simple", nu=0.0, lam=4.0, norm_s=0.25)
+        assert gamma_value(cfg, 0.0) == pytest.approx(0.5)  # 2*0.25
 
     def test_invalid_delta_rejected(self):
         with pytest.raises(ConfigurationError):
             make_cfg(delta=1.0)
 
     @pytest.mark.parametrize("overrides", [
-        dict(gamma_mode="theoretical", lam=1e-300),  # lam ** (-7/6) overflows
-        dict(gamma_mode="simple", lam=1e300, norm_s=1e300),  # sqrt(lam) * S rounds to inf
-    ], ids=["power", "product"])
+        dict(lam=1e300, norm_s=1e300),  # sqrt(lam) * S rounds to inf
+        dict(nu=1e300),  # nu * sqrt(logdet - 2 log delta) rounds to inf
+    ], ids=["product", "nu"])
     def test_gamma_that_is_not_finite_raises(self, overrides):
+        cfg, _, _ = make_cfg(gamma_mode="simple", **overrides)
         with pytest.raises(NonFiniteScoreError, match="confidence radius gamma is inf"):
-            gamma_value(*make_cfg(**overrides), 3, 0.5)
+            gamma_value(cfg, 1e300)
 
 
 class TestSelection:
@@ -196,8 +182,7 @@ class TestIngest:
                             lambda: calls.append(1) or logdet())
         policy.ingest_revealed([BanditRecord(1, 0.5)])
         assert len(calls) == reads
-        assert policy.gamma == gamma_value(policy.cfg, policy.train, policy.shape, 1, logdet(),
-                                           policy.train.steps)
+        assert policy.gamma == gamma_value(policy.cfg, logdet())
 
     @pytest.mark.parametrize("schedule", ["fixed", "round"])
     def test_training_spec_follows_schedule(self, monkeypatch, schedule):
