@@ -297,8 +297,8 @@ class TestCriterion7DelayConstant:
             values = [d_plus(DelayBoundParams(500, 0.05, tau, alpha, 0.0))[0]
                       for tau in grid]
             assert all(b >= a for a, b in zip(values, values[1:]))
+        prev = None
         for horizon in (10, 100, 1000, 10000):
-            prev = None
             value = d_plus(DelayBoundParams(horizon, 0.05, 30.0, 30.0, 0.0))[0]
             if prev is not None:
                 assert value >= prev
