@@ -2,8 +2,8 @@
 
 Defaults mirror the reference experimental setup (two-layer network of width
 128, nu = 1, lambda = 1, delta = 0.05, S = 1e-4, SGD batch 64, eta = 1e-3,
-J = t at round t), so a near-empty config file runs that setup at whatever
-horizon is requested.
+J = t at round t). Training diverges at them, a known bug: a near-empty config
+file stops with DivergedTrainingError within its first rounds.
 
 Each setting is declared once, as a field of the block that holds it: its
 type (an enum is a Literal alias defined beside the code that reads it), its
