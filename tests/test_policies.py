@@ -32,17 +32,17 @@ def make_cfg(shape=NetworkShape(2, 4, 4), steps=3, steps_schedule="fixed", **ove
 
 class TestGamma:
     def test_constant_mode(self):
-        cfg, _, _ = make_cfg(gamma_mode="constant", gamma_const=1.5)
+        cfg = PolicyBlock(gamma_mode="constant", gamma_const=1.5)
         assert gamma_value(cfg, 3.2) == 1.5
 
     def test_simple_mode(self):
-        cfg, _, _ = make_cfg(gamma_mode="simple", nu=2.0, lam=4.0, norm_s=0.5, delta=0.1)
+        cfg = PolicyBlock(gamma_mode="simple", nu=2.0, lam=4.0, norm_s=0.5, delta=0.1)
         expected = 2.0 * math.sqrt(1.0 - 2 * math.log(0.1)) + 2.0 * 0.5
         assert gamma_value(cfg, 1.0) == pytest.approx(expected)
 
     def test_simple_mode_adds_sqrt_lambda_times_s(self):
         # the radius adds sqrt(lam) * S, as NeuralUCB does, not sqrt(lam * S) = 1
-        cfg, _, _ = make_cfg(gamma_mode="simple", nu=0.0, lam=4.0, norm_s=0.25)
+        cfg = PolicyBlock(gamma_mode="simple", nu=0.0, lam=4.0, norm_s=0.25)
         assert gamma_value(cfg, 0.0) == pytest.approx(0.5)  # 2*0.25
 
     def test_invalid_delta_rejected(self):
@@ -54,7 +54,7 @@ class TestGamma:
         dict(nu=1e300),  # nu * sqrt(logdet - 2 log delta) rounds to inf
     ], ids=["product", "nu"])
     def test_gamma_that_is_not_finite_raises(self, overrides):
-        cfg, _, _ = make_cfg(gamma_mode="simple", **overrides)
+        cfg = PolicyBlock(gamma_mode="simple", **overrides)
         with pytest.raises(NonFiniteScoreError, match="confidence radius gamma is inf"):
             gamma_value(cfg, 1e300)
 
