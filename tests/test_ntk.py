@@ -200,7 +200,7 @@ def gamma_reference(n, logdet, lam, nu, delta, norm_s, eta, width, steps, depth)
 
 
 class TestTheoreticalGamma:
-    # (lam, nu, delta, S, eta, width, steps, depth) of the moved policy tests
+    # the policy block's default lam, nu, delta and S, with a small network
     DEFAULTS = dict(lam=1.0, nu=1.0, delta=0.05, norm_s=1e-4, eta=0.01, width=4, steps=3,
                     depth=2)
 
