@@ -69,20 +69,24 @@ def _mean_curve(results):
     return np.stack([r.cum_regret for r in results]).mean(axis=0)
 
 
-@pytest.fixture(scope="module")
-def desk_scale_runs(mushroom_csv):
+def desk_scale_configs(csv_path) -> dict:
     """Criterion-8 experiments: four mushroom policies plus two synthetic."""
-    started = time.perf_counter()
-    configs = {
-        "neural-ucb": _mushroom_config(mushroom_csv, "neural-ucb"),
+    return {
+        "neural-ucb": _mushroom_config(csv_path, "neural-ucb"),
         "delayed-neural-ucb": _mushroom_config(
-            mushroom_csv, "delayed-neural-ucb", "uniform", 30),
+            csv_path, "delayed-neural-ucb", "uniform", 30),
         "delayed-neural-ts": _mushroom_config(
-            mushroom_csv, "delayed-neural-ts", "uniform", 30),
-        "lin-ucb": _mushroom_config(mushroom_csv, "lin-ucb"),
+            csv_path, "delayed-neural-ts", "uniform", 30),
+        "lin-ucb": _mushroom_config(csv_path, "lin-ucb"),
         "synth-neural-ucb": _synthetic_config("neural-ucb"),
         "synth-lin-ucb": _synthetic_config("lin-ucb"),
     }
+
+
+@pytest.fixture(scope="module")
+def desk_scale_runs(mushroom_csv):
+    started = time.perf_counter()
+    configs = desk_scale_configs(mushroom_csv)
     results = {name: run_experiment(cfg) for name, cfg in configs.items()}
     elapsed = time.perf_counter() - started
     return configs, results, elapsed
@@ -371,9 +375,8 @@ class TestCriterion10Determinism:
 # criterion-8 synthetic config under lin-ts at seeds 1-3 and of the short
 # PATHS runs, so a change that moves no output shows it. The bytes depend on
 # numpy and OpenBLAS, so the digests hold only for the versions they were
-# recorded with. A change that moves outputs on purpose records the new table
-# from desk_scale_digests, perfbench_digests, lin_ts_digests and paths_digests
-# in the same commit.
+# recorded with. A change that moves outputs on purpose re-records the tables
+# it moves, in the same commit, with tests/record_golden.py.
 # ---------------------------------------------------------------------------
 
 GOLDEN = json.loads((ROOT / "tests" / "golden_outputs.json").read_text())
@@ -428,8 +431,9 @@ def lin_ts_digests(tmp_path) -> dict:
     return _output_digests(run_experiment(cfg), tmp_path / "lin-ts", cfg)
 
 
-# short runs of code paths that no other pinned run takes. Both use simple
-# gamma, whose column is written by repr every round, so it moves with log det
+# short runs of code paths that no other pinned run takes. The neural UCB runs
+# use simple gamma, whose column is written by repr every round, so it moves
+# with log det
 PATHS = {
     # J = t, and a full design past the dual-to-primal switch at p = 4*4 + 4 = 20
     "ucb-simple-full-round-uniform": {
@@ -451,6 +455,35 @@ PATHS = {
         "environment": {"source": "synthetic", "synthetic_dim": 4,
                         "embed_assumption3": True, "delay": "exponential",
                         "expected_delay": 5},
+    },
+    # depth 3, training from theta_0 every round, and a Pareto delay
+    "ucb-simple-diag-depth3-cold-pareto": {
+        "experiment": {"horizon": 200, "arms": 4, "seeds": [1]},
+        "policy": {"algorithm": "delayed-neural-ucb", "gamma_mode": "simple",
+                   "nu": 0.1, "lambda": 0.1, "design_mode": "diag", "warm_start": False},
+        "network": {"depth": 3, "width": 8},
+        "train": {"steps": 5, "steps_schedule": "fixed", "batch_size": 16, "eta": 1e-3},
+        "environment": {"source": "synthetic", "synthetic_dim": 4,
+                        "embed_assumption3": True, "delay": "pareto",
+                        "expected_delay": 3},
+    },
+    # cosine-clipped h on contexts that are not embedded, and a constant delay
+    "ucb-simple-full-cosine-constant": {
+        "experiment": {"horizon": 200, "arms": 4, "seeds": [1]},
+        "policy": {"algorithm": "delayed-neural-ucb", "gamma_mode": "simple",
+                   "nu": 0.1, "lambda": 0.1, "design_mode": "full"},
+        "network": {"width": 8},
+        "train": {"steps": 5, "steps_schedule": "fixed", "batch_size": 16, "eta": 1e-3},
+        "environment": {"source": "synthetic", "synthetic_h": "cosine-clipped",
+                        "synthetic_dim": 4, "embed_assumption3": False,
+                        "delay": "constant", "expected_delay": 2},
+    },
+    # linear h on contexts that are not embedded, at an odd dimension
+    "linucb-linear-dim5": {
+        "experiment": {"horizon": 200, "arms": 4, "seeds": [1]},
+        "policy": {"algorithm": "lin-ucb", "alpha": 0.5},
+        "environment": {"source": "synthetic", "synthetic_h": "linear",
+                        "synthetic_dim": 5, "embed_assumption3": False},
     },
 }
 
