@@ -16,6 +16,11 @@ from .ntk import (DelayBoundParams, d_plus, effective_dimension, ntk_gram, regre
 def analyze_config(cfg: ExperimentConfig) -> dict:
     """Desk-scale theory summary: d_tilde, D_+, gamma_T and the bound curve.
 
+    D_+ takes the delay's sub-exponential tail constants (alpha, b) from the
+    configured distribution (DelayDistribution.tail_constants). A Pareto delay
+    has none, so its D_+, D_tau and bound curve are None; psi_tau, which needs
+    no tail, and d_tilde and gamma_T keep their values.
+
     Contexts are sampled from the configured environment (first rounds, all
     arms) and, unless the environment embeds them already, passed through the
     duplicate-and-normalize embedding so they satisfy the unit-norm /
@@ -42,33 +47,43 @@ def analyze_config(cfg: ExperimentConfig) -> dict:
     gram = ntk_gram(contexts, cfg.network.depth)
     d_tilde = effective_dimension(gram, cfg.policy.lam, cfg.horizon * cfg.arms)
     eigmin = float(np.linalg.eigvalsh(gram)[0])
-    mean_delay = cfg.delay_distribution().expected_delay
-    params = DelayBoundParams(cfg.horizon, cfg.policy.delta, mean_delay,
-                              cfg.analysis.alpha, cfg.analysis.b)
-    dp, d_tau, psi_tau = d_plus(params)
-    grid = np.unique(np.linspace(1, cfg.horizon, num=min(cfg.horizon, 50)).astype(int))
-    steps = cfg.train.steps if cfg.train.steps_schedule == "fixed" else cfg.horizon
+    delay = cfg.delay_distribution()
+    tail = delay.tail_constants()
     policy = cfg.policy
-    curve = [
-        [int(t), regret_bound(
-            d_plus(DelayBoundParams(int(t), policy.delta, mean_delay,
-                                    cfg.analysis.alpha, cfg.analysis.b))[0],
-            d_tilde, int(t), cfg.arms, policy.lam, policy.nu, policy.delta,
-            policy.norm_s, cfg.train.eta, cfg.network.width, steps, cfg.network.depth)]
-        for t in grid
-    ]
+    steps = cfg.train.steps_at(cfg.horizon)
+
+    def delay_constant(horizon):  # D_+, D_tau and psi_tau, which needs no tail
+        return d_plus(DelayBoundParams(horizon, policy.delta, delay.expected_delay,
+                                       *(tail or (0.0, 0.0))))
+
+    dp, d_tau, psi_tau = delay_constant(cfg.horizon)
+    if tail is None:
+        dp = d_tau = curve = None
+    else:
+        grid = np.unique(np.linspace(1, cfg.horizon, num=min(cfg.horizon, 50)).astype(int))
+        curve = [
+            [int(t), regret_bound(
+                delay_constant(int(t))[0], d_tilde, int(t), cfg.arms, policy.lam,
+                policy.nu, policy.delta, policy.norm_s, cfg.train.eta,
+                cfg.network.width, steps, cfg.network.depth)]
+            for t in grid
+        ]
     gamma_t = theoretical_gamma(
         cfg.horizon, d_tilde * math.log(1.0 + cfg.horizon * cfg.arms / policy.lam),
         policy.lam, policy.nu, policy.delta, policy.norm_s, cfg.train.eta,
         cfg.network.width, steps, cfg.network.depth)
     # JSON has no number for inf or nan, and each is past what the bound can say
-    if not np.isfinite([d_tilde, dp, gamma_t] + [bound for _, bound in curve]).all():
+    numbers = [d_tilde, dp, gamma_t] + [bound for _, bound in curve or ()]
+    if not np.isfinite([x for x in numbers if x is not None]).all():
         raise NonFiniteScoreError(f"analysis: d_tilde {d_tilde}, D_plus {dp}, gamma_T {gamma_t}"
                                   " or a point of the regret-bound curve is not finite")
+    alpha, b = tail or (None, None)
     return {
         "n_contexts": int(contexts.shape[0]),
         "d_tilde": d_tilde,
         "gram_min_eigenvalue": eigmin,
+        "delay_alpha": alpha,
+        "delay_b": b,
         "D_plus": dp,
         "D_tau": d_tau,
         "psi_tau": psi_tau,

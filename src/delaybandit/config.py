@@ -10,7 +10,8 @@ type (an enum is a Literal alias defined beside the code that reads it), its
 default, its range check and, where it differs from the attribute name, its
 config-file key. Building a block checks every field and raises one
 ConfigurationError naming each violation; ``validate`` adds the checks that
-span fields.
+span fields. What the code can work out is not a field: the delay's tail
+constants, for one, follow from its distribution.
 """
 
 import math
@@ -104,6 +105,10 @@ class TrainBlock(_Checked):
     steps_schedule: StepsSchedule = "round"
     batch_size: int | None = _field(64, _at_least(1))
 
+    def steps_at(self, t: int) -> int:
+        """J, the training steps of round t: t under the round schedule, else steps."""
+        return t if self.steps_schedule == "round" else self.steps
+
 
 @dataclass(frozen=True)
 class EnvironmentBlock(_Checked):
@@ -124,8 +129,6 @@ class EnvironmentBlock(_Checked):
 class AnalysisBlock(_Checked):
     section: ClassVar[str] = "analysis"
     n_contexts: int = _field(40, _at_least(1))
-    alpha: float = _field(0.0, _NON_NEGATIVE)
-    b: float = _field(0.0, _NON_NEGATIVE)
 
 
 _BLOCKS = {cls.section: cls for cls in

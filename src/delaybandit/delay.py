@@ -56,6 +56,24 @@ class DelayDistribution:
         # classic Pareto with x_m = 1 via inverse CDF
         return (1.0 - u) ** (-1.0 / ((1.0 + mean) / mean))
 
+    def tail_constants(self) -> tuple[float, float] | None:
+        """The (alpha, b) with which tau - E[tau] is sub-exponential,
+        E[exp(s (tau - E[tau]))] <= exp(alpha^2 s^2 / 2) for |s| < 1/b, as
+        ntk.d_plus takes them; None where no such pair exists.
+
+        A constant delay has no spread: (0, 0). Uniform(0, 2 E[tau]) is
+        sub-Gaussian with alpha = half its range (Hoeffding's lemma), so b = 0.
+        An exponential of rate 1/E[tau] is (2 E[tau], 2 E[tau]) (Wainwright,
+        2019, section 2.1.3). A Pareto's moment-generating function is infinite
+        for every s > 0: None.
+        """
+        mean = self.expected_delay
+        if self.kind == "uniform":
+            return mean, 0.0
+        if self.kind == "exponential":
+            return 2.0 * mean, 2.0 * mean
+        return None if self.kind == "pareto" else (0.0, 0.0)
+
     def describe(self) -> str:
         if self.kind == "none":
             return "None"

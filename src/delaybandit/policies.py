@@ -82,10 +82,12 @@ class Bandit:
     (DesignUpdateError) on a later record leaves the earlier records in the
     design and out of pending, and learns no reward of the batch.
 
-    A subclass sets ``gamma`` and supplies ``_score`` (the scores, means and
-    bonuses of the K contexts), ``_design_vectors`` (the design-matrix vector
-    of each played context) and ``_learn`` (called with the records of the
-    batch and their contexts once ``revealed_count`` counts them).
+    A subclass sets ``gamma``, the scale of its exploration term: the UCB
+    radius, or under TS the posterior scale nu that each draw multiplies. It
+    supplies ``_score`` (the scores, means and bonuses of the K contexts),
+    ``_design_vectors`` (the design-matrix vector of each played context) and
+    ``_learn`` (called with the records of the batch and their contexts once
+    ``revealed_count`` counts them).
     """
 
     def __init__(self, cfg: "PolicyBlock", dim: int, design: DesignMatrix,
@@ -160,7 +162,7 @@ class NeuralBandit(Bandit):
         # capacity doubles when full, so appending costs O(1) amortized
         self._xs = np.empty((64, shape.input_dim))
         self._rs = np.empty(64)
-        self.gamma = gamma_value(cfg, 0.0)
+        self.gamma = cfg.nu if self.exploration == "ts" else gamma_value(cfg, 0.0)
 
     def _score(self, contexts: np.ndarray):
         sqrt_m = math.sqrt(self.shape.width)
@@ -177,7 +179,7 @@ class NeuralBandit(Bandit):
             bonuses = self.gamma * np.sqrt(quad)
             return means + bonuses, means, bonuses
         sigma2 = self.cfg.lam * quad
-        draws = self.rng.normal(means, self.cfg.nu * np.sqrt(sigma2))
+        draws = self.rng.normal(means, self.gamma * np.sqrt(sigma2))
         return draws, means, draws - means
 
     def _design_vectors(self, contexts: list[np.ndarray]):
@@ -189,7 +191,7 @@ class NeuralBandit(Bandit):
         return grads
 
     def _learn(self, records: list[BanditRecord], contexts: list[np.ndarray]) -> None:
-        """Store the revealed rows, retrain and refresh gamma."""
+        """Store the revealed rows, retrain and, under UCB, refresh gamma."""
         if records:
             k = len(records)
             n = self.revealed_count - k  # rows stored before this batch
@@ -201,7 +203,7 @@ class NeuralBandit(Bandit):
                 self._xs, self._rs = grown_x, grown_r
             self._xs[n:n + k] = contexts
             self._rs[n:n + k] = [record.reward for record in records]
-        steps = self.t if self.train.steps_schedule == "round" else self.train.steps
+        steps = self.train.steps_at(self.t)
         if self.revealed_count > 0 and steps > 0:
             start = self.theta if self.cfg.warm_start else self.theta0
             self.theta = train_nn(start, self.shape,
@@ -209,31 +211,32 @@ class NeuralBandit(Bandit):
                                   self._rs[:self.revealed_count],
                                   self.cfg.lam, self.train.eta, steps, self.train.batch_size,
                                   self.rng, anchor=self.theta0)
-        # constant gamma ignores log det, which costs O(p) in diag mode
-        logdet = 0.0 if self.cfg.gamma_mode == "constant" else self.design.logdet_ratio()
-        self.gamma = gamma_value(self.cfg, logdet)
+        if self.exploration == "ucb":
+            # constant gamma ignores log det, which costs O(p) in diag mode
+            logdet = 0.0 if self.cfg.gamma_mode == "constant" else self.design.logdet_ratio()
+            self.gamma = gamma_value(self.cfg, logdet)
 
 
 class LinearBandit(Bandit):
     """LinUCB / LinTS ridge baseline on the raw contexts.
 
     A = lam*I + sum x x^T, b = sum r x, theta_hat = A^{-1} b; UCB bonus is
-    alpha * sqrt(x^T A^{-1} x), TS draws one parameter vector per round from
-    N(theta_hat, nu^2 A^{-1}).
+    gamma * sqrt(x^T A^{-1} x) with gamma = alpha, TS draws one parameter
+    vector per round from N(theta_hat, gamma^2 A^{-1}) with gamma = nu.
     """
 
     def __init__(self, cfg: "PolicyBlock", dim: int, rng: np.random.Generator):
         super().__init__(cfg, dim, DesignMatrix(dim, cfg.lam, "full"), rng)
         self.b = np.zeros(dim)
-        self.gamma = cfg.alpha
+        self.gamma = cfg.nu if self.exploration == "ts" else cfg.alpha
 
     def _score(self, contexts: np.ndarray):
         theta_hat = self.design.solve(self.b)
         means = contexts @ theta_hat
         if self.exploration == "ucb":
-            bonuses = self.cfg.alpha * np.sqrt(self.design.quad_form(contexts))
+            bonuses = self.gamma * np.sqrt(self.design.quad_form(contexts))
             return means + bonuses, means, bonuses
-        draw = theta_hat + self.cfg.nu * self.design.sample(self.rng)
+        draw = theta_hat + self.gamma * self.design.sample(self.rng)
         scores = contexts @ draw
         return scores, means, scores - means
 

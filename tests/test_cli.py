@@ -19,7 +19,7 @@ from delaybandit.data import assumption3_embed
 from delaybandit.design import DesignMatrix
 from delaybandit.errors import DesignUpdateError
 from delaybandit.harness import build_environment
-from delaybandit.ntk import effective_dimension, ntk_gram
+from delaybandit.ntk import DelayBoundParams, d_plus, effective_dimension, ntk_gram
 
 from test_data import write_idx_images, write_idx_labels
 
@@ -69,7 +69,7 @@ class TestCli:
         echo = json.loads(capsys.readouterr().out)
         assert echo["algorithm"] == "lin-ucb"
         assert echo["delay_distribution"] == "None"
-        assert echo["analysis"] == {"n_contexts": 40, "alpha": 0.0, "b": 0.0}
+        assert echo["analysis"] == {"n_contexts": 40}
 
     @pytest.mark.parametrize("sections,field", [
         ({"experiment": {"horizon": -3}}, "experiment.horizon"),
@@ -77,7 +77,6 @@ class TestCli:
         ({"policy": {"nu": -1}}, "policy.nu"),
         ({"analysis": {"n_contexts": 0}}, "analysis.n_contexts"),
         ({"analysis": {"n_contexts": -3}}, "analysis.n_contexts"),
-        ({"analysis": {"alpha": -1.0}}, "analysis.alpha"),
         ({"environment": {"synthetic_dim": -2}}, "environment.synthetic_dim"),
         ({"environment": {"delay_seed": -1}}, "environment.delay_seed"),
         ({"experiment": {"seeds": [-1]}}, "experiment.seeds"),
@@ -107,11 +106,15 @@ class TestCli:
         ({"analysis": {"C4": 1.0}}, "analysis.C4: unknown field"),
         ({"environment": {"delay": "pareto", "expected_delay": 3, "delay_lomax": True}},
          "environment.delay_lomax: unknown field"),
+        # the delay's tail constants follow from its distribution
+        ({"analysis": {"alpha": 1.0}}, "analysis.alpha: unknown field"),
+        ({"analysis": {"b": 1.0}}, "analysis.b: unknown field"),
     ], ids=["horizon", "batch_size", "nu", "n_contexts-zero", "n_contexts-negative",
-            "analysis-alpha", "synthetic_dim", "delay_seed", "seeds-negative",
+            "synthetic_dim", "delay_seed", "seeds-negative",
             "neural-ucb-delayed", "lin-ucb-delayed", "infinite-expected-delay",
             "no-dataset-path", "no-labels-path", "S", "seeds-repeated", "retrain_trigger",
-            "sqrt_lambda_s", "wrong_class_reward", "C1", "C2", "C3", "C4", "delay_lomax"])
+            "sqrt_lambda_s", "wrong_class_reward", "C1", "C2", "C3", "C4", "delay_lomax",
+            "analysis-alpha", "analysis-b"])
     def test_validate_bad_config(self, tmp_path, capsys, sections, field):
         # validate rejects what run and analyze would reject, and they exit as validate does
         path = self._config(tmp_path, "delayed-neural-ucb", **sections)
@@ -157,7 +160,7 @@ class TestCli:
         cases = [(cls.section, f.metadata.get("key") or f.name)
                  for cls in (ExperimentConfig, *blocks)
                  for f in fields(cls) if f.type is float]
-        assert len(cases) >= 11
+        assert len(cases) >= 9
         for section, key in cases:
             for text, shown in [(".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf")]:
                 path = self._config(tmp_path, "delayed-neural-ucb", **{section: {key: text}})
@@ -574,7 +577,8 @@ class TestCli:
 
     @pytest.mark.parametrize("sections", [
         {"policy": {"lambda": "1.0e300"}},  # log(1 + n/lam) rounded to 0
-        {"analysis": {"alpha": "1.0e300"}},  # alpha ** 2 overflowed
+        # alpha = E[tau] for a uniform delay, and alpha ** 2 overflowed
+        {"environment": {"delay": "uniform", "expected_delay": "1.0e300"}},
     ], ids=["lambda", "alpha"])
     def test_analyze_at_an_extreme_constant_prints_finite_numbers(self, tmp_path, capsys,
                                                                   sections):
@@ -588,12 +592,13 @@ class TestCli:
             raise AssertionError(f"analyze printed {constant}")
 
         report = json.loads(printed.out, parse_constant=refuse)
-        if "analysis" in sections:  # sqrt(2 alpha^2 log(3T / 2 delta)), as alpha sqrt(...)
+        if "environment" in sections:  # sqrt(2 alpha^2 log(3T / 2 delta)), as alpha sqrt(...)
             assert report["D_tau"] == pytest.approx(1e300 * math.sqrt(2 * math.log(360)))
 
     def test_analyze_with_a_bound_past_the_float_range_exits_2_with_one_line(self, tmp_path,
                                                                               capsys):
-        for sections in ({"policy": {"S": "1.0e300"}, "analysis": {"alpha": "1.0e300"}},
+        for sections in ({"policy": {"S": "1.0e300"},
+                          "environment": {"delay": "uniform", "expected_delay": "1.0e300"}},
                          {"policy": {"lambda": "1.0e-300"}}):  # lambda ** (-7/6) in gamma_T
             path = self._config(tmp_path, "delayed-neural-ucb", experiment={"horizon": 12},
                                 **sections)
@@ -620,7 +625,7 @@ class TestAnalysis:
             "network": {"width": 8},
             "environment": {"source": "synthetic", "synthetic_dim": 4,
                             "delay": "uniform", "expected_delay": 3},
-            "analysis": {"n_contexts": 12, "alpha": 3.0},
+            "analysis": {"n_contexts": 12},
         })
         report = analyze_config(cfg)
         assert report["n_contexts"] == 12
@@ -628,6 +633,37 @@ class TestAnalysis:
         assert 0 < report["d_tilde"] <= 12
         bounds = [b for _, b in report["bound_curve"]]
         assert all(b > 0 for b in bounds)
+
+    def test_the_delay_tail_follows_from_the_distribution(self):
+        # 4 arms, dim 20 embedded, width 64, lambda = nu = 0.1, 10 fixed steps, E[tau] = 30
+        def report(delay):
+            return analyze_config(config_from_dict({
+                "experiment": {"horizon": 2000, "arms": 4, "seeds": [1]},
+                "policy": {"algorithm": "delayed-neural-ucb", "lambda": 0.1, "nu": 0.1},
+                "network": {"width": 64},
+                "train": {"steps": 10, "steps_schedule": "fixed", "eta": 1e-4},
+                "environment": {"source": "synthetic", "synthetic_dim": 20,
+                                "embed_assumption3": True,
+                                "delay": delay, "expected_delay": 30},
+            }))
+
+        reports = {delay: report(delay)
+                   for delay in ("constant", "uniform", "exponential", "pareto")}
+        expected = {"constant": (0.0, 0.0, 0.0, 127.055), "uniform": (30.0, 0.0, 140.726, 267.781),
+                    "exponential": (60.0, 60.0, 281.452, 408.507)}
+        for delay, (alpha, b, d_tau, d_plus_value) in expected.items():
+            r = reports[delay]
+            assert (r["delay_alpha"], r["delay_b"]) == (alpha, b)
+            assert r["D_tau"] == pytest.approx(d_tau, abs=5e-4)
+            assert r["D_plus"] == pytest.approx(d_plus_value, abs=5e-4)
+            exact = d_plus(DelayBoundParams(2000, 0.05, 30.0, alpha, b))
+            assert r["D_plus"] == pytest.approx(exact[0], rel=1e-12, abs=0)
+        # a Pareto tail is not sub-exponential: no D_+ and no bound, the rest stays
+        pareto = reports["pareto"]
+        for key in ("delay_alpha", "delay_b", "D_plus", "D_tau", "bound_curve"):
+            assert pareto[key] is None, key
+        for key in ("psi_tau", "d_tilde", "gamma_T"):
+            assert pareto[key] == reports["constant"][key], key
 
     def test_delay_none_ignores_expected_delay(self):
         # delay: none draws no delay whatever expected_delay says, so its D_+

@@ -159,3 +159,25 @@ class TestDistributions:
             DelayDistribution("uniform", math.inf)
         with pytest.raises(ConfigurationError):
             DelayDistribution("gamma")
+
+
+class TestTailConstants:
+    def test_constant_none_and_pareto(self):
+        assert DelayDistribution("none").tail_constants() == (0.0, 0.0)
+        assert DelayDistribution("constant", 4.5).tail_constants() == (0.0, 0.0)
+        assert DelayDistribution("pareto", 30).tail_constants() is None
+
+    @pytest.mark.parametrize("kind,mgf", [
+        # E[exp(s (tau - E tau))] in closed form, at x = s E[tau]
+        ("uniform", lambda x: math.sinh(x) / x),  # Uniform(0, 2 E[tau])
+        ("exponential", lambda x: math.exp(-x) / (1.0 - x)),  # rate 1/E[tau], x < 1
+    ], ids=["uniform", "exponential"])
+    @pytest.mark.parametrize("mean", [0.5, 3.0, 30.0])
+    def test_the_moment_bound_holds_where_it_is_claimed(self, kind, mgf, mean):
+        # E[exp(s (tau - E tau))] <= exp(alpha^2 s^2 / 2) for every |s| < 1/b
+        alpha, b = DelayDistribution(kind, mean).tail_constants()
+        reach = 1.0 / b if b > 0 else 20.0 / mean  # b = 0: every s, so a wide grid
+        grid = [reach * k / 200 for k in range(-199, 200) if k]
+        for s in grid:
+            assert mgf(s * mean) <= math.exp(alpha ** 2 * s ** 2 / 2.0), s
+

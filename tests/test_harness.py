@@ -49,6 +49,10 @@ class TestConfig:
         [result] = run_experiment(cfg)
         assert len(result.rows) == 150
 
+    def test_steps_at_follows_the_schedule(self):
+        assert TrainBlock(steps=7, steps_schedule="fixed").steps_at(40) == 7
+        assert TrainBlock(steps=7, steps_schedule="round").steps_at(40) == 40
+
     def test_validation_collects_all_errors(self):
         raw = {"experiment": {"horizon": 0, "arms": 1, "seeds": []},
                "policy": {"algorithm": "bogus", "delta": 2.0}}

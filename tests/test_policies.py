@@ -7,10 +7,12 @@ import pytest
 
 from delaybandit import (BanditRecord, DelayDistribution, LinearBandit,
                          NetworkShape, NeuralBandit, RevealQueue, gamma_value, train_nn)
-from delaybandit.config import PolicyBlock, TrainBlock
+from delaybandit.config import PolicyBlock, TrainBlock, config_from_dict
+from delaybandit.design import DesignMatrix
 from delaybandit.environment import Environment, SyntheticSource
 from delaybandit.errors import (ConfigurationError, DesignUpdateError, NonFiniteScoreError,
                                ProtocolViolationError)
+from delaybandit.harness import run_single
 from delaybandit import policies as policies_mod
 
 # (second record's round, whether round 2 played a NaN context, the error)
@@ -183,6 +185,29 @@ class TestIngest:
         policy.ingest_revealed([BanditRecord(1, 0.5)])
         assert len(calls) == reads
         assert policy.gamma == gamma_value(policy.cfg, logdet())
+
+    @pytest.mark.parametrize("algorithm,delay", [("delayed-neural-ts", "uniform"),
+                                                 ("lin-ts", "none")])
+    def test_ts_gamma_is_nu_and_reads_no_log_det(self, monkeypatch, algorithm, delay):
+        # a TS draw multiplies nu, never the UCB radius, so simple gamma computes none
+        cfg = config_from_dict({
+            "experiment": {"horizon": 30, "arms": 3, "seeds": [1]},
+            "policy": {"algorithm": algorithm, "gamma_mode": "simple", "nu": 0.3,
+                       "alpha": 2.0, "design_mode": "diag"},
+            "network": {"width": 4},
+            "train": {"steps": 1, "steps_schedule": "fixed", "eta": 1e-3},
+            "environment": {"source": "synthetic", "synthetic_dim": 4,
+                            "embed_assumption3": True, "delay": delay,
+                            "expected_delay": 2},
+        })
+
+        def refuse(self):
+            raise AssertionError("a TS policy read log det")
+
+        monkeypatch.setattr(DesignMatrix, "logdet_ratio", refuse)
+        rows = run_single(cfg, 1).rows
+        assert rows[-1][4] > 0  # rewards were revealed and learned
+        assert {row[6] for row in rows} == {0.3}
 
     @pytest.mark.parametrize("schedule", ["fixed", "round"])
     def test_training_spec_follows_schedule(self, monkeypatch, schedule):
