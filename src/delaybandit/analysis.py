@@ -52,7 +52,7 @@ def analyze_config(cfg: ExperimentConfig) -> dict:
     policy = cfg.policy
     steps = cfg.train.steps_at(cfg.horizon)
 
-    def delay_constant(horizon):  # D_+, D_tau and psi_tau, which needs no tail
+    def delay_constant(horizon):  # psi_tau needs no tail: without one, (0, 0) stands in
         return d_plus(DelayBoundParams(horizon, policy.delta, delay.expected_delay,
                                        *(tail or (0.0, 0.0))))
 

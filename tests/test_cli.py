@@ -649,7 +649,8 @@ class TestAnalysis:
 
         reports = {delay: report(delay)
                    for delay in ("constant", "uniform", "exponential", "pareto")}
-        expected = {"constant": (0.0, 0.0, 0.0, 127.055), "uniform": (30.0, 0.0, 140.726, 267.781),
+        expected = {"constant": (0.0, 0.0, 0.0, 127.055),
+                    "uniform": (30.0, 0.0, 140.726, 267.781),
                     "exponential": (60.0, 60.0, 281.452, 408.507)}
         for delay, (alpha, b, d_tau, d_plus_value) in expected.items():
             r = reports[delay]
