@@ -25,6 +25,7 @@ from delaybandit.harness import emit, run_experiment, run_single
 from delaybandit.network import (NetworkShape, forward, gradient,
                                  init_symmetric, unflatten)
 from delaybandit.ntk import DelayBoundParams, d_plus, ntk_gram
+from test_data import write_idx_images, write_idx_labels
 
 SEEDS = [1, 2, 3, 4, 5]
 ROOT = Path(__file__).resolve().parent.parent
@@ -478,6 +479,28 @@ PATHS = {
                         "synthetic_dim": 4, "embed_assumption3": False,
                         "delay": "constant", "expected_delay": 2},
     },
+    # Thompson sampling on a full design past the dual-to-primal switch at p = 20
+    "ts-simple-full-fixed-uniform": {
+        "experiment": {"horizon": 200, "arms": 4, "seeds": [1]},
+        "policy": {"algorithm": "delayed-neural-ts", "gamma_mode": "simple",
+                   "nu": 0.1, "lambda": 0.1, "design_mode": "full"},
+        "network": {"width": 4},
+        "train": {"steps": 5, "steps_schedule": "fixed", "batch_size": 16, "eta": 1e-3},
+        "environment": {"source": "synthetic", "synthetic_dim": 4,
+                        "embed_assumption3": False, "delay": "uniform",
+                        "expected_delay": 3},
+    },
+    # the IDX loader, on the pair that paths_digests writes (4 x 4 images, labels 0-1)
+    "ucb-simple-diag-mnist-uniform": {
+        "experiment": {"horizon": 200, "arms": 2, "seeds": [1]},
+        "policy": {"algorithm": "delayed-neural-ucb", "gamma_mode": "simple",
+                   "nu": 0.1, "lambda": 0.1, "design_mode": "diag"},
+        "network": {"width": 8},
+        "train": {"steps": 5, "steps_schedule": "fixed", "batch_size": 16, "eta": 1e-3},
+        "environment": {"source": "mnist", "dataset_path": "images.idx",
+                        "labels_path": "labels.idx", "embed_assumption3": True,
+                        "delay": "uniform", "expected_delay": 3},
+    },
     # linear h on contexts that are not embedded, at an odd dimension
     "linucb-linear-dim5": {
         "experiment": {"horizon": 200, "arms": 4, "seeds": [1]},
@@ -489,8 +512,17 @@ PATHS = {
 
 
 def paths_digests(tmp_path) -> dict:
+    # the IDX pair of the mnist entry: 60 seeded 4 x 4 images labelled 0 or 1
+    rng = np.random.default_rng(25)
+    write_idx_images(tmp_path / "images.idx", rng.integers(0, 256, size=(60, 4, 4)))
+    write_idx_labels(tmp_path / "labels.idx", list(rng.integers(0, 2, size=60)))
     digests = {}
     for name, raw in PATHS.items():
+        env = raw["environment"]
+        if env["source"] == "mnist":
+            raw = {**raw, "environment": {**env,
+                                          "dataset_path": str(tmp_path / env["dataset_path"]),
+                                          "labels_path": str(tmp_path / env["labels_path"])}}
         cfg = config_from_dict(raw)
         digests[name] = _output_digests(run_experiment(cfg), tmp_path / name, cfg)
     return digests

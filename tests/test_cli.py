@@ -221,16 +221,20 @@ class TestCli:
         assert sorted(f.name for f in tmp_path.iterdir()) == [config_file.name, "out"]
 
     def test_jobs_2_writes_the_bytes_of_jobs_1(self, tmp_path):
-        # a synthetic run, and an IDX one whose Dataset the workers receive pickled
+        # a synthetic run, an IDX one whose Dataset the workers receive pickled,
+        # and a UCB run whose full design passes the switch at p = 8 * 4 + 8 = 40
         images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
         rng = np.random.default_rng(3)
         write_idx_images(images, rng.integers(0, 256, size=(20, 4, 4)))
         write_idx_labels(labels, list(rng.integers(0, 2, size=20)))
         mnist = {"source": "mnist", "dataset_path": images, "labels_path": labels,
                  "embed_assumption3": "true"}
-        for source, environment in (("synthetic", {}), ("mnist", mnist)):
-            path = self._config(tmp_path, "delayed-neural-ts",
-                                experiment={"horizon": 30, "seeds": [1, 2, 3]},
+        cases = (("synthetic", "delayed-neural-ts", 30, {}),
+                 ("mnist", "delayed-neural-ts", 30, mnist),
+                 ("primal", "delayed-neural-ucb", 60, {"embed_assumption3": "false"}))
+        for source, algorithm, horizon, environment in cases:
+            path = self._config(tmp_path, algorithm,
+                                experiment={"horizon": horizon, "seeds": [1, 2, 3]},
                                 environment={"delay": "uniform", "expected_delay": 3,
                                              **environment})
             outs = [tmp_path / source / jobs for jobs in ("1", "2")]
