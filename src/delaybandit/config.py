@@ -269,17 +269,20 @@ def check_design_memory(cfg: ExperimentConfig, context_dim: int) -> None:
     DESIGN_MEMORY_CAP bytes over the horizon. ``validate`` checks this where the
     context dimension is known without the data; a run checks it once it is.
 
-    A linear baseline's design is always full, at p = context_dim.
+    A linear baseline's design is always full, at p = context_dim, and keeps
+    dense rows; a neural one keeps each gradient's per-layer factors.
     """
     policy = cfg.policy
     if policy.algorithm.startswith("lin-"):
         where, p, advice = "policy.algorithm", context_dim, "use a shorter horizon"
+        row_floats = p
     elif policy.design_mode == "full":
         where, advice = "policy.design_mode", "use design_mode: diag or a shorter horizon"
-        p = NetworkShape(cfg.network.depth, cfg.network.width, context_dim).param_count
+        shape = NetworkShape(cfg.network.depth, cfg.network.width, context_dim)
+        p, row_floats = shape.param_count, shape.factor_count
     else:
         return
-    held = full_design_bytes(p, cfg.horizon)
+    held = full_design_bytes(p, cfg.horizon, row_floats)
     if held > DESIGN_MEMORY_CAP:
         raise ConfigurationError(
             f"{where}: a full design at p = {p} may hold {held} bytes "

@@ -8,23 +8,36 @@ Weight layout used throughout: ``w1`` of shape (m, d), ``wh`` of shape
 parameter vectors concatenate ``vec(w1)``, ``vec(w2)``, ..., ``vec(w_{L-1})``
 (row-major) followed by ``wl``. The ReLU subgradient at 0 is 0.
 
-Differentiation is one delta recursion, ``_Passes.backprop``.
-``_Passes.backward`` sums its per-row products into v @ J for the (n, p)
-Jacobian J of a batch's outputs; training backpropagates its residual as v.
-``grad_batch`` backpropagates v = 1 and keeps the rows apart, building J
-itself, only where each row is a feature vector: the arms being scored and
-the revealed records entering the design matrix. ``train_nn`` runs its steps as
-one loop: it draws every mini-batch index vector at once and writes
-activations, residuals, deltas and the gradient into buffers allocated once
-per call, so a step allocates nothing.
+Differentiation is one delta recursion, ``_Passes.backprop``. ``grad_batch``
+backpropagates v = 1 and keeps the rows apart, only where each row is a
+feature vector: the arms being scored and the revealed records entering the
+design matrix. A row's block for a ReLU layer is the outer product of its
+delta and its input, so it returns the rows as per-layer factors
+(``design.Factored``) and never an (n, p) array; ``.dense()`` gives J.
+
+``train_nn`` runs its steps as one loop. With r = h_{L-1} . w_L - y / sqrt(m)
+the squared loss is (m/2)|r|^2, and backpropagating eta*m*r, without the
+sqrt(m) of f, gives eta times its gradient, so a step is one forward pass, one
+backward pass and three passes over theta:
+theta <- (1 - eta*m*lam) theta + eta*m*lam theta_0 - eta * grad. The loop draws
+every mini-batch index vector at once, gathers the batches by one take per
+_GATHER_BYTES of contexts, and writes activations, masks, deltas and the
+gradient into buffers allocated once per call, so a step allocates nothing
+but its share of a take.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .design import Factored
 from .errors import ConfigurationError, DivergedTrainingError
+
+# most bytes of mini-batch contexts that train_nn gathers by one take: 23
+# batches of 64 at the mushroom size (d = 88), one at a time at the MNIST size
+_GATHER_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -53,6 +66,12 @@ class NetworkShape:
     def param_count(self) -> int:
         m, d = self.width, self.input_dim
         return m * d + self.n_hidden * m * m + m
+
+    @property
+    def factor_count(self) -> int:
+        """Floats in the per-layer factors of one gradient row (grad_batch):
+        m + d for W_1, 2m per hidden layer and m for w_L."""
+        return self.input_dim + 2 * self.width * (self.depth - 1)
 
 
 def unflatten(theta: np.ndarray, shape: NetworkShape):
@@ -118,104 +137,86 @@ class _Passes:
     """Forward and backward passes over batches of ``rows`` contexts.
 
     Every intermediate goes into a buffer allocated here, so repeated passes
-    allocate nothing. ``acts`` holds the hidden activations h_1, ..., h_{L-1}
-    of the last ``forward``; h_i > 0 is the ReLU mask. The input layer is
-    multiplied as x @ W_1^T on its (m, d) array: OpenBLAS's small-matrix
-    kernels round the product with a contiguous copy of W_1^T differently,
-    which would change the results of runs.
+    allocate nothing. ``acts[k]`` holds the hidden activation h_{k+1} of the
+    last ``forward``, and ``masks[k]`` its ReLU mask as 0.0/1.0. The input
+    layer is multiplied as x @ W_1^T on its (m, d) array: OpenBLAS's
+    small-matrix kernels round the product with a contiguous copy of W_1^T
+    differently, which would change the results of runs.
     """
 
     def __init__(self, shape: NetworkShape, rows: int):
-        m = shape.width
+        m, layers = shape.width, shape.depth - 1
         self.sqrt_m = np.sqrt(m)
-        self.acts = np.empty((shape.depth - 1, rows, m))
-        self.mask = np.empty((rows, m), dtype=bool)
-        self.deltas = [np.empty((rows, m)) for _ in range(shape.depth - 1)]
+        self.acts = [np.empty((rows, m)) for _ in range(layers)]
+        self.masks = [np.empty((rows, m)) for _ in range(layers)]
+        self.deltas = [np.empty((rows, m)) for _ in range(layers)]
         self.spare = np.empty((rows, m))
-        self.scaled = np.empty(rows)
 
-    def forward(self, w1, wh, wl, xs, out):
-        """Write the network outputs for the rows of xs into out and return it."""
+    def forward(self, w1, hidden, wl, xs, out):
+        """Write h_{L-1} . w_L, the outputs without their factor sqrt(m), for
+        the rows of xs into out and return it."""
         acts = self.acts
         np.matmul(xs, w1.T, out=acts[0])
         np.maximum(acts[0], 0.0, out=acts[0])
-        for layer, w in enumerate(wh):
-            np.matmul(acts[layer], w.T, out=acts[layer + 1])
-            np.maximum(acts[layer + 1], 0.0, out=acts[layer + 1])
-        np.matmul(acts[-1], wl, out=out)
-        out *= self.sqrt_m
-        return out
+        for w, below, act in zip(hidden, acts, acts[1:]):
+            np.matmul(below, w.T, out=act)
+            np.maximum(act, 0.0, out=act)
+        return np.matmul(acts[-1], wl, out=out)
 
-    def backprop(self, wh, wl, v):
-        """Backpropagate v from the last forward's outputs into ``deltas``:
-        deltas[k] is the (rows, m) delta at h_{k+1}, so the gradient of W_1 is
-        deltas[0]^T x and that of hidden layer wh[k] is deltas[k+1]^T h_{k+1}.
-        Row i of each delta depends on v_i alone."""
-        acts, mask, deltas, spare = self.acts, self.mask, self.deltas, self.spare
-        # delta = (mask * w_L) * (sqrt(m) * v); the product with the 0/1 mask is exact
-        np.multiply(v, self.sqrt_m, out=self.scaled)
-        np.greater(acts[-1], 0.0, out=mask)
-        top = deltas[-1]
-        np.multiply(mask, wl, out=top)
-        top *= self.scaled[:, None]
-        for layer in range(wh.shape[0] - 1, -1, -1):
-            np.matmul(deltas[layer + 1], wh[layer], out=spare)
-            np.greater(acts[layer], 0.0, out=mask)
-            np.multiply(spare, mask, out=deltas[layer])
-
-    def backward(self, wh, wl, xs, v, grad_views):
-        """Write v @ J, J the (n, p) Jacobian of the last forward's outputs, into
-        the (w1, wh, wl) views of a flat gradient."""
-        g1, gh, gl = grad_views
-        acts, deltas = self.acts, self.deltas
-        self.backprop(wh, wl, v)
-        np.matmul(v, acts[-1], out=gl)
-        gl *= self.sqrt_m
-        for layer in range(wh.shape[0]):
-            np.matmul(deltas[layer + 1].T, acts[layer], out=gh[layer])
-        np.matmul(deltas[0].T, xs, out=g1)
+    def backprop(self, hidden, wl, v):
+        """Backpropagate v through the last forward's h_{L-1} . w_L into
+        ``deltas``: deltas[k] is the (rows, m) delta at h_{k+1}, so the gradient
+        of W_1 is deltas[0]^T x and that of hidden layer k is
+        deltas[k+1]^T h_{k+1}. Row i of each delta depends on v_i alone."""
+        acts, masks, deltas, spare = self.acts, self.masks, self.deltas, self.spare
+        np.greater(acts[-1], 0.0, out=masks[-1])
+        # delta = (mask * w_L) * v; the product with the 0/1 mask is exact
+        np.multiply(masks[-1], wl, out=deltas[-1])
+        deltas[-1] *= v[:, None]
+        for k in range(len(hidden) - 1, -1, -1):
+            np.matmul(deltas[k + 1], hidden[k], out=spare)
+            np.greater(acts[k], 0.0, out=masks[k])
+            np.multiply(spare, masks[k], out=deltas[k])
 
 
 def forward_many(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray) -> np.ndarray:
     w1, wh, wl = unflatten(theta, shape)
     xs = _check_contexts(xs, shape)
-    return _Passes(shape, xs.shape[0]).forward(w1, wh, wl, xs, np.empty(xs.shape[0]))
+    passes = _Passes(shape, xs.shape[0])
+    return passes.forward(w1, list(wh), wl, xs, np.empty(xs.shape[0])) * passes.sqrt_m
 
 
 def gradient(theta: np.ndarray, shape: NetworkShape, x: np.ndarray) -> np.ndarray:
     """Exact gradient of forward() w.r.t. all p parameters (flat vector)."""
     grads, _ = gradient_many(theta, shape, np.atleast_2d(x))
-    return grads[0]
+    return grads.dense()[0]
 
 
 def gradient_many(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray):
-    """Per-row gradients (n, p) and forward values (n,)."""
+    """Per-row gradients as ``Factored`` rows, and forward values (n,)."""
     return grad_batch(theta, shape, _check_contexts(xs, shape))
 
 
 def grad_batch(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray):
-    """The (n, p) Jacobian J and the outputs (n,) at the rows of xs, from one
-    forward and one backward pass. Each row's deltas depend on that row alone,
-    so backpropagating v = 1 gives every row's at once, and row i of a layer's
-    gradient is the outer product of row i of its delta and of its input,
-    written straight into row i of J. n is kept small: the K arms, or one
-    round's reveals."""
+    """The rows of the Jacobian J at the rows of xs, as per-layer factors, and
+    the outputs (n,), from one forward and one backward pass. Each row's deltas
+    depend on that row alone, so backpropagating v = sqrt(m) gives every row's
+    at once, and row i of a layer's gradient is the outer product of row i of
+    its delta and of its input: the blocks are (delta_1, x) for W_1,
+    (delta_{k+1}, h_k) for each hidden layer and (1, sqrt(m) h_{L-1}) for w_L.
+    ``.dense()`` lays them out as J, whose rows are flat parameter vectors. The
+    first block's right factor is xs itself."""
     w1, wh, wl = unflatten(theta, shape)
     n = xs.shape[0]
-    m, d = shape.width, shape.input_dim
     passes = _Passes(shape, n)
     outputs = passes.forward(w1, wh, wl, xs, np.empty(n))
-    passes.backprop(wh, wl, np.ones(n))
+    outputs *= passes.sqrt_m
+    passes.backprop(wh, wl, np.full(n, passes.sqrt_m))
     acts, deltas = passes.acts, passes.deltas
-    grads = np.empty((n, shape.param_count))
-    # each row of J is laid out as a flat parameter vector: w1, the hidden layers, wl
-    np.multiply(deltas[0][:, :, None], xs[:, None, :], out=grads[:, :m * d].reshape(n, m, d))
-    for layer in range(shape.n_hidden):
-        start = m * d + layer * m * m
-        np.multiply(deltas[layer + 1][:, :, None], acts[layer][:, None, :],
-                    out=grads[:, start:start + m * m].reshape(n, m, m))
-    np.multiply(acts[-1], passes.sqrt_m, out=grads[:, -m:])
-    return grads, outputs
+    blocks = [(deltas[0], xs)]
+    blocks += [(deltas[k + 1], acts[k]) for k in range(shape.n_hidden)]
+    blocks.append((None, acts[-1] * passes.sqrt_m))
+    return Factored(blocks), outputs
 
 
 def train_nn(theta_start: np.ndarray,
@@ -253,38 +254,52 @@ def train_nn(theta_start: np.ndarray,
     if anchor is None:
         anchor = theta_start
     theta = theta_start.astype(np.float64, copy=True)
+    m = shape.width
+    ys = rs / np.sqrt(m)
     if full_batch:
-        rows, bx, br = n, xs, rs
+        rows, batches = n, itertools.repeat((xs, ys), steps)
     else:
         rows = batch_size
         # one draw of all J index vectors yields the stream of J draws of one each
-        batches = rng.integers(0, n, size=(steps, rows))
-        bx, br = np.empty((rows, shape.input_dim)), np.empty(rows)
+        batches = _gathered(xs, ys, rng.integers(0, n, size=(steps, rows)))
     w1, wh, wl = unflatten(theta, shape)  # views: they follow the in-place steps
+    hidden = list(wh)
     grad = np.empty_like(theta)
-    grad_views = unflatten(grad, shape)
-    reg = np.empty_like(theta)
-    resid = np.empty(rows)
+    g1, gh, gl = unflatten(grad, shape)
     passes = _Passes(shape, rows)
-    m_lam = shape.width * lam
+    acts, deltas = passes.acts, passes.deltas
+    first_t = deltas[0].T
+    hidden_grads = [(delta.T, act, g) for delta, act, g in zip(deltas[1:], acts, gh)]
+    resid = np.empty(rows)
+    # r = h_{L-1} . w_L - y / sqrt(m), so f - y = sqrt(m) r and the loss is
+    # (m/2)|r|^2; backpropagating eta*m*r, without the sqrt(m) of f, gives eta
+    # times its gradient, and the regularizer folds into
+    # theta <- (1 - eta*m*lam) theta + eta*m*lam theta_0 - eta * grad
+    half_m, eta_m, shrink = 0.5 * m, eta * m, eta * m * lam
+    decay, pull = 1.0 - shrink, shrink * anchor
     # a non-finite loss raises DivergedTrainingError, so overflow on the way there is not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, steps + 1):
-            if not full_batch:
-                # the indices lie in [0, n), so "clip" changes none; unlike the
-                # default "raise" it lets take write into out without a buffer
-                xs.take(batches[j - 1], axis=0, out=bx, mode="clip")
-                rs.take(batches[j - 1], out=br, mode="clip")
-            passes.forward(w1, wh, wl, bx, resid)
-            resid -= br
-            step_loss = 0.5 * float(resid @ resid)
-            if not math.isfinite(step_loss):
+        for j, (bx, by) in enumerate(batches, start=1):
+            r = passes.forward(w1, hidden, wl, bx, resid)
+            r -= by
+            if not math.isfinite(half_m * float(r @ r)):
                 raise DivergedTrainingError(j)
-            passes.backward(wh, wl, bx, resid, grad_views)
-            # theta -= eta * (resid @ J + m * lam * (theta - anchor)), one pass at a time
-            np.subtract(theta, anchor, out=reg)
-            reg *= m_lam
-            grad += reg
-            grad *= eta
+            r *= eta_m
+            passes.backprop(hidden, wl, r)
+            np.matmul(r, acts[-1], out=gl)
+            for delta_t, act, g in hidden_grads:
+                np.matmul(delta_t, act, out=g)
+            np.matmul(first_t, bx, out=g1)
+            theta *= decay
+            theta += pull
             theta -= grad
     return theta
+
+
+def _gathered(xs, ys, index):
+    """The (contexts, targets) of each row of ``index``, gathered by one take
+    per run of steps whose contexts fit in _GATHER_BYTES."""
+    per_take = max(1, _GATHER_BYTES // (8 * index.shape[1] * xs.shape[1]))
+    for first in range(0, len(index), per_take):
+        chunk = index[first:first + per_take]
+        yield from zip(xs.take(chunk, axis=0), ys.take(chunk))

@@ -166,9 +166,10 @@ class NeuralBandit(Bandit):
 
     def _score(self, contexts: np.ndarray):
         sqrt_m = math.sqrt(self.shape.width)
+        # each arm's gradient comes as per-layer factors (design.Factored): its
+        # norm, and the design's quadratic form, cost what the factors cost, not p
         grads, means = gradient_many(self.theta, self.shape, contexts)
-        # np.linalg.norm(grads, axis=1) computes this for real input, plus a conj() copy
-        gnorm = np.max(np.sqrt(np.add.reduce(grads * grads, axis=1))) / sqrt_m
+        gnorm = np.max(np.sqrt(grads.sqnorms())) / sqrt_m
         if not math.isfinite(gnorm):  # summary.json would print it
             raise NonFiniteScoreError(f"round {self.t + 1}: the gradient norm of an arm "
                                       f"is {float(gnorm)}, not finite")
@@ -183,7 +184,8 @@ class NeuralBandit(Bandit):
         return draws, means, draws - means
 
     def _design_vectors(self, contexts: list[np.ndarray]):
-        """Scaled gradient features at the current (pre-retrain) parameters."""
+        """Scaled gradient features at the current (pre-retrain) parameters, as
+        per-layer factors."""
         if not contexts:
             return ()
         grads, _ = gradient_many(self.theta, self.shape, np.stack(contexts))

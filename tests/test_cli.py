@@ -364,31 +364,33 @@ class TestCli:
         # the linear baselines build no network
         assert main(["validate", "--config", self._config(tmp_path, "lin-ucb", **sections)]) == 0
 
-    # MNIST's size: 784 pixels, 10 arms, embedded, width 128, so p = 2 007 168
-    MNIST_SIZE = {"experiment": {"horizon": 2000, "arms": 10}, "network": {"width": 128}}
+    # MNIST's size: 784 pixels, 10 arms, embedded, width 128, so p = 2 007 168; a
+    # gradient row keeps its per-layer factors, (128 + 15 680) + 128 floats
+    MNIST_SIZE = {"experiment": {"horizon": 8193, "arms": 10}, "network": {"width": 128}}
     MNIST_P = 128 * 784 * 10 * 2 + 128
+    MNIST_ROW = 784 * 10 * 2 + 2 * 128
 
     def test_full_design_over_the_memory_cap_exits_1(self, tmp_path, capsys):
-        # 2000 dual rows fill a capacity of 2048, grown from 1024 with both alive:
-        # 46 GB, refused before the first round
+        # 8193 dual rows fill a capacity of 16384, grown from 8192 with both
+        # alive: 5.4 GiB, refused before the first round
         path = self._config(tmp_path, "delayed-neural-ucb", **self.MNIST_SIZE,
                             environment={"synthetic_dim": 7840, "embed_assumption3": "true"})
-        held = 8 * ((1024 + 2048) * self.MNIST_P + 1024**2 + 2048**2)
+        held = 8 * ((8192 + 16384) * self.MNIST_ROW + 8192**2 + 16384**2)
         assert main(["validate", "--config", path]) == 1
         err = capsys.readouterr().err
         assert err == (f"error: policy.design_mode: a full design at p = {self.MNIST_P} may "
-                       f"hold {held} bytes (46.0 GiB) over 2000 rounds, above the cap of "
+                       f"hold {held} bytes (5.4 GiB) over 8193 rounds, above the cap of "
                        f"{4 * 2**30} bytes (4 GiB); use design_mode: diag or a shorter "
                        "horizon\n")
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == err
         assert not (tmp_path / "out").exists()
-        # the diagonal design holds p floats, and a horizon of up to 128 rounds, whose
-        # last growth copies 64 rows into 128, stays below the cap; 129 rounds grow
-        # 128 rows into 256, 6.2 GB
+        # the diagonal design holds p floats, and a horizon of up to 8192 rounds,
+        # whose last growth copies 4096 rows into 8192, stays below the cap at
+        # 2.1 GiB; 2000 rounds hold 0.40 GiB
         for sections, code in (({"policy": {"design_mode": "diag"}}, 0),
-                               ({"experiment": {"horizon": 128, "arms": 10}}, 0),
-                               ({"experiment": {"horizon": 129, "arms": 10}}, 1)):
+                               ({"experiment": {"horizon": 8192, "arms": 10}}, 0),
+                               ({"experiment": {"horizon": 2000, "arms": 10}}, 0)):
             path = self._config(tmp_path, "delayed-neural-ucb", **{
                 **self.MNIST_SIZE, **sections,
                 "environment": {"synthetic_dim": 7840, "embed_assumption3": "true"}})

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from delaybandit import DesignMatrix, assumption3_embed, disjoint_transform
-from delaybandit.design import REFRESH_PERIOD, full_design_bytes
+from delaybandit.design import REFRESH_PERIOD, Factored, full_design_bytes
 from delaybandit.errors import ConfigurationError, DesignUpdateError
+from delaybandit.network import NetworkShape, gradient_many
 
 
 class TestConstruction:
@@ -58,6 +59,27 @@ class TestConstruction:
         assert peak <= estimate + 4 * p * 8
         if updates < p:
             assert estimate <= peak
+
+    @pytest.mark.parametrize("updates", [64, 65, 128, 129, 247])
+    def test_full_design_bytes_bounds_the_traced_peak_of_factored_rows(self, updates):
+        # width-8 gradient rows on 30-dim contexts: p = 8 * 30 + 8 = 248, and
+        # each row keeps 8 + 30 + 8 floats of factors, not p
+        m, d = 8, 30
+        p, row_floats = m * d + m, m + d + m
+        rng = np.random.default_rng(updates)
+        vectors = list(Factored([(rng.standard_normal((updates, m)),
+                                  rng.standard_normal((updates, d))),
+                                 (None, rng.standard_normal((updates, m)))]))
+        tracemalloc.start()
+        try:
+            dm = DesignMatrix(p, 1.0)
+            for u in vectors:
+                dm.rank1_update(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        estimate = full_design_bytes(p, updates, row_floats)
+        assert estimate <= peak <= estimate + 4 * p * 8
 
 
 class TestUpdates:
@@ -424,3 +446,85 @@ class TestProperties:
             dm.rank1_update(rng.standard_normal(p))
             u = rng.standard_normal(p)
             assert dm.quad_form(u) <= float(u @ u) / lam + 1e-12
+
+
+def gradient_rows(depth, n, seed):
+    """n scaled gradient rows of a width-4 network on 4-dim contexts, as
+    per-layer factors: p = 20, 36 and 52 at depths 2, 3 and 4."""
+    shape = NetworkShape(depth, 4, 4)
+    rng = np.random.default_rng(seed)
+    theta = rng.standard_normal(shape.param_count)
+    grads, _ = gradient_many(theta, shape, rng.standard_normal((n, 4)))
+    grads /= 2.0  # 1 / sqrt(m), as the policy scales them
+    return grads
+
+
+class TestFactoredRows:
+    """A design fed per-layer factors agrees with one fed the same rows dense."""
+
+    REL = 1e-12
+
+    def _assert_agree(self, factored, dense, queries, rng):
+        dense_queries = queries.dense()
+        np.testing.assert_allclose(factored.quad_form(queries), dense.quad_form(dense_queries),
+                                   rtol=self.REL, atol=0)
+        assert factored.quad_form(queries[1]) == pytest.approx(
+            dense.quad_form(dense_queries[1]), rel=self.REL, abs=0)
+        assert factored.logdet_ratio() == pytest.approx(dense.logdet_ratio(), rel=self.REL,
+                                                        abs=0)
+        v = rng.standard_normal(factored.p)
+        for ours, theirs in ((factored.solve(v), dense.solve(v)),
+                             (factored.inverse(), dense.inverse())):
+            assert np.max(np.abs(ours - theirs)) <= self.REL * np.max(np.abs(theirs))
+
+    @pytest.mark.parametrize("mode", ["diag", "full"])
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_same_design_as_the_dense_rows(self, depth, mode):
+        rows = gradient_rows(depth, 515, seed=depth)
+        queries = gradient_rows(depth, 3, seed=depth + 10)
+        p = rows.shape[1]
+        # full: the dual form, the switch, the primal form and its refresh at
+        # update 512, which comes for any p <= 512
+        checks = {0, 1, 10, 100} if mode == "diag" else {0, 1, 3, p - 1, p, p + 5, 512, 515}
+        factored, dense = DesignMatrix(p, 0.5, mode), DesignMatrix(p, 0.5, mode)
+        rng = np.random.default_rng(depth)
+        dense_rows = rows.dense()
+        for count in range(max(checks) + 1):
+            if count in checks:
+                self._assert_agree(factored, dense, queries, rng)
+            if count < max(checks):
+                factored.rank1_update(rows[count])
+                dense.rank1_update(dense_rows[count])
+
+    # 2 updates stay in the dual form at p = 20; 25 cross into the primal form
+    @pytest.mark.parametrize("mode,updates", [("full", 2), ("full", 25), ("diag", 2)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+    def test_a_bad_factor_raises_as_its_dense_row_does(self, mode, updates, bad):
+        rows = gradient_rows(2, updates + 1, seed=7)
+        rows.blocks[0][0][updates, 1] = bad  # one entry of the W_1 block's left factor
+        probe = gradient_rows(2, 1, seed=8)
+        messages = []
+        for feed in (lambda u: u, Factored.dense):
+            dm = DesignMatrix(20, 0.5, mode)
+            for u in list(rows)[:updates]:
+                dm.rank1_update(feed(u))
+            bad_row = feed(rows[updates])
+            before = (dm.update_count, dm.quad_form(feed(probe[0])), dm.logdet_ratio())
+            with pytest.raises(DesignUpdateError) as checked:
+                dm.check_update(bad_row)
+            with pytest.raises(DesignUpdateError) as updated:
+                dm.rank1_update(bad_row)
+            assert (dm.update_count, dm.quad_form(feed(probe[0])), dm.logdet_ratio()) == before
+            messages.append((str(checked.value), str(updated.value)))
+        assert messages[0] == messages[1]
+
+    def test_a_dual_design_keeps_one_block_layout(self):
+        rows = gradient_rows(2, 2, seed=3)
+        dm = DesignMatrix(20, 0.5)
+        dm.rank1_update(rows[0])
+        for vector in (rows.dense()[1], rows.dense()[1:]):
+            with pytest.raises(ValueError, match="block layout"):
+                dm.quad_form(vector)
+        with pytest.raises(ValueError, match="block layout"):
+            dm.rank1_update(rows.dense()[1])
+        assert dm.update_count == 1

@@ -317,6 +317,7 @@ def jacobian_train_reference(theta_start, shape, xs, rs, spec, rng=None, anchor=
             idx = rng.integers(0, n, size=spec.batch_size)
             bx, br = xs[idx], rs[idx]
         grads, preds = gradient_many(theta, shape, bx)
+        grads = grads.dense()
         resid = preds - br
         if not np.isfinite(0.5 * float(resid @ resid)):
             raise DivergedTrainingError(j)
@@ -325,36 +326,43 @@ def jacobian_train_reference(theta_start, shape, xs, rs, spec, rng=None, anchor=
 
 
 def unfused_train_reference(theta_start, shape, xs, rs, spec, rng=None, anchor=None):
-    """The step loop of train_nn before it was fused: one rng draw per step and
-    fresh temporaries for the activations, the backward pass and the update."""
+    """The folded step of train_nn written as a plain loop: one rng draw per
+    step and fresh temporaries for the activations, the backward pass and the
+    update. r = h . w_L - y / sqrt(m) is the residual over sqrt(m); eta*m*r
+    backpropagated without the sqrt(m) of f is eta times the loss gradient, and
+    theta <- (1 - eta*m*lam) theta + eta*m*lam*anchor - eta * grad."""
     anchor = theta_start if anchor is None else anchor
     theta = theta_start.astype(np.float64, copy=True)
     w1, wh, wl = unflatten(theta, shape)
     m, p = shape.width, shape.param_count
-    sqrt_m = np.sqrt(m)
+    ys = rs / np.sqrt(m)
+    shrink = spec.eta * m * spec.lam
     n = xs.shape[0]
     for j in range(1, spec.steps + 1):
         if spec.batch_size is None or spec.batch_size >= n:
-            bx, br = xs, rs
+            bx, by = xs, ys
         else:
             idx = rng.integers(0, n, size=spec.batch_size)
-            bx, br = xs[idx], rs[idx]
+            bx, by = xs[idx], ys[idx]
         acts = [bx, np.maximum(bx @ w1.T, 0.0)]
         for w in wh:
             acts.append(np.maximum(acts[-1] @ w.T, 0.0))
-        resid = np.sqrt(wl.shape[0]) * (acts[-1] @ wl) - br
-        if not np.isfinite(0.5 * float(resid @ resid)):
+        r = acts[-1] @ wl - by
+        if not np.isfinite(0.5 * m * float(r @ r)):
             raise DivergedTrainingError(j)
+        r = r * (spec.eta * m)
         back = np.empty(p)
-        back[-m:] = sqrt_m * (resid @ acts[-1])
-        delta = (sqrt_m * resid[:, None] * wl) * (acts[-1] > 0.0)
+        back[-m:] = r @ acts[-1]
+        delta = (r[:, None] * wl) * (acts[-1] > 0.0)
         end = p - m
         for layer in range(wh.shape[0] - 1, -1, -1):
             back[end - m * m:end] = (delta.T @ acts[layer + 1]).ravel()
             end -= m * m
             delta = (delta @ wh[layer]) * (acts[layer + 1] > 0.0)
         back[:end] = (delta.T @ acts[0]).ravel()
-        theta -= spec.eta * (back + shape.width * spec.lam * (theta - anchor))
+        theta *= 1.0 - shrink
+        theta += shrink * anchor
+        theta -= back
     return theta
 
 
@@ -462,6 +470,7 @@ class TestJacobianMatchesPerRowRecursion:
             mixed = rng.standard_normal((n, dim))
             for xs in (np.abs(mixed), mixed):
                 grads, outputs = gradient_many(theta, shape, xs)
+                grads = grads.dense()
                 ref_grads, ref_outputs = per_row_jacobian_reference(theta, shape, xs)
                 assert np.array_equal(grads, ref_grads), (n, xs.min() >= 0)
                 assert np.array_equal(outputs, ref_outputs)

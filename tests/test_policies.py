@@ -8,7 +8,7 @@ import pytest
 from delaybandit import (BanditRecord, DelayDistribution, LinearBandit,
                          NetworkShape, NeuralBandit, RevealQueue, gamma_value, train_nn)
 from delaybandit.config import PolicyBlock, TrainBlock, config_from_dict
-from delaybandit.design import DesignMatrix
+from delaybandit.design import DesignMatrix, as_factored
 from delaybandit.environment import Environment, SyntheticSource
 from delaybandit.errors import (ConfigurationError, DesignUpdateError, NonFiniteScoreError,
                                ProtocolViolationError)
@@ -68,7 +68,7 @@ class TestSelection:
         p = policy.shape.param_count
 
         def fake_gradient_many(theta, shape, xs):
-            return np.zeros((len(means), p)), np.array(means, dtype=float)
+            return as_factored(np.zeros((len(means), p))), np.array(means, dtype=float)
 
         def fake_quad_form(us):  # one call per round, for all K arms
             assert us.shape == (len(quads), p)
@@ -118,8 +118,8 @@ class TestSelection:
         _, diag = policy.select_action(contexts)
         # reference: one normal draw per arm, in arm order
         grads, means = policies_mod.gradient_many(reference.theta, reference.shape, contexts)
-        sigma2 = reference.cfg.lam * reference.design.quad_form(
-            grads / math.sqrt(reference.shape.width))
+        grads /= math.sqrt(reference.shape.width)
+        sigma2 = reference.cfg.lam * reference.design.quad_form(grads)
         draws = np.array([reference.rng.normal(means[a], reference.cfg.nu * math.sqrt(sigma2[a]))
                           for a in range(len(contexts))])
         assert np.array_equal(diag.scores, draws)
@@ -286,7 +286,8 @@ class TestIngest:
             policy.select_action(np.full((2, 4), np.nan))
         # a finite gradient beside a mean that overflows
         monkeypatch.setattr(policies_mod, "gradient_many",
-                            lambda theta, shape, xs: (np.ones((2, 20)), np.array([0.0, 1.7e308])))
+                            lambda theta, shape, xs: (as_factored(np.ones((2, 20))),
+                                                      np.array([0.0, 1.7e308])))
         monkeypatch.setattr(policy, "gamma", 1e307)  # a bonus of sqrt(5) * 1e307
         with pytest.raises(NonFiniteScoreError, match=r"^round 1, arm 2: the score inf \(mean "
                                                       r"1\.7e\+308, bonus 2\.236\d*e\+307\) "
