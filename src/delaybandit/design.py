@@ -91,6 +91,8 @@ class Factored:
 
     @property
     def shape(self) -> tuple:
+        if len(self.blocks) == 1 and self.blocks[0][0] is None:
+            return self.blocks[0][1].shape
         p = sum((left or 1) * right for left, right in self.layout)
         return (p,) if self.ndim == 1 else (len(self), p)
 
@@ -138,10 +140,10 @@ class Factored:
 
     def sqnorms(self):
         """|u|^2 = sum_b |L_b|^2 |R_b|^2: a float for one vector, else one per row."""
-        total = 0.0
+        total = None
         for left, right in self.blocks:
-            term = _sq(right)
-            total = total + (term if left is None else _sq(left) * term)
+            term = _sq(right) if left is None else _sq(left) * _sq(right)
+            total = term if total is None else total + term
         return total
 
 
@@ -197,11 +199,12 @@ class DesignMatrix:
             self._diag = np.full(p, self.lam)
 
     def _check_dim(self, u, batch=False) -> Factored:
-        shape = u.shape if isinstance(u, Factored) else np.shape(u)
+        u = as_factored(u)
+        shape = u.shape
         if shape[-1:] != (self.p,) or len(shape) > (2 if batch else 1):
             expected = f"({self.p},) or (k, {self.p})" if batch else f"({self.p},)"
             raise ValueError(f"vector has shape {shape}, expected {expected}")
-        return as_factored(u)
+        return u
 
     @staticmethod
     def _check_pivot(pivot: float) -> None:

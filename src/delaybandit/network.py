@@ -138,7 +138,7 @@ class _Passes:
 
     Every intermediate goes into a buffer allocated here, so repeated passes
     allocate nothing. ``acts[k]`` holds the hidden activation h_{k+1} of the
-    last ``forward``, and ``masks[k]`` its ReLU mask as 0.0/1.0. The input
+    last ``forward``; ``mask`` holds one layer's ReLU mask as 0.0/1.0. The input
     layer is multiplied as x @ W_1^T on its (m, d) array: OpenBLAS's
     small-matrix kernels round the product with a contiguous copy of W_1^T
     differently, which would change the results of runs.
@@ -148,7 +148,7 @@ class _Passes:
         m, layers = shape.width, shape.depth - 1
         self.sqrt_m = np.sqrt(m)
         self.acts = [np.empty((rows, m)) for _ in range(layers)]
-        self.masks = [np.empty((rows, m)) for _ in range(layers)]
+        self.mask = np.empty((rows, m))
         self.deltas = [np.empty((rows, m)) for _ in range(layers)]
         self.spare = np.empty((rows, m))
 
@@ -168,22 +168,22 @@ class _Passes:
         ``deltas``: deltas[k] is the (rows, m) delta at h_{k+1}, so the gradient
         of W_1 is deltas[0]^T x and that of hidden layer k is
         deltas[k+1]^T h_{k+1}. Row i of each delta depends on v_i alone."""
-        acts, masks, deltas, spare = self.acts, self.masks, self.deltas, self.spare
-        np.greater(acts[-1], 0.0, out=masks[-1])
+        acts, mask, deltas, spare = self.acts, self.mask, self.deltas, self.spare
+        np.greater(acts[-1], 0.0, out=mask)
         # delta = (mask * w_L) * v; the product with the 0/1 mask is exact
-        np.multiply(masks[-1], wl, out=deltas[-1])
+        np.multiply(mask, wl, out=deltas[-1])
         deltas[-1] *= v[:, None]
         for k in range(len(hidden) - 1, -1, -1):
             np.matmul(deltas[k + 1], hidden[k], out=spare)
-            np.greater(acts[k], 0.0, out=masks[k])
-            np.multiply(spare, masks[k], out=deltas[k])
+            np.greater(acts[k], 0.0, out=mask)
+            np.multiply(spare, mask, out=deltas[k])
 
 
 def forward_many(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray) -> np.ndarray:
     w1, wh, wl = unflatten(theta, shape)
     xs = _check_contexts(xs, shape)
     passes = _Passes(shape, xs.shape[0])
-    return passes.forward(w1, list(wh), wl, xs, np.empty(xs.shape[0])) * passes.sqrt_m
+    return passes.forward(w1, wh, wl, xs, np.empty(xs.shape[0])) * passes.sqrt_m
 
 
 def gradient(theta: np.ndarray, shape: NetworkShape, x: np.ndarray) -> np.ndarray:
@@ -271,9 +271,8 @@ def train_nn(theta_start: np.ndarray,
     first_t = deltas[0].T
     hidden_grads = [(delta.T, act, g) for delta, act, g in zip(deltas[1:], acts, gh)]
     resid = np.empty(rows)
-    # r = h_{L-1} . w_L - y / sqrt(m), so f - y = sqrt(m) r and the loss is
-    # (m/2)|r|^2; backpropagating eta*m*r, without the sqrt(m) of f, gives eta
-    # times its gradient, and the regularizer folds into
+    # the folded step of the module docstring: r = h_{L-1} . w_L - y / sqrt(m),
+    # eta*m*r backpropagated gives eta * grad, and the regularizer folds into
     # theta <- (1 - eta*m*lam) theta + eta*m*lam theta_0 - eta * grad
     half_m, eta_m, shrink = 0.5 * m, eta * m, eta * m * lam
     decay, pull = 1.0 - shrink, shrink * anchor
