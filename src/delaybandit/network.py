@@ -134,56 +134,64 @@ def _check_contexts(xs: np.ndarray, shape: NetworkShape) -> np.ndarray:
 
 
 class _Passes:
-    """Forward and backward passes over batches of ``rows`` contexts.
+    """Forward and backward passes of the network at ``theta`` over batches of
+    ``rows`` contexts.
 
     Every intermediate goes into a buffer allocated here, so repeated passes
-    allocate nothing. ``acts[k]`` holds the hidden activation h_{k+1} of the
-    last ``forward``; ``mask`` holds one layer's ReLU mask as 0.0/1.0. The input
-    layer is multiplied as x @ W_1^T on its (m, d) array: OpenBLAS's
+    allocate nothing, and the weights are views of ``theta``, so they follow
+    in-place steps on it. ``acts[k]`` holds the hidden activation h_{k+1} of
+    the last ``forward``; ``mask`` holds one layer's ReLU mask as 0.0/1.0. The
+    input layer is multiplied as x @ W_1^T on its (m, d) array: OpenBLAS's
     small-matrix kernels round the product with a contiguous copy of W_1^T
     differently, which would change the results of runs.
     """
 
-    def __init__(self, shape: NetworkShape, rows: int):
+    def __init__(self, shape: NetworkShape, rows: int, theta: np.ndarray):
         m, layers = shape.width, shape.depth - 1
+        w1, wh, self.wl = unflatten(theta, shape)
+        self.w1_t = w1.T
         self.sqrt_m = np.sqrt(m)
         self.acts = [np.empty((rows, m)) for _ in range(layers)]
-        self.mask = np.empty((rows, m))
         self.deltas = [np.empty((rows, m)) for _ in range(layers)]
+        self.mask = np.empty((rows, m))
         self.spare = np.empty((rows, m))
+        # hidden layer k: its weights W, W^T, h_{k+1} below it, h_{k+2} above
+        # it and the deltas at both
+        self.up = [(w, w.T, self.acts[k], self.acts[k + 1], self.deltas[k], self.deltas[k + 1])
+                   for k, w in enumerate(wh)]
+        self.down = self.up[::-1]
 
-    def forward(self, w1, hidden, wl, xs, out):
+    def forward(self, xs, out):
         """Write h_{L-1} . w_L, the outputs without their factor sqrt(m), for
         the rows of xs into out and return it."""
-        acts = self.acts
-        np.matmul(xs, w1.T, out=acts[0])
-        np.maximum(acts[0], 0.0, out=acts[0])
-        for w, below, act in zip(hidden, acts, acts[1:]):
-            np.matmul(below, w.T, out=act)
-            np.maximum(act, 0.0, out=act)
-        return np.matmul(acts[-1], wl, out=out)
+        first = self.acts[0]
+        np.matmul(xs, self.w1_t, out=first)
+        np.maximum(first, 0.0, out=first)
+        for _, w_t, below, above, _, _ in self.up:
+            np.matmul(below, w_t, out=above)
+            np.maximum(above, 0.0, out=above)
+        return np.matmul(self.acts[-1], self.wl, out=out)
 
-    def backprop(self, hidden, wl, v):
+    def backprop(self, v):
         """Backpropagate v through the last forward's h_{L-1} . w_L into
         ``deltas``: deltas[k] is the (rows, m) delta at h_{k+1}, so the gradient
         of W_1 is deltas[0]^T x and that of hidden layer k is
         deltas[k+1]^T h_{k+1}. Row i of each delta depends on v_i alone."""
-        acts, mask, deltas, spare = self.acts, self.mask, self.deltas, self.spare
-        np.greater(acts[-1], 0.0, out=mask)
+        mask, spare, top = self.mask, self.spare, self.deltas[-1]
+        np.greater(self.acts[-1], 0.0, out=mask)
         # delta = (mask * w_L) * v; the product with the 0/1 mask is exact
-        np.multiply(mask, wl, out=deltas[-1])
-        deltas[-1] *= v[:, None]
-        for k in range(len(hidden) - 1, -1, -1):
-            np.matmul(deltas[k + 1], hidden[k], out=spare)
-            np.greater(acts[k], 0.0, out=mask)
-            np.multiply(spare, mask, out=deltas[k])
+        np.multiply(mask, self.wl, out=top)
+        top *= v[:, None]
+        for w, _, below, _, delta_below, delta in self.down:
+            np.matmul(delta, w, out=spare)
+            np.greater(below, 0.0, out=mask)
+            np.multiply(spare, mask, out=delta_below)
 
 
 def forward_many(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray) -> np.ndarray:
-    w1, wh, wl = unflatten(theta, shape)
     xs = _check_contexts(xs, shape)
-    passes = _Passes(shape, xs.shape[0])
-    return passes.forward(w1, wh, wl, xs, np.empty(xs.shape[0])) * passes.sqrt_m
+    passes = _Passes(shape, xs.shape[0], theta)
+    return passes.forward(xs, np.empty(xs.shape[0])) * passes.sqrt_m
 
 
 def gradient(theta: np.ndarray, shape: NetworkShape, x: np.ndarray) -> np.ndarray:
@@ -206,12 +214,11 @@ def grad_batch(theta: np.ndarray, shape: NetworkShape, xs: np.ndarray):
     (delta_{k+1}, h_k) for each hidden layer and (1, sqrt(m) h_{L-1}) for w_L.
     ``.dense()`` lays them out as J, whose rows are flat parameter vectors. The
     first block's right factor is xs itself."""
-    w1, wh, wl = unflatten(theta, shape)
     n = xs.shape[0]
-    passes = _Passes(shape, n)
-    outputs = passes.forward(w1, wh, wl, xs, np.empty(n))
+    passes = _Passes(shape, n, theta)
+    outputs = passes.forward(xs, np.empty(n))
     outputs *= passes.sqrt_m
-    passes.backprop(wh, wl, np.full(n, passes.sqrt_m))
+    passes.backprop(np.full(n, passes.sqrt_m))
     acts, deltas = passes.acts, passes.deltas
     blocks = [(deltas[0], xs)]
     blocks += [(deltas[k + 1], acts[k]) for k in range(shape.n_hidden)]
@@ -262,14 +269,12 @@ def train_nn(theta_start: np.ndarray,
         rows = batch_size
         # one draw of all J index vectors yields the stream of J draws of one each
         batches = _gathered(xs, ys, rng.integers(0, n, size=(steps, rows)))
-    w1, wh, wl = unflatten(theta, shape)  # views: they follow the in-place steps
-    hidden = list(wh)
     grad = np.empty_like(theta)
     g1, gh, gl = unflatten(grad, shape)
-    passes = _Passes(shape, rows)
-    acts, deltas = passes.acts, passes.deltas
-    first_t = deltas[0].T
-    hidden_grads = [(delta.T, act, g) for delta, act, g in zip(deltas[1:], acts, gh)]
+    passes = _Passes(shape, rows, theta)
+    forward, backprop, last = passes.forward, passes.backprop, passes.acts[-1]
+    first_t = passes.deltas[0].T
+    hidden_grads = [(delta.T, act, g) for delta, act, g in zip(passes.deltas[1:], passes.acts, gh)]
     resid = np.empty(rows)
     # the folded step of the module docstring: r = h_{L-1} . w_L - y / sqrt(m),
     # eta*m*r backpropagated gives eta * grad, and the regularizer folds into
@@ -279,13 +284,13 @@ def train_nn(theta_start: np.ndarray,
     # a non-finite loss raises DivergedTrainingError, so overflow on the way there is not warned
     with np.errstate(over="ignore", invalid="ignore"):
         for j, (bx, by) in enumerate(batches, start=1):
-            r = passes.forward(w1, hidden, wl, bx, resid)
+            r = forward(bx, resid)
             r -= by
             if not math.isfinite(half_m * float(r @ r)):
                 raise DivergedTrainingError(j)
             r *= eta_m
-            passes.backprop(hidden, wl, r)
-            np.matmul(r, acts[-1], out=gl)
+            backprop(r)
+            np.matmul(r, last, out=gl)
             for delta_t, act, g in hidden_grads:
                 np.matmul(delta_t, act, out=g)
             np.matmul(first_t, bx, out=g1)
