@@ -3,7 +3,7 @@
 from .data import (Dataset, assumption3_embed, disjoint_transform,
                    load_idx, load_mushroom_csv, synthetic_h)
 from .delay import DelayDistribution, RevealQueue, reveal_round
-from .design import DesignMatrix
+from .design import DesignMatrix, Factored
 from .environment import DatasetSource, Environment, SyntheticSource
 from .network import (NetworkShape, forward, forward_many, gradient, gradient_many,
                       init_symmetric, train_nn)
@@ -13,7 +13,7 @@ from .policies import BanditRecord, LinearBandit, NeuralBandit, gamma_value
 
 __all__ = [
     "BanditRecord", "Dataset", "DatasetSource", "DelayBoundParams", "DelayDistribution",
-    "DesignMatrix", "Environment", "LinearBandit",
+    "DesignMatrix", "Environment", "Factored", "LinearBandit",
     "NetworkShape", "NeuralBandit", "RevealQueue",
     "SyntheticSource", "assumption3_embed", "d_plus",
     "disjoint_transform", "effective_dimension", "forward", "forward_many",

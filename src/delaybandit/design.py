@@ -91,8 +91,6 @@ class Factored:
 
     @property
     def shape(self) -> tuple:
-        if len(self.blocks) == 1 and self.blocks[0][0] is None:
-            return self.blocks[0][1].shape
         p = sum((left or 1) * right for left, right in self.layout)
         return (p,) if self.ndim == 1 else (len(self), p)
 
@@ -154,6 +152,10 @@ def as_factored(u) -> Factored:
     return Factored(((None, np.asarray(u, dtype=np.float64)),))
 
 
+def _dense(u) -> np.ndarray:
+    return u.dense() if isinstance(u, Factored) else u
+
+
 def full_design_bytes(p: int, updates: int, row_floats: int | None = None) -> int:
     """The most bytes a full design of dimension p holds at once over its first
     ``updates`` updates, the copies its steps make included. ``row_floats`` is
@@ -198,8 +200,12 @@ class DesignMatrix:
         else:
             self._diag = np.full(p, self.lam)
 
-    def _check_dim(self, u, batch=False) -> Factored:
-        u = as_factored(u)
+    def _check_dim(self, u, batch=False):
+        """u, Factored or a float array, once its shape is (p,) or, for a
+        batch, (k, p). An array is read as one block with a unit left factor,
+        and the dense paths take it as it is, without wrapping it."""
+        if not isinstance(u, Factored):
+            u = np.asarray(u, dtype=np.float64)
         shape = u.shape
         if shape[-1:] != (self.p,) or len(shape) > (2 if batch else 1):
             expected = f"({self.p},) or (k, {self.p})" if batch else f"({self.p},)"
@@ -213,8 +219,9 @@ class DesignMatrix:
                                     "not a finite positive number")
 
     @staticmethod
-    def _squared_norm(u: Factored) -> float:
-        uu = u.sqnorms()  # vdot of each factor, which unlike matmul does not warn on overflow
+    def _squared_norm(u) -> float:
+        # vdot of each factor, which unlike matmul does not warn on overflow
+        uu = u.sqnorms() if isinstance(u, Factored) else float(np.vdot(u, u))
         if not math.isfinite(uu):
             raise DesignUpdateError("design-matrix update vector is not finite "
                                     "or its squared norm overflows")
@@ -236,15 +243,16 @@ class DesignMatrix:
         u = self._check_dim(u)
         uu = self._squared_norm(u)
         if self.mode == "diag":
+            u = as_factored(u)
             for (left, right), diag in zip(u.blocks, self._diag_blocks(u)):
                 if left is None:
                     diag += right * right  # every entry stays >= lam: no pivot to check
                 else:  # einsum's outer product beats multiply.outer's row loop
                     diag += np.einsum("i,j->ij", left * left, right * right)
         elif self._z is None:
-            self._dual_update(u, uu)
+            self._dual_update(as_factored(u), uu)
         else:
-            self._primal_update(u.dense())
+            self._primal_update(_dense(u))
         self.update_count += 1
         if self.mode == "full":
             if self.update_count == self.p:
@@ -384,6 +392,7 @@ class DesignMatrix:
         u = self._check_dim(u, batch=True)
         rows = u if u.ndim == 2 else u[None]
         if self.mode == "diag":
+            rows = as_factored(rows)
             vals = 0.0
             for (left, right), diag in zip(rows.blocks, self._diag_blocks(rows)):
                 if left is None:
@@ -393,20 +402,21 @@ class DesignMatrix:
                 vals = vals + term
         elif self._z is None:
             n = self.update_count
+            rows = as_factored(rows)
             norms = rows.sqnorms()
             if n:
                 wgu = self._cross(rows) @ self._w[:n, :n].T
                 norms = norms - (wgu * wgu).sum(axis=1)
             vals = norms / self.lam
         else:
-            wu = rows.dense() @ self._w.T
+            wu = _dense(rows) @ self._w.T
             vals = np.einsum("ij,ij->i", wu, wu)
         np.maximum(vals, 0.0, out=vals)
         return float(vals[0]) if u.ndim == 1 else vals
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         """Z^{-1} v for a dense (p,) vector, with no p x p temporary in any form."""
-        v = self._check_dim(v).dense()
+        v = _dense(self._check_dim(v))
         if self.mode == "diag":
             return v / self._diag
         if self._z is None:
