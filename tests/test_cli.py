@@ -385,9 +385,9 @@ class TestCli:
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == err
         assert not (tmp_path / "out").exists()
-        # the diagonal design holds p floats, and a horizon of up to 8192 rounds,
+        # the diagonal design holds p floats; a full one over up to 8192 rounds,
         # whose last growth copies 4096 rows into 8192, stays below the cap at
-        # 2.1 GiB; 2000 rounds hold 0.40 GiB
+        # 2.1 GiB, and over 2000 rounds holds 0.40 GiB
         for sections, code in (({"policy": {"design_mode": "diag"}}, 0),
                                ({"experiment": {"horizon": 8192, "arms": 10}}, 0),
                                ({"experiment": {"horizon": 2000, "arms": 10}}, 0)):
