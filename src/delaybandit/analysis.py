@@ -11,6 +11,7 @@ from .errors import DegenerateContextError, NonFiniteScoreError
 from .harness import build_environment
 from .ntk import (DelayBoundParams, d_plus, effective_dimension, ntk_gram, regret_bound,
                   theoretical_gamma)
+from .policies import DELTA, NORM_S
 
 
 def analyze_config(cfg: ExperimentConfig) -> dict:
@@ -53,7 +54,7 @@ def analyze_config(cfg: ExperimentConfig) -> dict:
     steps = cfg.train.steps_at(cfg.horizon)
 
     def delay_constant(horizon):  # psi_tau needs no tail: without one, (0, 0) stands in
-        return d_plus(DelayBoundParams(horizon, policy.delta, delay.expected_delay,
+        return d_plus(DelayBoundParams(horizon, DELTA, delay.expected_delay,
                                        *(tail or (0.0, 0.0))))
 
     dp, d_tau, psi_tau = delay_constant(cfg.horizon)
@@ -64,13 +65,13 @@ def analyze_config(cfg: ExperimentConfig) -> dict:
         curve = [
             [int(t), regret_bound(
                 delay_constant(int(t))[0], d_tilde, int(t), cfg.arms, policy.lam,
-                policy.nu, policy.delta, policy.norm_s, cfg.train.eta,
+                policy.nu, DELTA, NORM_S, cfg.train.eta,
                 cfg.network.width, steps, cfg.network.depth)]
             for t in grid
         ]
     gamma_t = theoretical_gamma(
         cfg.horizon, d_tilde * math.log(1.0 + cfg.horizon * cfg.arms / policy.lam),
-        policy.lam, policy.nu, policy.delta, policy.norm_s, cfg.train.eta,
+        policy.lam, policy.nu, DELTA, NORM_S, cfg.train.eta,
         cfg.network.width, steps, cfg.network.depth)
     # JSON has no number for inf or nan, and each is past what the bound can say
     numbers = [d_tilde, dp, gamma_t] + [bound for _, bound in curve or ()]

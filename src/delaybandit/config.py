@@ -34,7 +34,6 @@ DESIGN_MEMORY_CAP = 4 * 2**30  # bytes a full design may hold at most (README)
 # and a float field must be finite before its range is tested
 _POSITIVE = (lambda v: v > 0, "must be > 0")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
-_PROBABILITY = (lambda v: 0.0 < v < 1.0, "must lie in (0,1)")
 _SEEDS = (lambda seeds: len(seeds) > 0 and min(seeds) >= 0 and len(set(seeds)) == len(seeds),
           "must be nonempty and >= 0, with no seed repeated")
 
@@ -81,8 +80,6 @@ class PolicyBlock(_Checked):
     algorithm: Algorithm = "delayed-neural-ucb"
     lam: float = _field(1.0, _POSITIVE, key="lambda")
     nu: float = _field(1.0, _NON_NEGATIVE)
-    delta: float = _field(0.05, _PROBABILITY)
-    norm_s: float = _field(1e-4, _NON_NEGATIVE, key="S")
     alpha: float = 1.0  # linear-baseline UCB bonus scale
     gamma_mode: GammaMode = "simple"
     gamma_const: float = 1.0

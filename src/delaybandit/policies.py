@@ -30,6 +30,10 @@ Algorithm = Literal["delayed-neural-ucb", "delayed-neural-ts",
 GammaMode = Literal["simple", "constant"]
 StepsSchedule = Literal["fixed", "round"]  # round: J = t steps at round t
 
+# the reference setup's confidence level delta and norm bound S; no run sets others
+DELTA = 0.05
+NORM_S = 1e-4
+
 
 @dataclass(frozen=True)
 class BanditRecord:
@@ -42,15 +46,14 @@ class BanditRecord:
 def gamma_value(cfg: "PolicyBlock", logdet: float) -> float:
     """Confidence-radius gamma as a function of log det(Z)/det(lam I).
 
-    ``simple`` is nu*sqrt(logdet - 2 log delta) + sqrt(lam)*S; ``constant``
+    ``simple`` is nu*sqrt(logdet - 2 log DELTA) + sqrt(lam)*NORM_S; ``constant``
     returns a fixed value. A gamma that is not finite, such as a product of
     large constants, raises NonFiniteScoreError. The paper's radius, with its
     width/depth terms, is ``ntk.theoretical_gamma``, which ``analyze`` reports.
     """
     if cfg.gamma_mode == "constant":
         return cfg.gamma_const
-    gamma = cfg.nu * math.sqrt(logdet - 2.0 * math.log(cfg.delta)) \
-        + math.sqrt(cfg.lam) * cfg.norm_s
+    gamma = cfg.nu * math.sqrt(logdet - 2.0 * math.log(DELTA)) + math.sqrt(cfg.lam) * NORM_S
     if not math.isfinite(gamma):
         raise NonFiniteScoreError(f"the simple confidence radius gamma is {gamma} "
                                   f"at a log det ratio of {logdet}")

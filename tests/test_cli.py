@@ -89,8 +89,9 @@ class TestCli:
         ({"environment": {"source": "mushroom"}}, "environment.dataset_path"),
         ({"environment": {"source": "mnist", "dataset_path": "images.idx"}},
          "environment.labels_path"),
-        # run used to take the square root of a negative and die with a traceback
-        ({"experiment": {"horizon": 40}, "policy": {"S": -1}}, "policy.S: must be >= 0"),
+        # the confidence level and the norm bound are the reference setup's constants
+        ({"policy": {"S": 1e-4}}, "policy.S: unknown field"),
+        ({"policy": {"delta": 0.05}}, "policy.delta: unknown field"),
         # run used to play seed 3 twice and write one run_3.csv for both
         ({"experiment": {"seeds": [3, 1, 3]}},
          "experiment.seeds: must be nonempty and >= 0, with no seed repeated, got (3, 1, 3)"),
@@ -112,7 +113,7 @@ class TestCli:
     ], ids=["horizon", "batch_size", "nu", "n_contexts-zero", "n_contexts-negative",
             "synthetic_dim", "delay_seed", "seeds-negative",
             "neural-ucb-delayed", "lin-ucb-delayed", "infinite-expected-delay",
-            "no-dataset-path", "no-labels-path", "S", "seeds-repeated", "retrain_trigger",
+            "no-dataset-path", "no-labels-path", "S", "delta", "seeds-repeated", "retrain_trigger",
             "sqrt_lambda_s", "wrong_class_reward", "C1", "C2", "C3", "C4", "delay_lomax",
             "analysis-alpha", "analysis-b"])
     def test_validate_bad_config(self, tmp_path, capsys, sections, field):
@@ -160,7 +161,7 @@ class TestCli:
         cases = [(cls.section, f.metadata.get("key") or f.name)
                  for cls in (ExperimentConfig, *blocks)
                  for f in fields(cls) if f.type is float]
-        assert len(cases) >= 9
+        assert len(cases) >= 7
         for section, key in cases:
             for text, shown in [(".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf")]:
                 path = self._config(tmp_path, "delayed-neural-ucb", **{section: {key: text}})
@@ -603,7 +604,7 @@ class TestCli:
 
     def test_analyze_with_a_bound_past_the_float_range_exits_2_with_one_line(self, tmp_path,
                                                                               capsys):
-        for sections in ({"policy": {"S": "1.0e300"},
+        for sections in ({"policy": {"nu": "1.0e300"},
                           "environment": {"delay": "uniform", "expected_delay": "1.0e300"}},
                          {"policy": {"lambda": "1.0e-300"}}):  # lambda ** (-7/6) in gamma_T
             path = self._config(tmp_path, "delayed-neural-ucb", experiment={"horizon": 12},

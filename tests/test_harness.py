@@ -17,7 +17,7 @@ from delaybandit.delay import DelayDistribution
 from delaybandit.errors import ConfigurationError, DivergedTrainingError
 from delaybandit.harness import (aggregate, build_environment, emit,
                                  run_experiment, run_single)
-from delaybandit.policies import Bandit
+from delaybandit.policies import DELTA, NORM_S, Bandit
 
 
 def synthetic_config(**overrides):
@@ -38,7 +38,7 @@ class TestConfig:
         cfg = ExperimentConfig()
         assert cfg.network.width == 128 and cfg.network.depth == 2
         assert cfg.policy.nu == 1.0 and cfg.policy.lam == 1.0
-        assert cfg.policy.delta == 0.05 and cfg.policy.norm_s == 1e-4
+        assert DELTA == 0.05 and NORM_S == 1e-4
         assert cfg.train.batch_size == 64 and cfg.train.eta == 0.001
         assert cfg.train.steps_schedule == "round"
 
@@ -55,11 +55,11 @@ class TestConfig:
 
     def test_validation_collects_all_errors(self):
         raw = {"experiment": {"horizon": 0, "arms": 1, "seeds": []},
-               "policy": {"algorithm": "bogus", "delta": 2.0}}
+               "policy": {"algorithm": "bogus", "nu": -1.0}}
         with pytest.raises(ConfigurationError) as err:
             config_from_dict(raw)
         msg = str(err.value)
-        for field in ("horizon", "arms", "seeds", "algorithm", "delta"):
+        for field in ("horizon", "arms", "seeds", "algorithm", "nu"):
             assert field in msg
 
     def test_blocks_check_their_fields_when_built(self):

@@ -10,7 +10,7 @@ from delaybandit import (BanditRecord, DelayDistribution, LinearBandit,
 from delaybandit.config import PolicyBlock, TrainBlock, config_from_dict
 from delaybandit.design import DesignMatrix, as_factored
 from delaybandit.environment import Environment, SyntheticSource
-from delaybandit.errors import (ConfigurationError, DesignUpdateError, NonFiniteScoreError,
+from delaybandit.errors import (DesignUpdateError, NonFiniteScoreError,
                                ProtocolViolationError)
 from delaybandit.harness import run_single
 from delaybandit import policies as policies_mod
@@ -38,23 +38,20 @@ class TestGamma:
         assert gamma_value(cfg, 3.2) == 1.5
 
     def test_simple_mode(self):
-        cfg = PolicyBlock(gamma_mode="simple", nu=2.0, lam=4.0, norm_s=0.5, delta=0.1)
-        expected = 2.0 * math.sqrt(1.0 - 2 * math.log(0.1)) + 2.0 * 0.5
+        # delta = 0.05 and S = 1e-4, the reference setup's constants
+        cfg = PolicyBlock(gamma_mode="simple", nu=2.0, lam=4.0)
+        expected = 2.0 * math.sqrt(1.0 - 2 * math.log(0.05)) + 2.0 * 1e-4
         assert gamma_value(cfg, 1.0) == pytest.approx(expected)
 
     def test_simple_mode_adds_sqrt_lambda_times_s(self):
-        # the radius adds sqrt(lam) * S, as NeuralUCB does, not sqrt(lam * S) = 1
-        cfg = PolicyBlock(gamma_mode="simple", nu=0.0, lam=4.0, norm_s=0.25)
-        assert gamma_value(cfg, 0.0) == pytest.approx(0.5)  # 2*0.25
+        # the radius adds sqrt(lam) * S, as NeuralUCB does, not sqrt(lam * S) = 0.02
+        cfg = PolicyBlock(gamma_mode="simple", nu=0.0, lam=4.0)
+        assert gamma_value(cfg, 0.0) == pytest.approx(2e-4)  # 2*1e-4
 
-    def test_invalid_delta_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_cfg(delta=1.0)
-
+    # sqrt(lam) * S stays below 1.4e150 with S = 1e-4, so only nu can make gamma inf
     @pytest.mark.parametrize("overrides", [
-        dict(lam=1e300, norm_s=1e300),  # sqrt(lam) * S rounds to inf
         dict(nu=1e300),  # nu * sqrt(logdet - 2 log delta) rounds to inf
-    ], ids=["product", "nu"])
+    ], ids=["nu"])
     def test_gamma_that_is_not_finite_raises(self, overrides):
         cfg = PolicyBlock(gamma_mode="simple", **overrides)
         with pytest.raises(NonFiniteScoreError, match="confidence radius gamma is inf"):
