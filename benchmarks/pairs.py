@@ -24,8 +24,8 @@ last stops the driver with exit code 2.
 every metric, each side's values, median and quartiles, the change's wins
 (ties count for neither side) and the verdicts of the simplicity-review rules:
 
-- ``gain``: the change wins at least 9 pairs in 10 and the medians differ, in
-  the change's favour, by more than the parent's quartile distance;
+- ``gain``: of at least 10 pairs, the change wins at least 9 in 10 and the
+  medians differ, in its favour, by more than the parent's quartile distance;
 - ``regression`` (metrics with a bound only): the change's median is worse
   than the parent's by more than the bound, relative to the parent's median;
 - ``unresolved`` (the same metrics): no regression, but the parent's
@@ -48,6 +48,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 PERFBENCH = "perfbench:"
 SIDES = ("parent", "change")
+MIN_PAIRS = 10  # the fewest pairs on which a gain may be claimed
 
 
 class ProbeFailed(Exception):
@@ -142,7 +143,8 @@ def compare(parent, change, better, bound=None):
         "change": {"values": change, "median": cm, "q1": c1, "q3": c3},
         "change_over_parent": cm / pm if pm else None,
         "change_wins": wins,
-        "gain": 10 * wins >= 9 * len(parent) and sign * (cm - pm) > p3 - p1,
+        "gain": (len(parent) >= MIN_PAIRS and 10 * wins >= 9 * len(parent)
+                 and sign * (cm - pm) > p3 - p1),
     }
     if bound is not None:
         worse = -sign * (cm - pm) / abs(pm)
@@ -175,7 +177,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("probe", choices=probe_names())
     parser.add_argument("--parent", required=True, help="git revision to compare with")
-    parser.add_argument("--pairs", type=int, default=10, help="parent/change pairs")
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS, help="parent/change pairs")
     parser.add_argument("--out", type=Path, default=None,
                         help="result file (default: BENCH_<probe>.json at the root)")
     args = parser.parse_args(argv)

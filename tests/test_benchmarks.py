@@ -36,16 +36,19 @@ class TestStatistics:
         assert verdict["change_wins"] == 8 and verdict["change"]["median"] == 12.0
         assert not verdict["gain"]
 
+    def test_fewer_than_ten_pairs_are_never_a_gain(self):
+        assert not pairs.compare([10.0] * 9, [12.0] * 9, "higher")["gain"]
+
     def test_a_gap_equal_to_the_parent_quartile_distance_is_not_a_gain(self):
-        parent = [8.0, 9.0, 10.0, 11.0, 12.0]  # quartiles 8.5 and 11.5
-        same_gap = pairs.compare(parent, [x + 3.0 for x in parent], "higher")
-        assert same_gap["change_wins"] == 5 and not same_gap["gain"]
-        assert pairs.compare(parent, [x + 3.5 for x in parent], "higher")["gain"]
+        parent = [8.0, 9.0, 10.0, 11.0, 12.0] * 2  # quartiles 8.75 and 11.25
+        same_gap = pairs.compare(parent, [x + 2.5 for x in parent], "higher")
+        assert same_gap["change_wins"] == 10 and not same_gap["gain"]
+        assert pairs.compare(parent, [x + 3.0 for x in parent], "higher")["gain"]
 
     def test_lower_is_better(self):
-        parent = [8.0, 9.0, 10.0, 11.0, 12.0]
+        parent = [8.0, 9.0, 10.0, 11.0, 12.0] * 2
         faster = pairs.compare(parent, [x - 4.0 for x in parent], "lower")
-        assert faster["change_wins"] == 5 and faster["gain"]
+        assert faster["change_wins"] == 10 and faster["gain"]
         slower = pairs.compare(parent, [x + 4.0 for x in parent], "lower")
         assert slower["change_wins"] == 0 and not slower["gain"]
 
@@ -58,9 +61,9 @@ class TestStatistics:
         assert "regression" not in pairs.compare(parent, [70.0] * 10, "higher")
 
     def test_a_spread_wider_than_the_bound_is_unresolved(self):
-        parent = [60.0, 80.0, 100.0, 120.0, 140.0]  # quartile distance 0.6 of the median
+        parent = [60.0, 80.0, 100.0, 120.0, 140.0] * 2  # quartile distance 0.5 of the median
         assert pairs.compare(parent, list(parent), "higher", 0.24)["unresolved"]
-        clear = pairs.compare(parent, [200.0] * 5, "higher", 0.24)
+        clear = pairs.compare(parent, [200.0] * 10, "higher", 0.24)
         assert not clear["unresolved"] and clear["gain"]
 
 
@@ -87,14 +90,22 @@ class TestProbes:
 
 @needs_git
 class TestDriver:
-    def test_the_export_holds_the_package_and_no_bytecode_cache(self, tmp_path):
-        for rev, dest in (("HEAD", tmp_path / "parent"), (None, tmp_path / "change")):
-            tree = pairs.export(rev, dest, perfbench=True)
-            assert (tree / "src" / "delaybandit" / "__init__.py").is_file()
-            assert (tree / "perfbench" / "run.py").is_file()
-            assert not list(tree.rglob("__pycache__"))
-        bare = pairs.export("HEAD", tmp_path / "bare", perfbench=False)
-        assert not (bare / "perfbench").exists()
+    def test_the_export_holds_the_package_and_no_bytecode_cache(self, tmp_path, monkeypatch):
+        tree = pairs.export("HEAD", tmp_path / "parent", perfbench=True)
+        assert (tree / "src" / "delaybandit" / "__init__.py").is_file()
+        assert (tree / "perfbench" / "run.py").is_file()
+        assert not list(tree.rglob("__pycache__"))
+        # a working tree with bytecode caches and perfbench output: the copy leaves them out
+        work = tmp_path / "work"
+        for name in ("src/delaybandit/__init__.py", "src/delaybandit/__pycache__/x.pyc",
+                     "perfbench/run.py", "perfbench/__pycache__/run.pyc", "perfbench/out/s.csv"):
+            (work / name).parent.mkdir(parents=True, exist_ok=True)
+            (work / name).touch()
+        monkeypatch.setattr(pairs, "ROOT", work)
+        tree = pairs.export(None, tmp_path / "change", perfbench=True)
+        assert sorted(p.relative_to(tree).as_posix() for p in tree.rglob("*") if p.is_file()) \
+            == ["perfbench/run.py", "src/delaybandit/__init__.py"]
+        assert not (pairs.export(None, tmp_path / "bare", perfbench=False) / "perfbench").exists()
 
     def _probe(self, monkeypatch, tmp_path, body):
         scripts = tmp_path / "scripts"
@@ -120,14 +131,14 @@ class TestDriver:
         report = json.loads(out.read_text())
         rate, b = report["metrics"]["x_per_s"], report["metrics"]["n.b"]
         assert rate["better"] == "higher" and rate["parent"]["values"] == [0.0, 0.0]
-        assert rate["change_wins"] == 2 and rate["gain"]
-        assert b["better"] == "lower" and b["change_wins"] == 0 and not b["gain"]
-        assert report["gains"] == ["x_per_s"] and report["regressions"] == []
+        assert rate["change_wins"] == 2 and not rate["gain"]  # two pairs are too few
+        assert b["better"] == "lower" and b["change_wins"] == 0
+        assert report["gains"] == report["regressions"] == report["unresolved"] == []
         assert report["environment"]["PYTHONDONTWRITEBYTECODE"] == "1"
         assert {"blas", "blas_threads", "nproc"} <= set(report["environment"])
         assert report["parent"]["rev"] == pairs.git("rev-parse", "HEAD")
         assert isinstance(report["change"]["uncommitted_changes"], bool)
-        assert "x_per_s: 0 [0, 0] -> 1 [1, 1], change wins 2/2 (gain)" in capsys.readouterr().out
+        assert "x_per_s: 0 [0, 0] -> 1 [1, 1], change wins 2/2\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("body, why", [
         ("sys.exit(3)\n", "exited with code 3"),
