@@ -116,18 +116,19 @@ class TestDriver:
 
     def test_pairs_alternate_and_the_result_has_every_metric(self, monkeypatch, tmp_path,
                                                              capsys):
-        # each run logs its side in the shared work directory and reports it
+        # each run logs its side, its bytecode setting and its work directory
         self._probe(monkeypatch, tmp_path, (
             "side = Path(os.environ['PYTHONPATH']).parent.name\n"
-            "with open(Path(sys.argv[1]) / 'log', 'a') as fh:\n"
-            "    fh.write(side + ' ' + str(sys.dont_write_bytecode) + '\\n')\n"
+            "with open(Path(__file__).with_name('log'), 'a') as fh:\n"
+            "    print(side, sys.dont_write_bytecode, Path(sys.argv[1]).is_dir(), sys.argv[1],\n"
+            "          file=fh)\n"
             "print(json.dumps({'x_per_s': float(side == 'change'), 'n': {'b': 2}}))\n"))
-        monkeypatch.setattr(pairs.tempfile, "TemporaryDirectory",
-                            lambda prefix: _Kept(tmp_path / "run"))
         out = tmp_path / "result.json"
         assert pairs.main(["fake", "--parent", "HEAD", "--pairs", "2", "--out", str(out)]) == 0
-        log = (tmp_path / "run" / "work" / "log").read_text().split()
-        assert log == ["parent", "True", "change", "True", "change", "True", "parent", "True"]
+        log = [line.split() for line in (tmp_path / "scripts" / "log").read_text().splitlines()]
+        assert [side for side, *_ in log] == ["parent", "change", "change", "parent"]
+        assert {(cache, shared) for _, cache, shared, _ in log} == {("True", "True")}
+        assert len({work for *_, work in log}) == 1  # one work directory for both sides
         report = json.loads(out.read_text())
         rate, b = report["metrics"]["x_per_s"], report["metrics"]["n.b"]
         assert rate["better"] == "higher" and rate["parent"]["values"] == [0.0, 0.0]
@@ -152,17 +153,3 @@ class TestDriver:
         assert capsys.readouterr().err.startswith(
             f"pairs: fake on the parent side, pair 1: {why}")
         assert not out.exists()
-
-
-class _Kept:
-    """A TemporaryDirectory stand-in that leaves its directory for the test to read."""
-
-    def __init__(self, path):
-        self.path = path
-
-    def __enter__(self):
-        self.path.mkdir()
-        return str(self.path)
-
-    def __exit__(self, *exc):
-        return False
