@@ -3,7 +3,8 @@
 Usage: python3 benchmarks/probe_linear_round.py WORK   (run by ``pairs.py linear-round``)
 
 For each case in CASES it builds a ``LinearBandit`` of the case's algorithm on
-p-dimensional contexts, reveals the case's number of seeded rewards through
+p-dimensional contexts by ``harness.build_policy``, for as many rounds as the
+case plays, reveals the case's number of seeded rewards through
 ``ingest_revealed`` and then measures one ``select_action`` on K = ARMS seeded
 contexts and one ``DesignMatrix.solve`` of the reward vector b:
 
@@ -17,8 +18,9 @@ switch to the primal form. Prints one JSON line, keyed by case. WORK is unused.
 
 import json, timeit, tracemalloc
 import numpy as np
-from delaybandit.config import PolicyBlock
-from delaybandit.policies import BanditRecord, LinearBandit
+from delaybandit.config import config_from_dict
+from delaybandit.harness import build_policy
+from delaybandit.policies import BanditRecord
 
 ARMS = 10
 REVEALS = 100
@@ -33,7 +35,10 @@ CASES = (("lin-ucb", 2000, REVEALS), ("lin-ucb", 8000, REVEALS),
 
 def measure(algorithm, p, reveals):
     rng = np.random.default_rng(p)
-    policy = LinearBandit(PolicyBlock(algorithm=algorithm), p, rng)
+    # the reveals, a warm-up, the traced round and the timed ones
+    policy = build_policy(config_from_dict({
+        "experiment": {"horizon": reveals + 2 + REPEAT}, "policy": {"algorithm": algorithm},
+        "environment": {"synthetic_dim": p}}), p, p)
     # play each revealed context as its round, without scoring K arms for it
     for t in range(1, reveals + 1):
         policy.t = t

@@ -77,6 +77,10 @@ def main(argv=None) -> int:
     except OSError as exc:  # 1 while the config file is read, 2 after
         print(f"error: {exc}", file=sys.stderr)
         return 1 if cfg is None else 2
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -250,11 +250,15 @@ def validate(cfg: ExperimentConfig, errors: list[str]) -> None:
             check_design_memory(cfg, dim)
         except ConfigurationError as exc:
             errors.append(str(exc))
-    if not cfg.policy.algorithm.startswith("delayed-") and \
-            cfg.delay_distribution().kind != "none":
-        errors.append(f"environment.delay: must be 'none' for {cfg.policy.algorithm}, "
-                      "which sees each reward in the round that earns it, "
-                      f"got {cfg.environment.delay!r}")
+    try:
+        delay = cfg.delay_distribution()
+    except ConfigurationError as exc:  # an E[tau] whose largest draw overflows
+        errors.append(f"environment.expected_delay: {exc}")
+    else:
+        if not cfg.policy.algorithm.startswith("delayed-") and delay.kind != "none":
+            errors.append(f"environment.delay: must be 'none' for {cfg.policy.algorithm}, "
+                          "which sees each reward in the round that earns it, "
+                          f"got {cfg.environment.delay!r}")
     if cfg.environment.source != "synthetic" and cfg.environment.dataset_path is None:
         errors.append("environment.dataset_path: required for dataset sources")
     if cfg.environment.source == "mnist" and cfg.environment.labels_path is None:

@@ -25,7 +25,9 @@ class DelayDistribution:
     uniform(0, 2 E[tau]), exponential(rate 1/E[tau]) and the classic
     pareto(a, x_m = 1) with shape a = (1 + E[tau])/E[tau], whose mean
     a/(a-1) is 1 + E[tau]. Kind "none" and E[tau] = 0 are one distribution:
-    building either gives kind "none" with expected_delay 0.
+    building either gives kind "none" with expected_delay 0. An E[tau] whose
+    largest draw is not finite is refused: from 2^1023 on for a uniform delay,
+    and above about 4.9e306, 1.8e308 / (53 ln 2), for an exponential one.
     """
 
     kind: DelayKind
@@ -39,8 +41,18 @@ class DelayDistribution:
         if self.kind == "none" or self.expected_delay == 0:
             object.__setattr__(self, "kind", "none")
             object.__setattr__(self, "expected_delay", 0.0)
+        largest = self.quantile(1.0 - 2.0**-53)  # at rng.random()'s largest draw
+        if not math.isfinite(largest):
+            raise ConfigurationError(f"E[tau] = {self.expected_delay!r} lets the {self.kind} "
+                                     f"delay reach {largest!r}; its largest draw must be finite")
 
     def sample(self, rng: np.random.Generator) -> float:
+        # none and constant draw nothing from rng
+        return self.quantile(0.0 if self.kind in ("none", "constant") else rng.random())
+
+    def quantile(self, u: float) -> float:
+        """The delay at the uniform draw u in [0, 1) that sample takes; it
+        grows with u."""
         # each parameter is formed as describe() prints it (2 E, 1/E, (1+E)/E)
         # before it is used, so a seeded draw does not move by rounding
         if self.kind == "none":
@@ -49,8 +61,7 @@ class DelayDistribution:
         if self.kind == "constant":
             return mean
         if self.kind == "uniform":
-            return 2.0 * mean * rng.random()
-        u = rng.random()
+            return 2.0 * mean * u
         if self.kind == "exponential":
             return -math.log(1.0 - u) / (1.0 / mean)
         # classic Pareto with x_m = 1 via inverse CDF

@@ -7,11 +7,13 @@ quadratic form all cost what its factors cost, not p. A dense array is one
 block with a unit left factor, and every method takes one as it is.
 
 Full mode is exact and keeps W, a square root of Z^{-1}, in one of two forms.
-While fewer than p vectors have been added it holds no p x p array: it keeps
-the factors of the vectors, the rows of G (n x p), beside W = L^{-1} for the
-lower Cholesky factor L of the n x n kernel K = lam*I + G G^T, whose entries
-are sum_b (L L^T) ⊙ (R R^T) over the blocks. This is the dual (Woodbury) form
-of kernelised UCB:
+While fewer than p vectors have been added it keeps the factors of the
+vectors, the rows of G (n x p), beside W = L^{-1} for the lower Cholesky factor
+L of the n x n kernel K = lam*I + G G^T, whose entries are
+sum_b (L L^T) ⊙ (R R^T) over the blocks, in buffers sized once for the
+c = min(updates, p) vectors the design is built for. Built for fewer than p,
+it holds no p x p array and refuses a vector past c. This is the dual
+(Woodbury) form of kernelised UCB:
 
     Z^{-1} = (I - (W G)^T (W G)) / lam,    det(Z) / lam^p = det(K) / lam^n.
 
@@ -51,10 +53,9 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .errors import ConfigurationError, DesignUpdateError
+from .errors import ConfigurationError, DesignUpdateError, ProtocolViolationError
 
 REFRESH_PERIOD = 512  # square-root drift control
-_INITIAL_ROWS = 64    # first capacity of the dual buffers; doubles up to p
 _BLOCK_ROWS = 256     # rows of W per step of the in-place primal update
 
 DesignMode = Literal["full", "diag"]
@@ -157,13 +158,12 @@ def _dense(u) -> np.ndarray:
 
 
 def full_design_bytes(p: int, updates: int, row_floats: int | None = None) -> int:
-    """The most bytes a full design of dimension p holds at once over its first
-    ``updates`` updates, the copies its steps make included. ``row_floats`` is
-    the floats of one vector's factors (p for a dense vector).
+    """The most bytes a full design of dimension p built for ``updates``
+    updates holds at once over them, the copies its steps make included.
+    ``row_floats`` is the floats of one vector's factors (p for a dense vector).
 
-    In the dual form the factor rows (c x row_floats) and the kernel's factor
-    W (c x c) grow by doubling their capacity c from _INITIAL_ROWS up to p, and
-    while ``_grow`` copies them the old and the new buffers are both alive.
+    In the dual form the design holds the factor rows (c x row_floats) and the
+    kernel's factor W (c x c), c = min(updates, p), allocated when it is built.
     Once p vectors are in, the switch builds G, sums Z from it and drops G and
     the kernel's W. Factoring Z holds Z, its Cholesky factor L, the W = L^{-1}
     being built and inv's two p x p work buffers, and a refresh the old W too:
@@ -172,14 +172,15 @@ def full_design_bytes(p: int, updates: int, row_floats: int | None = None) -> in
     if updates >= p:
         return 8 * (6 * p * p + (REFRESH_PERIOD + min(p, _BLOCK_ROWS)) * p)
     row_floats = p if row_floats is None else row_floats
-    old, rows = 0, min(p, _INITIAL_ROWS)
-    while rows < updates:
-        old, rows = rows, min(2 * rows, p)
-    return 8 * ((old + rows) * row_floats + old * old + rows * rows)
+    return 8 * (updates * row_floats + updates * updates)
 
 
 class DesignMatrix:
-    def __init__(self, p: int, lam: float, mode: DesignMode = "full"):
+    """Z = lam*I + sum u u^T. A full design built for ``updates`` < p updates
+    takes no more; None, the default, sizes it for p and any number."""
+
+    def __init__(self, p: int, lam: float, mode: DesignMode = "full",
+                 updates: int | None = None):
         if lam <= 0:
             raise ConfigurationError(f"lambda must be > 0, got {lam}")
         if p < 1:
@@ -194,7 +195,8 @@ class DesignMatrix:
             # the vectors' factors, as Factored rows of capacity len(_w), made
             # by the first update, whose layout every later dual update shares
             self._rows = None
-            self._w = np.zeros((min(p, _INITIAL_ROWS),) * 2)  # lower-triangular while dual
+            rows = p if updates is None else min(updates, p)
+            self._w = np.zeros((rows, rows))  # lower-triangular while dual
             self._z = self._since_refresh = self._scratch = None  # primal-form arrays
             self._logdet_ratio = 0.0
         else:
@@ -239,7 +241,8 @@ class DesignMatrix:
         self._squared_norm(self._check_dim(u))
 
     def rank1_update(self, u) -> None:
-        """Z += u u^T; raises DesignUpdateError, changing nothing, on numerical trouble."""
+        """Z += u u^T; raises DesignUpdateError, changing nothing, on numerical
+        trouble, and ProtocolViolationError past the updates it was built for."""
         u = self._check_dim(u)
         uu = self._squared_norm(u)
         if self.mode == "diag":
@@ -301,6 +304,8 @@ class DesignMatrix:
 
     def _dual_update(self, u, uu):
         n = self.update_count
+        if n == len(self._w):
+            raise ProtocolViolationError(f"design matrix built for {n} updates took one more")
         w = self._w[:n, :n]
         l = w @ self._cross(u)
         gain = uu - float(l @ l)  # lam * u^T Z^{-1} u
@@ -312,8 +317,6 @@ class DesignMatrix:
             cap = len(self._w)
             self._rows = Factored([(None if left is None else np.empty((cap, left)),
                                     np.empty((cap, right))) for left, right in u.layout])
-        elif n == len(self._w):
-            self._grow(min(2 * n, self.p))
         for (left, right), (g_left, g_right) in zip(u.blocks, self._rows.blocks):
             g_right[n] = right
             if left is not None:
@@ -336,19 +339,6 @@ class DesignMatrix:
             np.einsum("i,j->ij", v[start:stop], cvw, out=step)
             w[start:stop] -= step
         self._logdet_ratio += math.log(denom)
-
-    def _grow(self, rows):
-        n = self.update_count
-
-        def grown(old):
-            new = np.empty((rows, old.shape[1]))
-            new[:n] = old[:n]
-            return new
-
-        w = np.zeros((rows, rows))
-        w[:n, :n] = self._w
-        self._rows, self._w = Factored([(None if left is None else grown(left), grown(right))
-                                        for left, right in self._rows.blocks]), w
 
     def _to_primal(self):
         g = self._g()

@@ -13,7 +13,7 @@ class ConfigurationError(DelayBanditError, ValueError):
 
 
 class ProtocolViolationError(DelayBanditError, RuntimeError):
-    """The reveal/ingest protocol was driven out of order."""
+    """The reveal/ingest protocol was driven out of order or past its horizon."""
 
 
 class DivergedTrainingError(DelayBanditError, RuntimeError):

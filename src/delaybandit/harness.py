@@ -101,9 +101,9 @@ def build_policy(cfg: ExperimentConfig, context_dim: int, seed: int):
     rng = _stream(seed, 4)
     check_design_memory(cfg, context_dim)  # an mnist run learns its context_dim only here
     if cfg.policy.algorithm.startswith("lin-"):
-        return LinearBandit(cfg.policy, context_dim, rng)
+        return LinearBandit(cfg.policy, context_dim, cfg.horizon, rng)
     shape = NetworkShape(cfg.network.depth, cfg.network.width, context_dim)
-    return NeuralBandit(cfg.policy, cfg.train, shape, rng)
+    return NeuralBandit(cfg.policy, cfg.train, shape, cfg.horizon, rng)
 
 
 def run_single(cfg: ExperimentConfig, seed: int, dataset=None) -> RunResult:

@@ -20,10 +20,9 @@ the squared loss is (m/2)|r|^2, and backpropagating eta*m*r, without the
 sqrt(m) of f, gives eta times its gradient, so a step is one forward pass, one
 backward pass and three passes over theta:
 theta <- (1 - eta*m*lam) theta + eta*m*lam theta_0 - eta * grad. The loop draws
-every mini-batch index vector at once, gathers the batches by one take per
-_GATHER_BYTES of contexts, and writes activations, masks, deltas and the
-gradient into buffers allocated once per call, so a step allocates nothing
-but its share of a take.
+every mini-batch index vector at once, gathers each batch by one take into a
+buffer, and writes activations, masks, deltas and the gradient into buffers
+allocated once per call, so a step allocates nothing.
 """
 
 import itertools
@@ -34,10 +33,6 @@ import numpy as np
 
 from .design import Factored
 from .errors import ConfigurationError, DivergedTrainingError
-
-# most bytes of mini-batch contexts that train_nn gathers by one take: 23
-# batches of 64 at the mushroom size (d = 88), one at a time at the MNIST size
-_GATHER_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -267,8 +262,11 @@ def train_nn(theta_start: np.ndarray,
         rows, batches = n, itertools.repeat((xs, ys), steps)
     else:
         rows = batch_size
-        # one draw of all J index vectors yields the stream of J draws of one each
-        batches = _gathered(xs, ys, rng.integers(0, n, size=(steps, rows)))
+        # one draw of all J index vectors yields the stream of J draws of one each;
+        # the indices are in range, so "clip" only spares take a buffered copy
+        bx, by = np.empty((rows, shape.input_dim)), np.empty(rows)
+        batches = ((xs.take(i, axis=0, out=bx, mode="clip"), ys.take(i, out=by, mode="clip"))
+                   for i in rng.integers(0, n, size=(steps, rows)))
     grad = np.empty_like(theta)
     g1, gh, gl = unflatten(grad, shape)
     passes = _Passes(shape, rows, theta)
@@ -280,9 +278,10 @@ def train_nn(theta_start: np.ndarray,
     # eta*m*r backpropagated gives eta * grad, and the regularizer folds into
     # theta <- (1 - eta*m*lam) theta + eta*m*lam theta_0 - eta * grad
     half_m, eta_m, shrink = 0.5 * m, eta * m, eta * m * lam
-    decay, pull = 1.0 - shrink, shrink * anchor
+    decay = 1.0 - shrink
     # a non-finite loss raises DivergedTrainingError, so overflow on the way there is not warned
     with np.errstate(over="ignore", invalid="ignore"):
+        pull = shrink * anchor
         for j, (bx, by) in enumerate(batches, start=1):
             r = forward(bx, resid)
             r -= by
@@ -298,12 +297,3 @@ def train_nn(theta_start: np.ndarray,
             theta += pull
             theta -= grad
     return theta
-
-
-def _gathered(xs, ys, index):
-    """The (contexts, targets) of each row of ``index``, gathered by one take
-    per run of steps whose contexts fit in _GATHER_BYTES."""
-    per_take = max(1, _GATHER_BYTES // (8 * index.shape[1] * xs.shape[1]))
-    for first in range(0, len(index), per_take):
-        chunk = index[first:first + per_take]
-        yield from zip(xs.take(chunk, axis=0), ys.take(chunk))

@@ -78,6 +78,7 @@ class Bandit:
     and keeps its context as ``pending[t]``. ``ingest_revealed`` takes the
     records revealed this round; the context of each is the one it played.
 
+    A policy plays at most ``horizon`` rounds; its buffers are sized for them.
     A batch that names a round not pending, or one round twice, or whose
     design vectors are not all finite, raises before any state changes.
     Otherwise its records enter the design matrix in round order and leave
@@ -93,10 +94,11 @@ class Bandit:
     ``revealed_count`` counts them).
     """
 
-    def __init__(self, cfg: "PolicyBlock", dim: int, design: DesignMatrix,
+    def __init__(self, cfg: "PolicyBlock", dim: int, horizon: int, design: DesignMatrix,
                  rng: np.random.Generator):
         self.cfg = cfg
         self.dim = dim
+        self.horizon = horizon
         self.design = design
         self.rng = rng
         self.exploration = "ts" if cfg.algorithm.endswith("-ts") else "ucb"
@@ -110,6 +112,9 @@ class Bandit:
         contexts = np.asarray(contexts, dtype=np.float64)
         if contexts.ndim != 2 or contexts.shape[1] != self.dim:
             raise ValueError(f"contexts have shape {contexts.shape}, expected (K, {self.dim})")
+        if self.t == self.horizon:
+            raise ProtocolViolationError(f"round {self.t + 1} is past the horizon of "
+                                         f"{self.horizon} rounds")
         # a blown-up model overflows while scoring; the K scores are checked
         # below, so the overflow is not warned
         with np.errstate(over="ignore", invalid="ignore"):
@@ -153,18 +158,17 @@ class NeuralBandit(Bandit):
     config's policy and train blocks; UCB or TS follows the algorithm's name."""
 
     def __init__(self, cfg: "PolicyBlock", train: "TrainBlock", shape: NetworkShape,
-                 rng: np.random.Generator):
-        super().__init__(cfg, shape.input_dim,
-                         DesignMatrix(shape.param_count, cfg.lam, cfg.design_mode), rng)
+                 horizon: int, rng: np.random.Generator):
+        super().__init__(cfg, shape.input_dim, horizon,
+                         DesignMatrix(shape.param_count, cfg.lam, cfg.design_mode, horizon), rng)
         self.train = train
         self.shape = shape
         self.theta0 = init_symmetric(shape, rng)
         self.theta = self.theta0.copy()
         self.max_scaled_grad_norm = 0.0
-        # revealed contexts and rewards fill the first revealed_count rows;
-        # capacity doubles when full, so appending costs O(1) amortized
-        self._xs = np.empty((64, shape.input_dim))
-        self._rs = np.empty(64)
+        # revealed contexts and rewards fill the first revealed_count rows
+        self._xs = np.empty((horizon, shape.input_dim))
+        self._rs = np.empty(horizon)
         self.gamma = cfg.nu if self.exploration == "ts" else gamma_value(cfg, 0.0)
 
     def _score(self, contexts: np.ndarray):
@@ -198,16 +202,9 @@ class NeuralBandit(Bandit):
     def _learn(self, records: list[BanditRecord], contexts: list[np.ndarray]) -> None:
         """Store the revealed rows, retrain and, under UCB, refresh gamma."""
         if records:
-            k = len(records)
-            n = self.revealed_count - k  # rows stored before this batch
-            if n + k > len(self._rs):
-                capacity = max(2 * len(self._rs), n + k)
-                grown_x = np.empty((capacity, self.dim))
-                grown_r = np.empty(capacity)
-                grown_x[:n], grown_r[:n] = self._xs[:n], self._rs[:n]
-                self._xs, self._rs = grown_x, grown_r
-            self._xs[n:n + k] = contexts
-            self._rs[n:n + k] = [record.reward for record in records]
+            n = self.revealed_count  # the batch's rows end here
+            self._xs[n - len(records):n] = contexts
+            self._rs[n - len(records):n] = [record.reward for record in records]
         steps = self.train.steps_at(self.t)
         if self.revealed_count > 0 and steps > 0:
             start = self.theta if self.cfg.warm_start else self.theta0
@@ -230,8 +227,8 @@ class LinearBandit(Bandit):
     vector per round from N(theta_hat, gamma^2 A^{-1}) with gamma = nu.
     """
 
-    def __init__(self, cfg: "PolicyBlock", dim: int, rng: np.random.Generator):
-        super().__init__(cfg, dim, DesignMatrix(dim, cfg.lam, "full"), rng)
+    def __init__(self, cfg: "PolicyBlock", dim: int, horizon: int, rng: np.random.Generator):
+        super().__init__(cfg, dim, horizon, DesignMatrix(dim, cfg.lam, "full", horizon), rng)
         self.b = np.zeros(dim)
         self.gamma = cfg.nu if self.exploration == "ts" else cfg.alpha
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from delaybandit import analysis as analysis_mod
+from delaybandit import cli as cli_mod
 from delaybandit import config as config_mod
 from delaybandit.analysis import analyze_config
 from delaybandit.cli import main
@@ -298,6 +299,41 @@ class TestCli:
         assert capsys.readouterr().err == ("error: design matrix Z is not positive definite "
                                            "to working precision after 6 updates\n")
 
+    def test_out_of_memory_exits_2_with_one_line(self, config_file, tmp_path, capsys,
+                                                 monkeypatch):
+        # numpy's MemoryError names the array; a bare one has no message
+        for exc, line in ((MemoryError("Unable to allocate 610. MiB for an array with shape "
+                                       "(20000000, 4) and data type float64"),
+                           "error: out of memory: Unable to allocate 610. MiB for an array "
+                           "with shape (20000000, 4) and data type float64\n"),
+                          (MemoryError(), "error: out of memory\n")):
+            def fail(cfg, jobs=1, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(cli_mod, "run_experiment", fail)
+            assert main(["run", "--config", str(config_file),
+                         "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == line
+            assert not (tmp_path / "out").exists()
+
+    # the largest E[tau] whose largest draw is finite (see test_delay) and the next float
+    @pytest.mark.parametrize("kind,limit", [
+        ("uniform", math.nextafter(2.0**1023, 0.0)), ("exponential", 4.893439567369806e306)])
+    def test_expected_delay_whose_draw_overflows_exits_1(self, tmp_path, capsys, kind, limit):
+        environment = {"delay": kind, "expected_delay": repr(limit)}
+        path = self._config(tmp_path, "delayed-neural-ucb", environment=environment)
+        assert main(["validate", "--config", path]) == 0
+        capsys.readouterr()
+        above = math.nextafter(limit, math.inf)
+        environment["expected_delay"] = repr(above)
+        path = self._config(tmp_path, "delayed-neural-ucb", environment=environment)
+        for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            assert main([*command, "--config", path]) == 1
+            assert capsys.readouterr().err == (
+                f"error: environment.expected_delay: E[tau] = {above!r} lets the {kind} "
+                "delay reach inf; its largest draw must be finite\n")
+        assert not (tmp_path / "out").exists()
+
     def test_design_update_error_exits_2_with_one_line(self, config_file, tmp_path,
                                                        capsys, monkeypatch):
         def reject(self, u):
@@ -367,30 +403,29 @@ class TestCli:
 
     # MNIST's size: 784 pixels, 10 arms, embedded, width 128, so p = 2 007 168; a
     # gradient row keeps its per-layer factors, (128 + 15 680) + 128 floats
-    MNIST_SIZE = {"experiment": {"horizon": 8193, "arms": 10}, "network": {"width": 128}}
+    MNIST_SIZE = {"experiment": {"horizon": 16535, "arms": 10}, "network": {"width": 128}}
     MNIST_P = 128 * 784 * 10 * 2 + 128
     MNIST_ROW = 784 * 10 * 2 + 2 * 128
 
     def test_full_design_over_the_memory_cap_exits_1(self, tmp_path, capsys):
-        # 8193 dual rows fill a capacity of 16384, grown from 8192 with both
-        # alive: 5.4 GiB, refused before the first round
+        # 16 535 dual rows and their 16 535 x 16 535 factor W pass the cap by
+        # 0.3 MB: refused before the first round
         path = self._config(tmp_path, "delayed-neural-ucb", **self.MNIST_SIZE,
                             environment={"synthetic_dim": 7840, "embed_assumption3": "true"})
-        held = 8 * ((8192 + 16384) * self.MNIST_ROW + 8192**2 + 16384**2)
+        held = 8 * (16535 * self.MNIST_ROW + 16535**2)
         assert main(["validate", "--config", path]) == 1
         err = capsys.readouterr().err
         assert err == (f"error: policy.design_mode: a full design at p = {self.MNIST_P} may "
-                       f"hold {held} bytes (5.4 GiB) over 8193 rounds, above the cap of "
+                       f"hold {held} bytes (4.0 GiB) over 16535 rounds, above the cap of "
                        f"{4 * 2**30} bytes (4 GiB); use design_mode: diag or a shorter "
                        "horizon\n")
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == err
         assert not (tmp_path / "out").exists()
-        # the diagonal design holds p floats; a full one over up to 8192 rounds,
-        # whose last growth copies 4096 rows into 8192, stays below the cap at
-        # 2.1 GiB, and over 2000 rounds holds 0.40 GiB
+        # the diagonal design holds p floats; a full one over 16 534 rounds
+        # stays 0.1 MB below the cap, and over 2000 rounds holds 0.27 GiB
         for sections, code in (({"policy": {"design_mode": "diag"}}, 0),
-                               ({"experiment": {"horizon": 8192, "arms": 10}}, 0),
+                               ({"experiment": {"horizon": 16534, "arms": 10}}, 0),
                                ({"experiment": {"horizon": 2000, "arms": 10}}, 0)):
             path = self._config(tmp_path, "delayed-neural-ucb", **{
                 **self.MNIST_SIZE, **sections,
@@ -398,18 +433,18 @@ class TestCli:
             assert main(["validate", "--config", path]) == code
         capsys.readouterr()
         # a linear baseline's design is always full, at p = the context dimension:
-        # 30 000 rounds go primal at p = 15 680, 11.1 GiB; 8 192 rounds stay dual,
-        # 2.1 GiB, and LinTS draws from the design without a p x p array
+        # 15 680 rounds go primal at p = 15 680, 11.1 GiB; 15 679 rounds stay dual,
+        # 3.7 GiB, and LinTS draws from the design without a p x p array
         p = 15680
         held = 8 * (6 * p * p + (512 + 256) * p)
-        for algorithm, horizon, code in (("lin-ucb", 8192, 0), ("lin-ts", 8192, 0),
-                                         ("lin-ucb", 30000, 1)):
+        for algorithm, horizon, code in (("lin-ucb", p - 1, 0), ("lin-ts", p - 1, 0),
+                                         ("lin-ucb", p, 1)):
             path = self._config(tmp_path, algorithm, experiment={"horizon": horizon},
                                 environment={"synthetic_dim": p})
             assert main(["validate", "--config", path]) == code
         err = capsys.readouterr().err
         assert err == (f"error: policy.algorithm: a full design at p = {p} may hold "
-                       f"{held} bytes (11.1 GiB) over 30000 rounds, above the cap of "
+                       f"{held} bytes (11.1 GiB) over 15680 rounds, above the cap of "
                        f"{4 * 2**30} bytes (4 GiB); use a shorter horizon\n")
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "out").exists()

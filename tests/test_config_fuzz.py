@@ -29,6 +29,7 @@ that only a run can make, and tests/test_cli.py covers them.
 import json
 import math
 import shutil
+import sys
 import tempfile
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -186,7 +187,7 @@ def test_validate_analyze_and_run_keep_one_contract(data_files, capsys):
     check()
 
 
-@pytest.mark.parametrize("value", [1e300, -1e300, 1e-300])
+@pytest.mark.parametrize("value", [1e300, -1e300, 1e-300, sys.float_info.max])
 def test_every_float_field_at_a_float_edge_keeps_the_contract(tmp_path, capsys, value):
     # the draws above reached float edges such as policy.lambda: 1e300 with
     # analyze only at about 1 500 examples; here each float field takes each edge
@@ -195,7 +196,7 @@ def test_every_float_field_at_a_float_edge_keeps_the_contract(tmp_path, capsys, 
     assert len(cases) >= 7
     for i, (section, f) in enumerate(cases):
         raw = {"experiment": {"horizon": 3, "seeds": [1]}, "network": {"width": 8},
-               "environment": {"synthetic_dim": 4}}
+               "environment": {"synthetic_dim": 4, "delay": "uniform"}}
         raw.setdefault(section, {})[_key(f)] = value
         for run_analyzes in (False, True):
             work = tmp_path / f"{i}-{run_analyzes}"

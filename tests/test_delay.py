@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -159,6 +161,32 @@ class TestDistributions:
             DelayDistribution("uniform", math.inf)
         with pytest.raises(ConfigurationError):
             DelayDistribution("gamma")
+
+    # the largest E[tau] whose largest draw is finite, for each kind that can
+    # overflow: 2 E[tau] reaches 2^1024 from E[tau] = 2^1023 on, and the largest
+    # exponential draw is 53 ln 2 E[tau]
+    @pytest.mark.parametrize("kind,limit", [
+        ("uniform", math.nextafter(2.0**1023, 0.0)), ("exponential", 4.893439567369806e306)])
+    def test_largest_draw_stays_finite_up_to_the_limit(self, kind, limit):
+        top = 1.0 - 2.0**-53  # rng.random()'s largest draw
+        largest = DelayDistribution(kind, limit).quantile(top)
+        assert math.isfinite(largest) and largest > 1.79e308
+        above = math.nextafter(limit, math.inf)
+        with pytest.raises(ConfigurationError, match="^" + re.escape(
+                f"E[tau] = {above!r} lets the {kind} delay reach inf; ")):
+            DelayDistribution(kind, above)
+
+    @pytest.mark.parametrize("kind", ["constant", "pareto"])
+    def test_largest_expected_delay_is_taken_where_no_draw_overflows(self, kind):
+        top = DelayDistribution(kind, sys.float_info.max).quantile(1.0 - 2.0**-53)
+        assert top == (sys.float_info.max if kind == "constant" else 2.0**53)
+
+    def test_sample_is_the_quantile_of_one_uniform_draw(self):
+        for kind in ("uniform", "exponential", "pareto"):
+            dist = DelayDistribution(kind, 3.0)
+            rng, reference = np.random.default_rng(4), np.random.default_rng(4)
+            assert [dist.sample(rng) for _ in range(5)] == [
+                dist.quantile(reference.random()) for _ in range(5)]
 
 
 class TestTailConstants:

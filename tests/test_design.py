@@ -5,7 +5,8 @@ import pytest
 
 from delaybandit import DesignMatrix, assumption3_embed, disjoint_transform
 from delaybandit.design import REFRESH_PERIOD, Factored, full_design_bytes
-from delaybandit.errors import ConfigurationError, DesignUpdateError
+from delaybandit.errors import (ConfigurationError, DesignUpdateError,
+                               ProtocolViolationError)
 from delaybandit.network import NetworkShape, gradient_many
 
 
@@ -32,24 +33,25 @@ class TestConstruction:
 
 
     def test_full_design_bytes(self):
-        # G and W while _grow copies them: the old capacity and the new, both alive
-        assert full_design_bytes(300, 1) == full_design_bytes(300, 64) == 8 * (64 * 300 + 64**2)
-        assert full_design_bytes(300, 65) == 8 * ((64 + 128) * 300 + 64**2 + 128**2)
-        assert full_design_bytes(300, 299) == 8 * ((256 + 300) * 300 + 256**2 + 300**2)
+        # the factor rows and W, sized once for the updates the design is built for
+        assert full_design_bytes(300, 1) == 8 * (300 + 1)
+        assert full_design_bytes(300, 65) == 8 * (65 * 300 + 65**2)
+        assert full_design_bytes(300, 299) == 8 * (299 * 300 + 299**2)
+        assert full_design_bytes(248, 100, 46) == 8 * (100 * 46 + 100**2)
         # from the switch on: six p x p arrays, the refresh buffer and the scratch
         primal = 8 * (6 * 10 * 10 + (REFRESH_PERIOD + 10) * 10)
         assert full_design_bytes(10, 10) == full_design_bytes(10, 10**6) == primal
 
     @pytest.mark.parametrize("updates", [64, 65, 128, 129, 299, 300, 300 + REFRESH_PERIOD])
     def test_full_design_bytes_bounds_the_traced_peak(self, updates):
-        # on either side of each growth of the dual buffers the estimate is what
-        # the design allocates, up to a few vectors of temporaries; tracemalloc
-        # does not see np.linalg.inv's work buffers, so past the switch it bounds
+        # in the dual form the estimate is what a design built for ``updates``
+        # allocates, up to a few vectors of temporaries; tracemalloc does not
+        # see np.linalg.inv's work buffers, so past the switch it bounds
         p = 300
         vectors = np.random.default_rng(updates).standard_normal((updates, p))
         tracemalloc.start()
         try:
-            dm = DesignMatrix(p, 1.0)
+            dm = DesignMatrix(p, 1.0, updates=updates)
             for u in vectors:
                 dm.rank1_update(u)
             _, peak = tracemalloc.get_traced_memory()
@@ -60,7 +62,7 @@ class TestConstruction:
         if updates < p:
             assert estimate <= peak
 
-    @pytest.mark.parametrize("updates", [64, 65, 128, 129, 247])
+    @pytest.mark.parametrize("updates", [1, 64, 65, 128, 129, 247])
     def test_full_design_bytes_bounds_the_traced_peak_of_factored_rows(self, updates):
         # width-8 gradient rows on 30-dim contexts: p = 8 * 30 + 8 = 248, and
         # each row keeps 8 + 30 + 8 floats of factors, not p
@@ -72,7 +74,7 @@ class TestConstruction:
                                  (None, rng.standard_normal((updates, m)))]))
         tracemalloc.start()
         try:
-            dm = DesignMatrix(p, 1.0)
+            dm = DesignMatrix(p, 1.0, updates=updates)
             for u in vectors:
                 dm.rank1_update(u)
             _, peak = tracemalloc.get_traced_memory()
@@ -80,6 +82,27 @@ class TestConstruction:
             tracemalloc.stop()
         estimate = full_design_bytes(p, updates, row_floats)
         assert estimate <= peak <= estimate + 4 * p * 8
+
+    def test_update_past_the_count_it_was_built_for_changes_nothing(self):
+        rng = np.random.default_rng(3)
+        dm = DesignMatrix(5, 1.0, updates=2)
+        for u in rng.standard_normal((2, 5)):
+            dm.rank1_update(u)
+        inverse, logdet = dm.inverse(), dm.logdet_ratio()
+        with pytest.raises(ProtocolViolationError,
+                           match="^design matrix built for 2 updates took one more$"):
+            dm.rank1_update(rng.standard_normal(5))
+        assert dm.update_count == 2 and dm.logdet_ratio() == logdet
+        assert np.array_equal(dm.inverse(), inverse)
+
+    @pytest.mark.parametrize("mode,updates", [("full", None), ("full", 5), ("full", 9),
+                                              ("diag", 2)])
+    def test_design_built_for_p_or_more_takes_any_number(self, mode, updates):
+        # from p on the design is primal, and a diagonal one keeps no vectors
+        dm = DesignMatrix(5, 1.0, mode, updates)
+        for u in np.random.default_rng(4).standard_normal((12, 5)):
+            dm.rank1_update(u)
+        assert dm.update_count == 12
 
 
 class TestUpdates:
@@ -285,10 +308,10 @@ class TestOracle:
     def test_dual_form_holds_no_p_by_p_array(self):
         p = 5696  # the mushroom config's parameter count
         rng = np.random.default_rng(2)
-        dm = DesignMatrix(p, 0.1)
         us = rng.standard_normal((50, p))
         tracemalloc.start()
         try:
+            dm = DesignMatrix(p, 0.1, updates=50)
             for u in us:
                 dm.rank1_update(u)
             _, peak = tracemalloc.get_traced_memory()

@@ -24,12 +24,13 @@ REJECTED_BATCHES = pytest.mark.parametrize(
     ids=["unknown", "repeated", "nan-context"])
 
 
-def make_cfg(shape=NetworkShape(2, 4, 4), steps=3, steps_schedule="fixed", **overrides):
-    """The (policy block, train block, shape) that NeuralBandit takes."""
+def make_cfg(shape=NetworkShape(2, 4, 4), steps=3, steps_schedule="fixed", horizon=100,
+             **overrides):
+    """The (policy block, train block, shape, horizon) that NeuralBandit takes."""
     train = TrainBlock(eta=0.01, steps=steps, steps_schedule=steps_schedule, batch_size=None)
     base = dict(gamma_mode="constant", gamma_const=1.0)
     base.update(overrides)
-    return PolicyBlock(**base), train, shape
+    return PolicyBlock(**base), train, shape, horizon
 
 
 class TestGamma:
@@ -261,9 +262,9 @@ class TestIngest:
         assert not policy.pending
 
     def test_training_sees_every_revealed_row(self):
-        # 70 reveals outgrow the initial 64-row buffer; full-batch training
-        # from theta0 must equal train_nn on the rows collected here
-        policy = self.make_policy(steps=2)
+        # full-batch training from theta0 must equal train_nn on the rows
+        # collected here, up to the last round of the horizon
+        policy = self.make_policy(steps=2, horizon=70)
         rng = np.random.default_rng(8)
         xs, rs = [], []
         for t in range(1, 71):
@@ -347,8 +348,8 @@ class TestCausality:
         assert run(poison=False) == run(poison=True)
 
 
-def linear_bandit(dim, algorithm="lin-ucb", **policy):
-    return LinearBandit(PolicyBlock(algorithm=algorithm, **policy), dim,
+def linear_bandit(dim, algorithm="lin-ucb", horizon=200, **policy):
+    return LinearBandit(PolicyBlock(algorithm=algorithm, **policy), dim, horizon,
                         np.random.default_rng(0))
 
 
@@ -449,3 +450,21 @@ def test_pivot_failure_keeps_earlier_updates_and_learns_no_reward(monkeypatch, n
     assert list(policy.pending) == [2]
     assert policy.revealed_count == 0
     assert np.array_equal(policy.theta if neural else policy.b, learned)
+
+
+@pytest.mark.parametrize("neural", [True, False], ids=["neural", "linear"])
+def test_round_past_the_horizon_is_refused_before_it_is_played(neural):
+    # the policy's buffers hold the horizon's rounds and no more
+    if neural:
+        policy = NeuralBandit(*make_cfg(horizon=3), np.random.default_rng(1))
+    else:
+        policy = linear_bandit(4, horizon=3)
+    rng = np.random.default_rng(2)
+    for t in range(1, 4):
+        policy.select_action(rng.standard_normal((2, 4)))
+        policy.ingest_revealed([BanditRecord(t, 0.5)])
+    with pytest.raises(ProtocolViolationError,
+                       match="^round 4 is past the horizon of 3 rounds$"):
+        policy.select_action(rng.standard_normal((2, 4)))
+    assert policy.t == 3 and not policy.pending
+    assert policy.revealed_count == policy.design.update_count == 3
